@@ -1,0 +1,356 @@
+"""Closed-form connection coefficients for the identity catalog, and the
+engine that verifies each identity as an exact polynomial equation.
+
+Identity ids t1..t3 expand a family in the Hermite basis; t4..t8 and
+`remark` expand Hermite members in another family's basis:
+
+* t1 / t2 / t3: order-r Euler / Bernoulli / Frobenius-Euler members in
+  the Hermite basis, via the family's number sequence;
+* t4 / t5: Hermite members in the order-r Euler basis (double-sum and
+  Hermite-values forms of the same coefficients);
+* t6 / t7: Hermite members in the order-r Bernoulli basis (t6 holds for
+  r > n, t7 for n >= r with a split at k = r);
+* t8 / remark: Hermite members in the order-r Frobenius-Euler basis
+  (Hermite-values and double-sum forms).
+
+Verification compares coefficient vectors, never evaluations, so a PASS
+is an exact identity at the checked parameters.  For the lambda families
+the identity is rational in lambda of bounded degree, so checking
+n_max + r + 1 distinct samples ("symbolic" mode) proves it for every
+lambda != 1.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import comb, factorial
+
+from .errors import LambdaIsOne, RegimeViolation
+from .families import (
+    bernoulli,
+    euler,
+    family_numbers,
+    family_polys,
+    frobenius_euler,
+    hermite,
+)
+from .polynomials import Poly, stirling2
+from .series import as_rational
+
+THEOREM_IDS = ("t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "remark")
+
+#: Default parameter samples for the lambda families (1 is never allowed).
+DEFAULT_LAMBDAS = (Fraction(-1), Fraction(2), Fraction(1, 2))
+
+_LAMBDA_SEED = DEFAULT_LAMBDAS + (Fraction(3), Fraction(-2), Fraction(5))
+
+
+def _check_nk(n: int, k: int):
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+
+
+def _check_r(r: int):
+    if r < 0:
+        raise ValueError("family order must be nonnegative")
+
+
+def _check_lambda(lam) -> Fraction:
+    lam = as_rational(lam)
+    if lam == 1:
+        raise LambdaIsOne("parameter 1 is excluded")
+    return lam
+
+
+def _pow00(base, e: int) -> Fraction:
+    # 0^0 = 1: the diagonal terms of the double-sum forms rely on it
+    if e == 0:
+        return Fraction(1)
+    return Fraction(base) ** e
+
+
+@lru_cache(maxsize=None)
+def _hermite_value(m: int, j) -> Fraction:
+    """Hermite member m evaluated at j."""
+    return family_polys(hermite(), m)[m].eval(j)
+
+
+def _hermite_basis_coeff(numbers, n: int, k: int) -> Fraction:
+    # shared even-index sum: n! sum_m numbers[n-k-2m] / (k! (n-k-2m)! 2^(k+2m) m!)
+    tot = Fraction(0)
+    for m in range((n - k) // 2 + 1):
+        tot += numbers[n - k - 2 * m] / (
+            factorial(k) * factorial(n - k - 2 * m) * 2 ** (k + 2 * m) * factorial(m))
+    return factorial(n) * tot
+
+
+def t1_coeff(n: int, k: int, r: int) -> Fraction:
+    """Hermite-basis coefficient of the degree-n order-r Euler member."""
+    _check_nk(n, k)
+    _check_r(r)
+    return _hermite_basis_coeff(family_numbers(euler(r), n), n, k)
+
+
+def t2_coeff(n: int, k: int, r: int) -> Fraction:
+    """Hermite-basis coefficient of the degree-n order-r Bernoulli member."""
+    _check_nk(n, k)
+    _check_r(r)
+    return _hermite_basis_coeff(family_numbers(bernoulli(r), n), n, k)
+
+
+def t3_coeff(n: int, k: int, r: int, lam) -> Fraction:
+    """Hermite-basis coefficient of the degree-n order-r Frobenius-Euler member."""
+    _check_nk(n, k)
+    _check_r(r)
+    lam = _check_lambda(lam)
+    return _hermite_basis_coeff(family_numbers(frobenius_euler(r, lam), n), n, k)
+
+
+def t4_coeff(n: int, k: int, r: int) -> Fraction:
+    """Order-r Euler-basis coefficient of the degree-n Hermite member (double sum)."""
+    _check_nk(n, k)
+    _check_r(r)
+    tot = Fraction(0)
+    for j in range(r + 1):
+        for l in range((n - k) // 2 + 1):
+            tot += (
+                comb(n, k) * comb(r, j) * 2 ** k * (-1) ** l * factorial(n - k)
+                * _pow00(2 * j, n - k - 2 * l)
+                / (factorial(l) * factorial(n - k - 2 * l)))
+    return tot / 2 ** r
+
+
+def t5_coeff(n: int, k: int, r: int) -> Fraction:
+    """Same coefficient as t4, through Hermite values at integer points."""
+    _check_nk(n, k)
+    _check_r(r)
+    tot = sum(comb(r, j) * _hermite_value(n - k, j) for j in range(r + 1))
+    return Fraction(comb(n, k) * 2 ** k, 2 ** r) * tot
+
+
+def _stirling_route_coeff(n: int, k: int, r: int) -> Fraction:
+    # the k < r shape shared by t6 and t7's first branch
+    tot = Fraction(0)
+    for j in range(k + 1):
+        outer = (-1) ** (k - j) * comb(k, j)
+        for l in range(n + 1):
+            tot += (
+                outer * 2 ** l * stirling2(l + r - k, r - k) * _hermite_value(n - l, j)
+                * Fraction(factorial(r - k), factorial(l + r - k) * factorial(k) * factorial(n - l)))
+    return factorial(n) * tot
+
+
+def t6_coeff(n: int, k: int, r: int) -> Fraction:
+    """Order-r Bernoulli-basis coefficient of the degree-n Hermite member, r > n."""
+    _check_nk(n, k)
+    _check_r(r)
+    if r <= n:
+        raise RegimeViolation(f"this form needs r > n, got r={r}, n={n}")
+    return _stirling_route_coeff(n, k, r)
+
+
+def t7_coeff(n: int, k: int, r: int) -> Fraction:
+    """Order-r Bernoulli-basis coefficient of the degree-n Hermite member, n >= r.
+
+    Splits at k = r: below it the Stirling-route shape applies, at and
+    above it a single Hermite-values sum.
+    """
+    _check_nk(n, k)
+    _check_r(r)
+    if n < r:
+        raise RegimeViolation(f"this form needs n >= r, got n={n}, r={r}")
+    if k < r:
+        return _stirling_route_coeff(n, k, r)
+    tot = sum(
+        comb(r, j) * (-1) ** (r - j) * _hermite_value(n - k + r, j) for j in range(r + 1))
+    return Fraction(2 ** (k - r) * factorial(n), factorial(k) * factorial(n - k + r)) * tot
+
+
+def t8_coeff(n: int, k: int, r: int, lam) -> Fraction:
+    """Order-r Frobenius-Euler-basis coefficient of the degree-n Hermite member."""
+    _check_nk(n, k)
+    _check_r(r)
+    lam = _check_lambda(lam)
+    tot = sum(
+        comb(r, j) * (-lam) ** (r - j) * _hermite_value(n - k, j) for j in range(r + 1))
+    return comb(n, k) * 2 ** k * tot / (1 - lam) ** r
+
+
+def remark_coeff(n: int, k: int, r: int, lam) -> Fraction:
+    """Double-sum form of the t8 coefficient; identical values."""
+    _check_nk(n, k)
+    _check_r(r)
+    lam = _check_lambda(lam)
+    tot = Fraction(0)
+    for j in range(r + 1):
+        for l in range((n - k) // 2 + 1):
+            tot += (
+                comb(n, k) * comb(r, j) * 2 ** k * (-1) ** l * (-lam) ** (r - j)
+                * factorial(n - k) * _pow00(2 * j, n - k - 2 * l)
+                / (factorial(l) * factorial(n - k - 2 * l)))
+    return tot / (1 - lam) ** r
+
+
+def lambda_samples(count: int, base=()) -> tuple[Fraction, ...]:
+    """At least ``count`` distinct rational parameter samples, never 1.
+
+    Samples from ``base`` come first (a value 1 there is an error); the
+    default pool and then fresh integers fill up the remainder.
+    """
+    out: list[Fraction] = []
+    seen = set()
+    for v in base:
+        v = _check_lambda(v)
+        if v not in seen:
+            seen.add(v)
+            out.append(v)
+    pool = iter(_LAMBDA_SEED)
+    next_int = 6
+    while len(out) < count:
+        try:
+            v = next(pool)
+        except StopIteration:
+            v = Fraction(next_int)
+            next_int += 1
+        if v not in seen:
+            seen.add(v)
+            out.append(v)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class Mismatch:
+    """First failing coefficient of a verification run."""
+
+    n: int
+    k: int
+    expected: Fraction
+    got: Fraction
+    lam: Fraction | None = None
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """Outcome of verifying one identity over one parameter cell."""
+
+    theorem_id: str
+    n_max: int
+    order_r: int
+    lambdas: tuple[Fraction, ...] = ()
+    status: str = "PASS"
+    first_failure: Mismatch | None = None
+
+    def __post_init__(self):
+        if (self.status == "PASS") != (self.first_failure is None):
+            raise ValueError("status must be PASS exactly when there is no failure")
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "PASS"
+
+
+def _first_mismatch(lhs: Poly, rhs: Poly, n: int, lam=None) -> Mismatch | None:
+    if lhs == rhs:
+        return None
+    for i in range(max(lhs.degree, rhs.degree) + 1):
+        if lhs.coeff(i) != rhs.coeff(i):
+            return Mismatch(n, i, lhs.coeff(i), rhs.coeff(i), lam)
+    raise AssertionError("unreachable: unequal polynomials with equal coefficients")
+
+
+def _check_expansion(lhs_polys, basis_polys, coeff_fn, ns, lam=None) -> Mismatch | None:
+    """Compare lhs_polys[n] with sum_k coeff_fn(n,k) * basis_polys[k] exactly."""
+    for n in ns:
+        rhs = Poly.zero()
+        for k in range(n + 1):
+            c = coeff_fn(n, k)
+            if c:
+                rhs = rhs + c * basis_polys[k]
+        found = _first_mismatch(lhs_polys[n], rhs, n, lam)
+        if found is not None:
+            return found
+    return None
+
+
+def verify_theorem(
+    theorem_id: str,
+    n_max: int,
+    order_r: int = 0,
+    lambdas=None,
+    symbolic_lambda: bool = False,
+) -> IdentityReport:
+    """Verify one identity for all degrees up to n_max at the given order.
+
+    For the lambda identities (t3, t8, remark) every sample in ``lambdas``
+    (default DEFAULT_LAMBDAS) is checked; ``symbolic_lambda`` widens the
+    sample set to n_max + order_r + 1 values, enough to prove the identity
+    for every parameter.  t6 requires order_r > n_max; t7 checks only the
+    degrees n >= order_r.
+    """
+    tid = str(theorem_id).lower()
+    if tid not in THEOREM_IDS:
+        raise ValueError(f"unknown identity id {theorem_id!r}")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    r = order_r
+    _check_r(r)
+
+    hermite_polys = family_polys(hermite(), n_max)
+    ns = range(n_max + 1)
+    failure: Mismatch | None = None
+    lams: tuple[Fraction, ...] = ()
+
+    if tid in ("t3", "t8", "remark"):
+        base = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)
+        count = n_max + r + 1 if symbolic_lambda else len(base)
+        lams = lambda_samples(count, base)
+        if not lams:
+            raise ValueError("need at least one lambda sample")
+        for lam in lams:
+            fe_polys = family_polys(frobenius_euler(r, lam), n_max)
+            if tid == "t3":
+                failure = _check_expansion(
+                    fe_polys, hermite_polys,
+                    lambda n, k: t3_coeff(n, k, r, lam), ns, lam)
+            else:
+                coeff = t8_coeff if tid == "t8" else remark_coeff
+                failure = _check_expansion(
+                    hermite_polys, fe_polys,
+                    lambda n, k: coeff(n, k, r, lam), ns, lam)
+            if failure is not None:
+                break
+    elif tid == "t1":
+        failure = _check_expansion(
+            family_polys(euler(r), n_max), hermite_polys,
+            lambda n, k: t1_coeff(n, k, r), ns)
+    elif tid == "t2":
+        failure = _check_expansion(
+            family_polys(bernoulli(r), n_max), hermite_polys,
+            lambda n, k: t2_coeff(n, k, r), ns)
+    elif tid in ("t4", "t5"):
+        coeff = t4_coeff if tid == "t4" else t5_coeff
+        failure = _check_expansion(
+            hermite_polys, family_polys(euler(r), n_max),
+            lambda n, k: coeff(n, k, r), ns)
+    elif tid == "t6":
+        if r <= n_max:
+            raise RegimeViolation(f"t6 needs order_r > n_max, got order_r={r}, n_max={n_max}")
+        failure = _check_expansion(
+            hermite_polys, family_polys(bernoulli(r), n_max),
+            lambda n, k: t6_coeff(n, k, r), ns)
+    else:  # t7
+        in_regime = [n for n in ns if n >= r]
+        failure = _check_expansion(
+            hermite_polys, family_polys(bernoulli(r), n_max),
+            lambda n, k: t7_coeff(n, k, r), in_regime)
+
+    return IdentityReport(
+        theorem_id=tid,
+        n_max=n_max,
+        order_r=r,
+        lambdas=lams,
+        status="PASS" if failure is None else "FAIL",
+        first_failure=failure,
+    )

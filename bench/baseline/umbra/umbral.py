@@ -1,0 +1,235 @@
+"""The umbral pairing, operator action, Sheffer sequences, and basis changes.
+
+A series acts on polynomials two ways.  As a linear functional the pairing
+is <f | x^n> = n! * c_n(f) (the n! compensates for ordinary-coefficient
+storage, where the functional's weight on x^n is the divided-power
+coefficient).  As an operator, t differentiates: f acts as
+sum_k c_k(f) d^k/dx^k.  The two actions satisfy the adjoint law
+<f*g | p> = <g | f p>.
+
+A Sheffer pair (g, f) - g invertible, f delta - determines the unique
+polynomial sequence S_n with <g f^k | S_n> = n! delta_{n,k}, generated by
+(1/g(fbar)) e^{y fbar(t)} where fbar is the compositional inverse of f.
+Connection coefficients between two such sequences come either from the
+transfer formula (`connection_coeffs`) or from an explicit triangular
+solve against the constructed polynomials (`connection_oracle`); the two
+routes must agree exactly.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial
+
+from .errors import NotInvertible, SingularBasis, TruncationTooShort
+from .polynomials import Poly
+from .series import TruncatedSeries
+
+_ZERO = Fraction(0)
+
+
+def pair_functional(f: TruncatedSeries, p: Poly) -> Fraction:
+    """The pairing <f | p> = sum_n n! c_n(f) p_n over the monomial weights of p."""
+    if f.trunc_order < p.degree:
+        raise TruncationTooShort(
+            f"series known to degree {f.trunc_order} cannot pair with a degree-{p.degree} polynomial")
+    acc = _ZERO
+    for n in range(p.degree + 1):
+        cn = f.coeff(n)
+        pn = p.coeff(n)
+        if cn and pn:
+            acc += factorial(n) * cn * pn
+    return acc
+
+
+def operator_apply(f: TruncatedSeries, p: Poly) -> Poly:
+    """f acting as a differential operator: sum_k c_k(f) p^(k)(x)."""
+    if f.trunc_order < p.degree:
+        raise TruncationTooShort(
+            f"series known to degree {f.trunc_order} cannot act on a degree-{p.degree} polynomial")
+    result = Poly.zero()
+    dk = p
+    for k in range(p.degree + 1):
+        ck = f.coeff(k)
+        if ck:
+            result = result + ck * dk
+        dk = dk.derivative()
+        if dk.degree < 0:
+            break
+    return result
+
+
+def eval_functional(y, order: int) -> TruncatedSeries:
+    """The evaluation functional e^{yt} truncated at ``order``; pairs to p(y)."""
+    return TruncatedSeries.monomial(1, order, y).exp() if order else TruncatedSeries.one(0)
+
+
+class ShefferPair:
+    """An invertible series g and a delta series f, with f's inverse cached.
+
+    Both series are held at a common truncation order; the compositional
+    inverse is computed once at construction.
+    """
+
+    __slots__ = ("_g", "_f", "_fbar")
+
+    def __init__(self, g: TruncatedSeries, f: TruncatedSeries):
+        n = min(g.trunc_order, f.trunc_order)
+        g = g.truncate(n)
+        f = f.truncate(n)
+        if g.order != 0:
+            raise NotInvertible("g of a Sheffer pair must be an invertible series")
+        object.__setattr__(self, "_g", g)
+        object.__setattr__(self, "_f", f)
+        object.__setattr__(self, "_fbar", f.comp_inverse())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ShefferPair is immutable")
+
+    @property
+    def g(self) -> TruncatedSeries:
+        return self._g
+
+    @property
+    def f(self) -> TruncatedSeries:
+        return self._f
+
+    @property
+    def fbar(self) -> TruncatedSeries:
+        return self._fbar
+
+    @property
+    def trunc_order(self) -> int:
+        return self._g.trunc_order
+
+    def __eq__(self, other):
+        if not isinstance(other, ShefferPair):
+            return NotImplemented
+        return self._g == other._g and self._f == other._f
+
+    def __hash__(self):
+        return hash((self._g, self._f))
+
+    def __repr__(self):
+        return f"ShefferPair(g={self._g!r}, f={self._f!r})"
+
+
+def _require_order(pair: ShefferPair, n: int):
+    if pair.trunc_order < n:
+        raise TruncationTooShort(
+            f"pair truncated at {pair.trunc_order} cannot produce degree {n}")
+
+
+def sheffer_polys(pair: ShefferPair, n_max: int) -> tuple[Poly, ...]:
+    """S_0..S_{n_max} for the pair, from the generating identity.
+
+    With A = 1/g(fbar) and B = fbar, coefficient j of S_n is
+    n! [t^n](A B^j / j!); one sweep over j fills the whole triangle.
+    """
+    _require_order(pair, n_max)
+    a = pair.g.compose(pair.fbar).truncate(n_max).reciprocal()
+    b = pair.fbar.truncate(n_max)
+    table = []
+    term = a
+    for j in range(n_max + 1):
+        if j:
+            term = term * b / j
+        table.append(term.coeffs)
+    return tuple(
+        Poly([factorial(n) * table[j][n] for j in range(n + 1)])
+        for n in range(n_max + 1))
+
+
+def sheffer_poly(pair: ShefferPair, n: int) -> Poly:
+    """The degree-n member of the pair's Sheffer sequence."""
+    return sheffer_polys(pair, n)[n]
+
+
+class ConnectionMatrix:
+    """Lower-triangular table C_{n,k} expressing one sequence in another's basis."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows):
+        rows = tuple(tuple(r) for r in rows)
+        for n, row in enumerate(rows):
+            if len(row) != n + 1:
+                raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
+        object.__setattr__(self, "_rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConnectionMatrix is immutable")
+
+    @property
+    def n_max(self) -> int:
+        return len(self._rows) - 1
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self._rows
+
+    def entry(self, n: int, k: int) -> Fraction:
+        if not 0 <= k <= n <= self.n_max:
+            raise IndexError(f"entry ({n}, {k}) outside the triangular table")
+        return self._rows[n][k]
+
+    def __eq__(self, other):
+        if not isinstance(other, ConnectionMatrix):
+            return NotImplemented
+        return self._rows == other._rows
+
+    def __hash__(self):
+        return hash(self._rows)
+
+    def __repr__(self):
+        return f"ConnectionMatrix(n_max={self.n_max})"
+
+
+def connection_coeffs(source: ShefferPair, target: ShefferPair, n_max: int) -> ConnectionMatrix:
+    """Transfer-formula route: C_{n,k} = (n!/k!) [t^n] (h(fbar)/g(fbar) * l(fbar)^k).
+
+    Here source ~ (g, f) and target ~ (h, l); fbar is the inverse of the
+    source's delta series.  Satisfies S_n = sum_k C_{n,k} r_k exactly.
+    """
+    _require_order(source, n_max)
+    _require_order(target, n_max)
+    fbar = source.fbar.truncate(n_max)
+    h_at = target.g.truncate(n_max).compose(fbar)
+    g_at = source.g.truncate(n_max).compose(fbar)
+    l_at = target.f.truncate(n_max).compose(fbar)
+    base = h_at * g_at.reciprocal()
+    cols = []
+    term = base
+    for k in range(n_max + 1):
+        if k:
+            term = term * l_at
+        cols.append(term.coeffs)
+    rows = [
+        [Fraction(factorial(n), factorial(k)) * cols[k][n] for k in range(n + 1)]
+        for n in range(n_max + 1)]
+    return ConnectionMatrix(rows)
+
+
+def connection_oracle(source: ShefferPair, target: ShefferPair, n_max: int) -> ConnectionMatrix:
+    """Independent route: build both sequences and solve the triangular system."""
+    sources = sheffer_polys(source, n_max)
+    targets = sheffer_polys(target, n_max)
+    return ConnectionMatrix(_solve_in_basis(sources, targets))
+
+
+def _solve_in_basis(polys, basis):
+    """Express each polys[n] in the graded basis (basis[k] must have degree k)."""
+    for k, r in enumerate(basis):
+        if r.degree != k:
+            raise SingularBasis(f"basis member {k} has degree {r.degree}, expected {k}")
+    rows = []
+    for n, p in enumerate(polys):
+        residual = p
+        row = [_ZERO] * (n + 1)
+        for k in range(n, -1, -1):
+            c = residual.coeff(k) / basis[k].coeff(k)
+            row[k] = c
+            if c:
+                residual = residual - c * basis[k]
+        rows.append(row)
+    return rows
