@@ -8,8 +8,7 @@ arguments always produce byte-identical output.
 Exit codes: 0 success (all identities pass), 1 an identity check failed,
 2 bad arguments or out-of-regime parameters, 3 internal inconsistency
 (the two connection-coefficient routes disagree).  The environment
-variable UMBRA_THREADS caps verification parallelism; output ordering is
-by parameter, independent of the schedule.
+variable UMBRA_THREADS is accepted but ignored; it must still be an integer.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -61,10 +59,6 @@ def parse_rational(text: str) -> Fraction:
     if len(value) == 2 and int(value[1]) == 0:
         raise UsageError(f"zero denominator: {text!r}")
     return Fraction(text)
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def _family_spec(name: str, order: int | None, lam: Fraction | None) -> FamilySpec:
@@ -107,7 +101,7 @@ def _describe_spec(spec: FamilySpec) -> dict:
     return {
         "name": spec.kind.value,
         "order": None if spec.kind is FamilyKind.HERMITE else spec.order_r,
-        "lambda": None if spec.lam is None else format_rational(spec.lam),
+        "lambda": None if spec.lam is None else str(spec.lam),
     }
 
 
@@ -116,7 +110,7 @@ def _describe_spec(spec: FamilySpec) -> dict:
 def family_document(spec: FamilySpec, max_degree: int) -> dict:
     polys = family_polys(spec, max_degree)
     rows = [
-        {"n": n, "coefficients": [format_rational(p.coeff(i)) for i in range(n + 1)]}
+        {"n": n, "coefficients": [str(p.coeff(i)) for i in range(n + 1)]}
         for n, p in enumerate(polys)]
     return {
         "document": "family-table",
@@ -135,7 +129,7 @@ def connection_document(source: FamilySpec, target: FamilySpec, n_max: int) -> t
     solved = connection_oracle(src_pair, tgt_pair, n_max)
     agree = direct == solved
     rows = [
-        {"n": n, "coefficients": [format_rational(c) for c in row]}
+        {"n": n, "coefficients": [str(c) for c in row]}
         for n, row in enumerate(direct.rows)]
     doc = {
         "document": "connection-table",
@@ -157,15 +151,15 @@ def report_document(report: IdentityReport) -> dict:
         failure = {
             "n": f.n,
             "k": f.k,
-            "expected": format_rational(f.expected),
-            "got": format_rational(f.got),
-            "lambda": None if f.lam is None else format_rational(f.lam),
+            "expected": str(f.expected),
+            "got": str(f.got),
+            "lambda": None if f.lam is None else str(f.lam),
         }
     return {
         "theorem": report.theorem_id,
         "max_n": report.n_max,
         "order": report.order_r,
-        "lambdas": [format_rational(v) for v in report.lambdas],
+        "lambdas": [str(v) for v in report.lambdas],
         "status": report.status,
         "first_failure": failure,
     }
@@ -261,15 +255,13 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("UMBRA_THREADS")
-    if raw is None:
-        return 1
+def _check_thread_env():
+    """UMBRA_THREADS selects nothing, but a non-integer value is still a usage error."""
+    raw = os.environ.get("UMBRA_THREADS", "1")
     try:
-        value = int(raw)
+        int(raw)
     except ValueError:
         raise UsageError(f"UMBRA_THREADS must be an integer, got {raw!r}") from None
-    return max(1, value)
 
 
 def _cmd_verify(args, out) -> int:
@@ -285,8 +277,6 @@ def _cmd_verify(args, out) -> int:
         else [parse_rational(tok) for tok in args.lambdas.split(",") if tok.strip()])
     if not lambdas:
         raise UsageError("--lambdas needs at least one value")
-    if args.format == "csv":
-        raise UsageError("verification reports are JSON only")
 
     # t6 lives in the r > n regime; unless it was asked for explicitly with
     # explicit orders, pick the smallest admissible order for it.
@@ -299,19 +289,13 @@ def _cmd_verify(args, out) -> int:
         else:
             cells.extend((tid, r) for r in orders)
 
-    def run(cell):
-        tid, r = cell
-        return verify_theorem(
+    _check_thread_env()
+    reports = [
+        verify_theorem(
             tid, args.max_n, r,
             lambdas=lambdas if tid in ("t3", "t8", "remark") else None,
             symbolic_lambda=args.symbolic_lambda)
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run, cells))
-    else:
-        reports = [run(cell) for cell in cells]
+        for tid, r in cells]
 
     all_pass = all(r.passed for r in reports)
     doc = {
@@ -322,7 +306,7 @@ def _cmd_verify(args, out) -> int:
             "theorems": theorems,
             "max_n": args.max_n,
             "orders": orders,
-            "lambdas": [format_rational(v) for v in lambdas],
+            "lambdas": [str(v) for v in lambdas],
             "symbolic_lambda": bool(args.symbolic_lambda),
         },
         "reports": [report_document(r) for r in reports],
@@ -381,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--symbolic-lambda", action="store_true",
         help="widen the sample set to max-n + order + 1 values, enough to prove the identity for every parameter")
-    p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.set_defaults(handler=_cmd_verify)
     return parser
 

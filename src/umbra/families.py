@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .errors import LambdaIsOne
@@ -90,7 +89,6 @@ def _frobenius_base(n_max: int, lam: Fraction) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-@lru_cache(maxsize=None)
 def sheffer_pair_of(spec: FamilySpec, n_max: int) -> ShefferPair:
     """The family's Sheffer pair, truncated at n_max (at least 1: a delta
     series cannot be represented below order 1)."""
@@ -112,10 +110,26 @@ def sheffer_pair_of(spec: FamilySpec, n_max: int) -> ShefferPair:
     return ShefferPair(base ** spec.order_r, TruncatedSeries.t(n))
 
 
-@lru_cache(maxsize=None)
+#: Most families whose longest member table is kept; least recently used go first.
+MAX_STORED_SPECS = 128
+_store: dict[FamilySpec, tuple[Poly, ...]] = {}
+
+
 def family_polys(spec: FamilySpec, n_max: int) -> tuple[Poly, ...]:
-    """Members 0..n_max of the family, built from its Sheffer pair."""
-    return sheffer_polys(sheffer_pair_of(spec, n_max), n_max)
+    """Members 0..n_max of the family, built from its Sheffer pair.
+
+    A spec is built once at the largest degree asked for so far; a smaller
+    request is a slice of that table, equal to a fresh build because S_0..S_n
+    read the pair's series only through degree n, and coefficient n of the
+    compositional inverse depends on the delta series only through degree n.
+    """
+    table = _store.pop(spec, ())
+    if not 0 <= n_max < len(table):
+        table = sheffer_polys(sheffer_pair_of(spec, n_max), n_max)
+    _store[spec] = table  # reinserted as the most recently used
+    if len(_store) > MAX_STORED_SPECS:
+        del _store[next(iter(_store))]
+    return table[: n_max + 1]
 
 
 def family_poly(spec: FamilySpec, n: int) -> Poly:

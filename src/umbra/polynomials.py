@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
-from .series import TruncatedSeries, as_rational
+from .series import as_rational
 
 _ZERO = Fraction(0)
 
@@ -169,13 +168,15 @@ def stirling1(n: int, l: int) -> Fraction:
     return Fraction(_stirling1_int(n, l))
 
 
-@lru_cache(maxsize=None)
+# row l holds S(l, 0..l), grown by a loop: recursion would overflow near l = 500
+_stirling2_rows = [[1]]
+
+
 def stirling2(l: int, n: int) -> Fraction:
-    """Stirling number of the second kind, read off (e^t - 1)^n = n! sum S_2(l,n) t^l / l!."""
+    """Stirling number of the second kind: partitions of l items into n blocks."""
     if n < 0 or l < 0:
         raise ValueError("Stirling indices must be nonnegative")
-    if l < n:
-        return _ZERO
-    expm1 = TruncatedSeries.t(l).exp() - 1 if l > 0 else TruncatedSeries.zero(0)
-    coeff = (expm1 ** n).coeff(l)
-    return Fraction(factorial(l), factorial(n)) * coeff
+    while len(_stirling2_rows) <= l:
+        prev = _stirling2_rows[-1] + [0]
+        _stirling2_rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, len(prev))])
+    return Fraction(_stirling2_rows[l][n]) if n <= l else _ZERO

@@ -25,11 +25,13 @@ _ONE = Fraction(1)
 def as_rational(value) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to an exact Fraction.
 
-    Floats are rejected: the whole point of the kernel is exactness.
+    Floats and bools are rejected: the kernel is exact, and True is not a number.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
+        if isinstance(value, bool):
+            raise TypeError("cannot use bool as an exact rational")
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)

@@ -18,7 +18,10 @@ from umbra import (
     hermite,
     hermite_poly_via_operator,
     sheffer_pair_of,
+    sheffer_polys,
+    verify_theorem,
 )
+from umbra import families
 
 S = TruncatedSeries
 
@@ -127,3 +130,51 @@ def test_generating_series_matches_polynomial_rows():
 
     for n in range(9):
         assert polys[n].eval(3) == factorial(n) * gen.coeff(n)
+
+
+@pytest.fixture
+def pair_builds(monkeypatch):
+    """Start from an empty family store and count the pairs it builds."""
+    monkeypatch.setattr(families, "_store", {})
+    built = []
+
+    def counting(spec, n_max):
+        built.append((spec, n_max))
+        return sheffer_pair_of(spec, n_max)
+
+    monkeypatch.setattr(families, "sheffer_pair_of", counting)
+    return built
+
+
+@pytest.mark.parametrize("spec", [
+    hermite(), bernoulli(2), euler(3), frobenius_euler(2, F(1, 3)), frobenius_euler(2, -3)])
+@pytest.mark.parametrize("degrees, builds", [((8, 3), 1), ((3, 8), 2)])
+def test_store_slices_equal_fresh_builds(pair_builds, spec, degrees, builds):
+    for n in degrees:
+        assert family_polys(spec, n) == sheffer_polys(sheffer_pair_of(spec, n), n)
+    assert len(pair_builds) == builds
+    assert len(families._store[spec]) == 9
+
+
+def test_store_builds_each_spec_once(pair_builds):
+    report = verify_theorem("t3", 6, 1, lambdas=[2, "1/2"])
+    assert report.passed
+    assert len(pair_builds) == 3
+    assert {spec for spec, _ in pair_builds} == {
+        hermite(), frobenius_euler(1, 2), frobenius_euler(1, F(1, 2))}
+
+
+def test_store_evicts_least_recently_used(pair_builds, monkeypatch):
+    monkeypatch.setattr(families, "MAX_STORED_SPECS", 2)
+    a, b, c = bernoulli(1), euler(1), hermite()
+    first_b = family_polys(b, 5)
+    first_a = family_polys(a, 5)
+    family_polys(b, 2)  # a slice, which makes a the least recently used
+    family_polys(c, 5)
+    assert list(families._store) == [b, c]
+    assert len(pair_builds) == 3
+    assert family_polys(a, 5) == first_a == sheffer_polys(sheffer_pair_of(a, 5), 5)
+    assert len(pair_builds) == 4
+    assert list(families._store) == [c, a]
+    assert family_polys(b, 5) == first_b
+    assert len(pair_builds) == 5

@@ -1,15 +1,24 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
-from umbra import Poly, falling_factorial, family_poly, hermite, stirling1, stirling2
+from umbra import (
+    Poly,
+    TruncatedSeries,
+    falling_factorial,
+    family_poly,
+    hermite,
+    stirling1,
+    stirling2,
+)
 
 
 def set_partition_count(l, n):
     """Brute-force count of partitions of {1..l} into exactly n nonempty blocks.
 
-    Enumerates restricted-growth strings, so it never touches the series
-    route that stirling2 uses.
+    Enumerates restricted-growth strings, so it shares nothing with the
+    recurrence that stirling2 uses.
     """
     if l == 0:
         return 1 if n == 0 else 0
@@ -80,6 +89,25 @@ def test_stirling2_matches_set_partition_count():
     for l in range(9):
         for n in range(9):
             assert stirling2(l, n) == set_partition_count(l, n), (l, n)
+
+
+def test_stirling2_matches_series_route():
+    # (e^t - 1)^n = n! sum_l S_2(l, n) t^l / l!; truncating at 30 leaves
+    # coefficients 0..30 exact, and t6 at order r = N + 1 reaches l = 2N + 1
+    expm1 = TruncatedSeries.t(30).exp() - 1
+    power = TruncatedSeries.one(30)
+    for n in range(31):
+        for l in range(31):
+            assert stirling2(l, n) == F(factorial(l), factorial(n)) * power.coeff(l), (l, n)
+        power = power * expm1
+
+
+def test_stirling2_deep_rows_match_closed_forms():
+    l = 600
+    assert stirling2(l, 1) == 1
+    assert stirling2(l, 2) == 2 ** (l - 1) - 1
+    assert stirling2(l, 3) == (3 ** l - 3 * 2 ** l + 3) // 6
+    assert stirling2(l, l - 1) == l * (l - 1) // 2
 
 
 def test_stirling_inversion_orthogonality():

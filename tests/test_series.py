@@ -11,6 +11,7 @@ from umbra import (
     NotDelta,
     NotInvertible,
     TruncatedSeries,
+    as_rational,
 )
 
 S = TruncatedSeries
@@ -222,3 +223,14 @@ def test_values_are_immutable():
     with pytest.raises(AttributeError):
         f._coeffs = ()
     assert isinstance(f.coeffs, tuple)
+
+
+def test_as_rational_accepts_exact_scalars_only():
+    assert as_rational(3) == F(3)
+    assert as_rational("-2/6") == F(-1, 3)
+    assert as_rational(F(1, 2)) == F(1, 2)
+    for bad in (True, False, 0.5):
+        with pytest.raises(TypeError):
+            as_rational(bad)
+    with pytest.raises(TypeError):
+        S([1, True])
