@@ -7,7 +7,10 @@ arguments always produce byte-identical output.
 
 Exit codes: 0 success (all identities pass), 1 an identity check failed,
 2 bad arguments or out-of-regime parameters, 3 internal inconsistency
-(the two connection-coefficient routes disagree).  The environment
+(the two connection-coefficient routes disagree).  t6 needs an order above
+--max-n and t7 one at or below it; an explicit order outside that is exit 2,
+and orders the CLI picks itself (no --orders, or --theorems all) give t6
+the order max-n + 1 and leave t7's orders above max-n out.  The environment
 variable UMBRA_THREADS is accepted but ignored; it must still be an integer.
 """
 
@@ -278,23 +281,22 @@ def _cmd_verify(args, out) -> int:
     if not lambdas:
         raise UsageError("--lambdas needs at least one value")
 
-    # t6 lives in the r > n regime; unless it was asked for explicitly with
-    # explicit orders, pick the smallest admissible order for it.
-    t6_auto = requested_all or args.orders is None
+    # t6 lives in the r > n regime and t7 in r <= n; unless an id was asked
+    # for explicitly with explicit orders, t6 gets its smallest admissible
+    # order and t7 leaves out the orders above max-n.
+    auto = requested_all or args.orders is None
 
     cells = []
     for tid in theorems:
-        if tid == "t6" and t6_auto:
+        if tid == "t6" and auto:
             cells.append((tid, args.max_n + 1))
         else:
-            cells.extend((tid, r) for r in orders)
+            cells.extend(
+                (tid, r) for r in orders if not (tid == "t7" and auto and r > args.max_n))
 
     _check_thread_env()
     reports = [
-        verify_theorem(
-            tid, args.max_n, r,
-            lambdas=lambdas if tid in ("t3", "t8", "remark") else None,
-            symbolic_lambda=args.symbolic_lambda)
+        verify_theorem(tid, args.max_n, r, lambdas=lambdas, symbolic_lambda=args.symbolic_lambda)
         for tid, r in cells]
 
     all_pass = all(r.passed for r in reports)
@@ -358,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=int, required=True)
     p_verify.add_argument(
         "--orders", default=None,
-        help="comma-separated family orders (default 0,1,2,3; t6 picks max-n+1 unless explicitly overridden)")
+        help="comma-separated family orders (default 0,1,2,3; unless given explicitly, "
+             "t6 picks max-n+1 and t7 drops orders above max-n)")
     p_verify.add_argument(
         "--lambdas", "--lambda", dest="lambdas", default=None,
         help="comma-separated p/q parameter samples for t3/t8/remark (default -1,2,1/2)")

@@ -74,13 +74,6 @@ def _exp_shifted_down(n_max: int) -> TruncatedSeries:
     return TruncatedSeries([Fraction(1, factorial(k + 1)) for k in range(n_max + 1)])
 
 
-def _euler_base(n_max: int) -> TruncatedSeries:
-    # (e^t + 1)/2
-    coeffs = [Fraction(1, 2 * factorial(k)) for k in range(n_max + 1)]
-    coeffs[0] = Fraction(1)
-    return TruncatedSeries(coeffs)
-
-
 def _frobenius_base(n_max: int, lam: Fraction) -> TruncatedSeries:
     # (e^t - lam)/(1 - lam)
     scale = 1 / (1 - lam)
@@ -103,10 +96,8 @@ def sheffer_pair_of(spec: FamilySpec, n_max: int) -> ShefferPair:
         return ShefferPair(g, TruncatedSeries.t(n) / 2)
     if spec.kind is FamilyKind.BERNOULLI:
         base = _exp_shifted_down(n)
-    elif spec.kind is FamilyKind.EULER:
-        base = _euler_base(n)
-    else:
-        base = _frobenius_base(n, spec.lam)
+    else:  # Euler is Frobenius-Euler at lam = -1
+        base = _frobenius_base(n, Fraction(-1) if spec.kind is FamilyKind.EULER else spec.lam)
     return ShefferPair(base ** spec.order_r, TruncatedSeries.t(n))
 
 

@@ -9,19 +9,22 @@ Identity ids t1..t3 expand a family in the Hermite basis; t4..t8 and
 * t4 / t5: Hermite members in the order-r Euler basis (double-sum and
   Hermite-values forms of the same coefficients);
 * t6 / t7: Hermite members in the order-r Bernoulli basis (t6 holds for
-  r > n, t7 for n >= r with a split at k = r);
+  r > n, t7 for n >= r with a split at k = r; a cell with no degree in
+  the regime is refused);
 * t8 / remark: Hermite members in the order-r Frobenius-Euler basis
   (Hermite-values and double-sum forms).
 
-Verification compares coefficient vectors, never evaluations, so a PASS
-is an exact identity at the checked parameters.  For the lambda families
-the identity is rational in lambda of bounded degree, so checking
-n_max + r + 1 distinct samples ("symbolic" mode) proves it for every
-lambda != 1.
+Frobenius-Euler at lam = -1 is Euler, so t4 / t5 share their formula
+bodies with remark / t8.  Verification compares coefficient vectors,
+never evaluations, so a PASS is an exact identity at the checked
+parameters.  For the lambda families the identity is rational in lambda
+of bounded degree, so checking n_max + r + 1 distinct samples
+("symbolic" mode) proves it for every lambda != 1.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +42,22 @@ from .families import (
 from .polynomials import Poly, stirling2
 from .series import as_rational
 
-THEOREM_IDS = ("t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "remark")
+# id -> (family paired with Hermite, whether that family is expanded in the
+# Hermite basis rather than Hermite in the family's basis).  Family constructors
+# and tN_coeff are looked up by name when a cell runs, so a replaced one is used.
+_CATALOG = {
+    "t1": ("euler", True),
+    "t2": ("bernoulli", True),
+    "t3": ("frobenius_euler", True),
+    "t4": ("euler", False),
+    "t5": ("euler", False),
+    "t6": ("bernoulli", False),
+    "t7": ("bernoulli", False),
+    "t8": ("frobenius_euler", False),
+    "remark": ("frobenius_euler", False),
+}
+
+THEOREM_IDS = tuple(_CATALOG)
 
 #: Default parameter samples for the lambda families (1 is never allowed).
 DEFAULT_LAMBDAS = (Fraction(-1), Fraction(2), Fraction(1, 2))
@@ -108,26 +126,37 @@ def t3_coeff(n: int, k: int, r: int, lam) -> Fraction:
     return _hermite_basis_coeff(family_numbers(frobenius_euler(r, lam), n), n, k)
 
 
-def t4_coeff(n: int, k: int, r: int) -> Fraction:
-    """Order-r Euler-basis coefficient of the degree-n Hermite member (double sum)."""
-    _check_nk(n, k)
-    _check_r(r)
+def _double_sum(n: int, k: int, r: int, lam) -> Fraction:
+    # remark's double sum, t4 at lam = -1: Hermite member n-k expanded term by term
     tot = Fraction(0)
     for j in range(r + 1):
         for l in range((n - k) // 2 + 1):
             tot += (
-                comb(n, k) * comb(r, j) * 2 ** k * (-1) ** l * factorial(n - k)
-                * _pow00(2 * j, n - k - 2 * l)
+                comb(n, k) * comb(r, j) * 2 ** k * (-1) ** l * (-lam) ** (r - j)
+                * factorial(n - k) * _pow00(2 * j, n - k - 2 * l)
                 / (factorial(l) * factorial(n - k - 2 * l)))
-    return tot / 2 ** r
+    return tot / (1 - lam) ** r
+
+
+def _hermite_values_sum(n: int, k: int, r: int, lam) -> Fraction:
+    # t8's sum of Hermite values at 0..r, t5 at lam = -1
+    tot = sum(
+        comb(r, j) * (-lam) ** (r - j) * _hermite_value(n - k, j) for j in range(r + 1))
+    return comb(n, k) * 2 ** k * tot / (1 - lam) ** r
+
+
+def t4_coeff(n: int, k: int, r: int) -> Fraction:
+    """Order-r Euler-basis coefficient of the degree-n Hermite member (double sum)."""
+    _check_nk(n, k)
+    _check_r(r)
+    return _double_sum(n, k, r, -1)
 
 
 def t5_coeff(n: int, k: int, r: int) -> Fraction:
     """Same coefficient as t4, through Hermite values at integer points."""
     _check_nk(n, k)
     _check_r(r)
-    tot = sum(comb(r, j) * _hermite_value(n - k, j) for j in range(r + 1))
-    return Fraction(comb(n, k) * 2 ** k, 2 ** r) * tot
+    return _hermite_values_sum(n, k, r, -1)
 
 
 def _stirling_route_coeff(n: int, k: int, r: int) -> Fraction:
@@ -172,25 +201,14 @@ def t8_coeff(n: int, k: int, r: int, lam) -> Fraction:
     """Order-r Frobenius-Euler-basis coefficient of the degree-n Hermite member."""
     _check_nk(n, k)
     _check_r(r)
-    lam = _check_lambda(lam)
-    tot = sum(
-        comb(r, j) * (-lam) ** (r - j) * _hermite_value(n - k, j) for j in range(r + 1))
-    return comb(n, k) * 2 ** k * tot / (1 - lam) ** r
+    return _hermite_values_sum(n, k, r, _check_lambda(lam))
 
 
 def remark_coeff(n: int, k: int, r: int, lam) -> Fraction:
     """Double-sum form of the t8 coefficient; identical values."""
     _check_nk(n, k)
     _check_r(r)
-    lam = _check_lambda(lam)
-    tot = Fraction(0)
-    for j in range(r + 1):
-        for l in range((n - k) // 2 + 1):
-            tot += (
-                comb(n, k) * comb(r, j) * 2 ** k * (-1) ** l * (-lam) ** (r - j)
-                * factorial(n - k) * _pow00(2 * j, n - k - 2 * l)
-                / (factorial(l) * factorial(n - k - 2 * l)))
-    return tot / (1 - lam) ** r
+    return _double_sum(n, k, r, _check_lambda(lam))
 
 
 def lambda_samples(count: int, base=()) -> tuple[Fraction, ...]:
@@ -199,23 +217,11 @@ def lambda_samples(count: int, base=()) -> tuple[Fraction, ...]:
     Samples from ``base`` come first (a value 1 there is an error); the
     default pool and then fresh integers fill up the remainder.
     """
-    out: list[Fraction] = []
-    seen = set()
-    for v in base:
-        v = _check_lambda(v)
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    pool = iter(_LAMBDA_SEED)
-    next_int = 6
+    out = list(dict.fromkeys(_check_lambda(v) for v in base))
+    fill = itertools.chain(_LAMBDA_SEED, map(Fraction, itertools.count(6)))
     while len(out) < count:
-        try:
-            v = next(pool)
-        except StopIteration:
-            v = Fraction(next_int)
-            next_int += 1
-        if v not in seen:
-            seen.add(v)
+        v = next(fill)
+        if v not in out:
             out.append(v)
     return tuple(out)
 
@@ -284,67 +290,44 @@ def verify_theorem(
     """Verify one identity for all degrees up to n_max at the given order.
 
     For the lambda identities (t3, t8, remark) every sample in ``lambdas``
-    (default DEFAULT_LAMBDAS) is checked; ``symbolic_lambda`` widens the
-    sample set to n_max + order_r + 1 values, enough to prove the identity
-    for every parameter.  t6 requires order_r > n_max; t7 checks only the
-    degrees n >= order_r.
+    (default DEFAULT_LAMBDAS) is checked; the other identities ignore it.
+    ``symbolic_lambda`` widens the sample set to n_max + order_r + 1 values,
+    enough to prove the identity for every parameter.  t6 requires
+    order_r > n_max; t7 requires order_r <= n_max and checks the degrees
+    order_r..n_max.
     """
     tid = str(theorem_id).lower()
-    if tid not in THEOREM_IDS:
+    if tid not in _CATALOG:
         raise ValueError(f"unknown identity id {theorem_id!r}")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     r = order_r
     _check_r(r)
+    if tid == "t6" and r <= n_max:
+        raise RegimeViolation(f"t6 needs order_r > n_max, got order_r={r}, n_max={n_max}")
+    if tid == "t7" and r > n_max:
+        raise RegimeViolation(f"t7 needs order_r <= n_max, got order_r={r}, n_max={n_max}")
 
-    hermite_polys = family_polys(hermite(), n_max)
-    ns = range(n_max + 1)
-    failure: Mismatch | None = None
+    family_name, in_hermite_basis = _CATALOG[tid]
     lams: tuple[Fraction, ...] = ()
-
-    if tid in ("t3", "t8", "remark"):
+    if family_name == "frobenius_euler":
         base = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)
         count = n_max + r + 1 if symbolic_lambda else len(base)
         lams = lambda_samples(count, base)
         if not lams:
             raise ValueError("need at least one lambda sample")
-        for lam in lams:
-            fe_polys = family_polys(frobenius_euler(r, lam), n_max)
-            if tid == "t3":
-                failure = _check_expansion(
-                    fe_polys, hermite_polys,
-                    lambda n, k: t3_coeff(n, k, r, lam), ns, lam)
-            else:
-                coeff = t8_coeff if tid == "t8" else remark_coeff
-                failure = _check_expansion(
-                    hermite_polys, fe_polys,
-                    lambda n, k: coeff(n, k, r, lam), ns, lam)
-            if failure is not None:
-                break
-    elif tid == "t1":
-        failure = _check_expansion(
-            family_polys(euler(r), n_max), hermite_polys,
-            lambda n, k: t1_coeff(n, k, r), ns)
-    elif tid == "t2":
-        failure = _check_expansion(
-            family_polys(bernoulli(r), n_max), hermite_polys,
-            lambda n, k: t2_coeff(n, k, r), ns)
-    elif tid in ("t4", "t5"):
-        coeff = t4_coeff if tid == "t4" else t5_coeff
-        failure = _check_expansion(
-            hermite_polys, family_polys(euler(r), n_max),
-            lambda n, k: coeff(n, k, r), ns)
-    elif tid == "t6":
-        if r <= n_max:
-            raise RegimeViolation(f"t6 needs order_r > n_max, got order_r={r}, n_max={n_max}")
-        failure = _check_expansion(
-            hermite_polys, family_polys(bernoulli(r), n_max),
-            lambda n, k: t6_coeff(n, k, r), ns)
-    else:  # t7
-        in_regime = [n for n in ns if n >= r]
-        failure = _check_expansion(
-            hermite_polys, family_polys(bernoulli(r), n_max),
-            lambda n, k: t7_coeff(n, k, r), in_regime)
+    family, coeff = globals()[family_name], globals()[f"{tid}_coeff"]
+
+    hermite_polys = family_polys(hermite(), n_max)
+    ns = range(r if tid == "t7" else 0, n_max + 1)
+    failure: Mismatch | None = None
+    for lam in lams or (None,):
+        params = (r,) if lam is None else (r, lam)
+        polys = family_polys(family(*params), n_max)
+        lhs, basis = (polys, hermite_polys) if in_hermite_basis else (hermite_polys, polys)
+        failure = _check_expansion(lhs, basis, lambda n, k: coeff(n, k, *params), ns, lam)
+        if failure is not None:
+            break
 
     return IdentityReport(
         theorem_id=tid,

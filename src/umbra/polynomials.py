@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .series import as_rational
+from .series import _format_terms, as_rational
 
 _ZERO = Fraction(0)
 
@@ -124,21 +123,7 @@ class Poly:
         return f"Poly({[str(c) for c in self._coeffs]})"
 
     def __str__(self):
-        terms = []
-        for i, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            mag = str(abs(c))
-            if i == 0:
-                body = mag
-            else:
-                xi = "x" if i == 1 else f"x^{i}"
-                body = xi if abs(c) == 1 else f"{mag}*{xi}"
-            terms.append(("- " if c < 0 else "+ ") + body)
-        if not terms:
-            return "0"
-        head = terms[0].lstrip("+ ").replace("- ", "-", 1)
-        return " ".join([head] + terms[1:])
+        return _format_terms(self._coeffs, "x")
 
 
 def falling_factorial(n: int) -> Poly:
@@ -151,32 +136,33 @@ def falling_factorial(n: int) -> Poly:
     return result
 
 
-@lru_cache(maxsize=None)
-def _stirling1_int(n: int, l: int) -> int:
-    # signed recurrence s(n, l) = s(n-1, l-1) - (n-1) s(n-1, l)
-    if n == 0:
-        return 1 if l == 0 else 0
-    if l < 1 or l > n:
-        return 0
-    return _stirling1_int(n - 1, l - 1) - (n - 1) * _stirling1_int(n - 1, l)
+def _triangle_row(rows: list[list[int]], n: int, weight) -> list[int]:
+    # t(m, k) = t(m-1, k-1) + weight(m, k) t(m-1, k) with t(0, 0) = 1, grown row by
+    # row in a loop: a recursion n deep overflows near n = 500
+    while len(rows) <= n:
+        m = len(rows)
+        prev = rows[-1] + [0]
+        rows.append([0] + [prev[k - 1] + weight(m, k) * prev[k] for k in range(1, m + 1)])
+    return rows[n]
+
+
+_stirling1_rows = [[1]]
+_stirling2_rows = [[1]]
 
 
 def stirling1(n: int, l: int) -> Fraction:
     """Signed Stirling number of the first kind: [x^l] (x)_n."""
     if n < 0 or l < 0:
         raise ValueError("Stirling indices must be nonnegative")
-    return Fraction(_stirling1_int(n, l))
-
-
-# row l holds S(l, 0..l), grown by a loop: recursion would overflow near l = 500
-_stirling2_rows = [[1]]
+    # s(n, l) = s(n-1, l-1) - (n-1) s(n-1, l)
+    row = _triangle_row(_stirling1_rows, n, lambda m, k: 1 - m)
+    return Fraction(row[l]) if l <= n else _ZERO
 
 
 def stirling2(l: int, n: int) -> Fraction:
     """Stirling number of the second kind: partitions of l items into n blocks."""
     if n < 0 or l < 0:
         raise ValueError("Stirling indices must be nonnegative")
-    while len(_stirling2_rows) <= l:
-        prev = _stirling2_rows[-1] + [0]
-        _stirling2_rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, len(prev))])
-    return Fraction(_stirling2_rows[l][n]) if n <= l else _ZERO
+    # S(l, n) = S(l-1, n-1) + n S(l-1, n)
+    row = _triangle_row(_stirling2_rows, l, lambda m, k: k)
+    return Fraction(row[n]) if n <= l else _ZERO

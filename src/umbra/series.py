@@ -38,6 +38,25 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as an exact rational")
 
 
+def _format_terms(coeffs, var: str) -> str:
+    """Render c_0 + c_1 var + c_2 var^2 + ... with signs between terms; "0" if all vanish."""
+    terms = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        mag = str(abs(c))
+        if i == 0:
+            body = mag
+        else:
+            power = var if i == 1 else f"{var}^{i}"
+            body = power if abs(c) == 1 else f"{mag}*{power}"
+        terms.append(("- " if c < 0 else "+ ") + body)
+    if not terms:
+        return "0"
+    head = terms[0].lstrip("+ ").replace("- ", "-", 1)
+    return " ".join([head] + terms[1:])
+
+
 class TruncatedSeries:
     """A formal power series known through degree ``trunc_order``."""
 
@@ -250,18 +269,4 @@ class TruncatedSeries:
         return f"TruncatedSeries({[str(c) for c in self._coeffs]})"
 
     def __str__(self):
-        terms = []
-        for k, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            mag = str(abs(c))
-            if k == 0:
-                body = mag
-            else:
-                tk = "t" if k == 1 else f"t^{k}"
-                body = tk if abs(c) == 1 else f"{mag}*{tk}"
-            terms.append(("- " if c < 0 else "+ ") + body)
-        if not terms:
-            return f"0 + O(t^{self.trunc_order + 1})"
-        head = terms[0].lstrip("+ ").replace("- ", "-", 1)
-        return " ".join([head] + terms[1:]) + f" + O(t^{self.trunc_order + 1})"
+        return f"{_format_terms(self._coeffs, 't')} + O(t^{self.trunc_order + 1})"

@@ -146,6 +146,21 @@ def test_verify_t6_explicit_regime_violation(capsys):
     assert "t6" in err
 
 
+def test_verify_t7_explicit_order_above_max_n_is_refused(capsys):
+    code, _, err = run(capsys, "verify", "--theorems", "t7", "--max-n", "2", "--orders", "5")
+    assert code == EXIT_USAGE
+    assert "t7" in err
+
+
+def test_verify_all_leaves_out_t7_orders_above_max_n(capsys):
+    code, out, _ = run(capsys, "verify", "--theorems", "all", "--max-n", "2")
+    assert code == EXIT_OK
+    doc = parse_document(out)
+    assert doc["all_pass"] is True
+    assert [r["order"] for r in doc["reports"] if r["theorem"] == "t7"] == [0, 1, 2]
+    assert len(doc["reports"]) == 32
+
+
 def test_verify_lambda_one_rejected(capsys):
     code, _, _ = run(
         capsys, "verify", "--theorems", "t8", "--max-n", "6", "--orders", "2",

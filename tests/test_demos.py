@@ -1,0 +1,21 @@
+"""Smoke test: every demo script runs to completion and prints something."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=env,
+        cwd=ROOT, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

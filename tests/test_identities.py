@@ -225,6 +225,8 @@ def test_verify_symbolic_lambda_sample_count():
 def test_verify_regime_errors():
     with pytest.raises(RegimeViolation):
         verify_theorem("t6", 5, 3)
+    with pytest.raises(RegimeViolation):
+        verify_theorem("t7", 2, 5)  # no degree n <= 2 reaches n >= 5
     with pytest.raises(ValueError):
         verify_theorem("t9", 5, 1)
     with pytest.raises(LambdaIsOne):

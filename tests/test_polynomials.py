@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -110,6 +110,13 @@ def test_stirling2_deep_rows_match_closed_forms():
     assert stirling2(l, l - 1) == l * (l - 1) // 2
 
 
+def test_stirling1_deep_rows_match_closed_forms():
+    n = 600
+    assert stirling1(n, n) == 1
+    assert stirling1(n, n - 1) == -comb(n, 2)
+    assert stirling1(n, 1) == (-1) ** (n - 1) * factorial(n - 1)
+
+
 def test_stirling_inversion_orthogonality():
     for n in range(11):
         for k in range(11):
@@ -133,3 +140,12 @@ def test_poly_trims_trailing_zeros():
     assert Poly([0, 1, 0]).degree == 1
     with pytest.raises(ValueError):
         Poly([1]).derivative(-1)
+
+
+def test_str_renders_terms():
+    assert str(Poly.zero()) == "0"
+    assert str(Poly([0, 1])) == "x"
+    assert str(Poly([0, 0, -1])) == "-x^2"
+    assert str(Poly([F(1, 6), -1, 1])) == "1/6 - x + x^2"
+    assert str(Poly([-2, 0, F(-3, 4)])) == "-2 - 3/4*x^2"
+    assert str(Poly([0, -1, 1])) == "-x + x^2"

@@ -234,3 +234,12 @@ def test_as_rational_accepts_exact_scalars_only():
             as_rational(bad)
     with pytest.raises(TypeError):
         S([1, True])
+
+
+def test_str_renders_terms_and_truncation():
+    assert str(S([0, 0, 0, 0])) == "0 + O(t^4)"
+    assert str(S([0, 1])) == "t + O(t^2)"
+    assert str(S([0, 0, -1], order=3)) == "-t^2 + O(t^4)"
+    assert str(S([F(1, 6), -1, 1])) == "1/6 - t + t^2 + O(t^3)"
+    assert str(S([-1, F(2, 3)])) == "-1 + 2/3*t + O(t^2)"
+    assert str(S([1, 0, 0], order=5)) == "1 + O(t^6)"
