@@ -7,9 +7,12 @@ import pytest
 from umbra import (
     INFINITE,
     CompositionOrder,
+    ConnectionMatrix,
     ExpConstantTerm,
     NotDelta,
     NotInvertible,
+    Poly,
+    ShefferPair,
     TruncatedSeries,
     as_rational,
 )
@@ -25,6 +28,22 @@ def rand_series(rng, order, lowest=0):
     if lowest <= order and not coeffs[lowest]:
         coeffs[lowest] = F(1)
     return S(coeffs)
+
+
+def sparse_coeffs(rng, degree):
+    """Random exact coefficients 0..degree, about half of them zero."""
+    return [F(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.5 else F(0)
+            for _ in range(degree + 1)]
+
+
+def naive_product(a, b, n):
+    """Coefficients 0..n of the product of two coefficient lists, pair by pair."""
+    out = [F(0)] * (n + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j <= n:
+                out[i + j] += x * y
+    return out
 
 
 def lagrange_inverse(f):
@@ -223,6 +242,83 @@ def test_values_are_immutable():
     with pytest.raises(AttributeError):
         f._coeffs = ()
     assert isinstance(f.coeffs, tuple)
+    pair = ShefferPair(S.one(2), S.t(2))
+    for value, attr in ((Poly([1, 2]), "_coeffs"), (pair, "g"), (pair, "f"), (pair, "fbar"),
+                        (ConnectionMatrix([[1]]), "rows")):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, None)
+
+
+def test_value_reprs():
+    assert repr(S([1, F(1, 2)], order=2)) == "TruncatedSeries(['1', '1/2', '0'])"
+    assert repr(Poly([0, F(-2, 3)])) == "Poly(['0', '-2/3'])"
+    assert repr(ShefferPair(S.one(1), S.t(2))) == \
+        "ShefferPair(g=TruncatedSeries(['1', '0']), f=TruncatedSeries(['0', '1']))"
+    assert repr(ConnectionMatrix([[1], [0, 2]])) == "ConnectionMatrix(n_max=1)"
+
+
+def test_equal_values_hash_equal():
+    pairs = [
+        (S([1, 2, 0]), S([1, 2], order=2)),
+        (Poly([1, 2, 0]), Poly([F(2, 2), 2])),
+        (ShefferPair(S.one(5), S.t(3)), ShefferPair(S.one(3), S.t(4))),
+        (ConnectionMatrix([[1], [0, 2]]), ConnectionMatrix(((F(1),), (F(0), F(2))))),
+    ]
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b)
+    assert len({a for a, _ in pairs} | {b for _, b in pairs}) == len(pairs)
+
+
+def test_values_of_different_types_differ():
+    assert Poly([1, 2]) != S([1, 2])
+    assert S([1, 2]) != Poly([1, 2])
+    assert S([1]) != F(1)
+    assert ConnectionMatrix([[1]]) != ((F(1),),)
+
+
+def test_sheffer_pair_equality_reads_g_and_f_only():
+    pair = ShefferPair(S.one(3), S.t(3) / 2)
+    assert pair == ShefferPair(S([1, 0, 0, 0, 7]), S.t(3) / 2)
+    assert pair == ShefferPair(S.one(3), S([0, F(1, 2), 0, 0, 5]))
+    assert pair != ShefferPair(S([1, 1, 0, 0]), S.t(3) / 2)
+    assert pair != ShefferPair(S.one(3), S.t(3))
+    assert pair != ShefferPair(S.one(2), S.t(2) / 2)
+    assert pair.trunc_order == 3
+    assert pair.fbar == S([0, 2], order=3)
+
+
+def test_connection_matrix_stores_tuples():
+    matrix = ConnectionMatrix([[F(1)], [F(0), F(2)]])
+    assert matrix.rows == ((F(1),), (F(0), F(2)))
+    assert all(isinstance(row, tuple) for row in matrix.rows)
+    assert isinstance(matrix.rows, tuple)
+    assert ConnectionMatrix(iter([iter([1])])).rows == ((1,),)
+
+
+def test_products_match_naive_convolution_on_sparse_inputs():
+    rng = random.Random(37)
+    for _ in range(60):
+        a = sparse_coeffs(rng, rng.randint(0, 12))
+        b = sparse_coeffs(rng, rng.randint(0, 12))
+        n = min(len(a), len(b)) - 1
+        assert (S(a) * S(b)).coeffs == tuple(naive_product(a, b, n))
+        assert (Poly(a) * Poly(b)).coeffs == Poly(naive_product(a, b, len(a) + len(b) - 2)).coeffs
+    assert Poly() * Poly([1, 2]) == Poly([1, 2]) * Poly() == Poly.zero()
+
+
+def test_powers_match_repeated_products():
+    rng = random.Random(41)
+    for _ in range(12):
+        f = S(sparse_coeffs(rng, 8))
+        p = Poly(sparse_coeffs(rng, rng.randint(0, 4)))
+        f_k, p_k = S.one(8), Poly([1])
+        for k in range(7):
+            assert f ** k == f_k
+            assert p ** k == p_k
+            f_k, p_k = f_k * f, p_k * p
+    with pytest.raises(ValueError):
+        Poly([1, 1]) ** -1
 
 
 def test_as_rational_accepts_exact_scalars_only():
