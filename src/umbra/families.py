@@ -89,10 +89,7 @@ def sheffer_pair_of(spec: FamilySpec, n_max: int) -> ShefferPair:
         raise ValueError("truncation order must be nonnegative")
     n = max(n_max, 1)
     if spec.kind is FamilyKind.HERMITE:
-        if n >= 2:
-            g = TruncatedSeries.monomial(2, n, Fraction(1, 4)).exp()
-        else:
-            g = TruncatedSeries.one(n)
+        g = TruncatedSeries([0, 0, Fraction(1, 4)], order=n).exp()
         return ShefferPair(g, TruncatedSeries.t(n) / 2)
     if spec.kind is FamilyKind.BERNOULLI:
         base = _exp_shifted_down(n)
@@ -114,8 +111,10 @@ def family_polys(spec: FamilySpec, n_max: int) -> tuple[Poly, ...]:
     read the pair's series only through degree n, and coefficient n of the
     compositional inverse depends on the delta series only through degree n.
     """
+    if n_max < 0:
+        raise ValueError("truncation order must be nonnegative")
     table = _store.pop(spec, ())
-    if not 0 <= n_max < len(table):
+    if n_max >= len(table):
         table = sheffer_polys(sheffer_pair_of(spec, n_max), n_max)
     _store[spec] = table  # reinserted as the most recently used
     if len(_store) > MAX_STORED_SPECS:
@@ -147,8 +146,5 @@ def hermite_poly_via_operator(n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("polynomial index must be nonnegative")
-    if n >= 2:
-        op = TruncatedSeries.monomial(2, n, Fraction(-1, 4)).exp()
-    else:
-        op = TruncatedSeries.one(n)
+    op = TruncatedSeries([0, 0, Fraction(-1, 4)], order=n).exp()
     return operator_apply(op, Poly.monomial(1, 2) ** n)

@@ -82,13 +82,6 @@ def _check_lambda(lam) -> Fraction:
     return lam
 
 
-def _pow00(base, e: int) -> Fraction:
-    # 0^0 = 1: the diagonal terms of the double-sum forms rely on it
-    if e == 0:
-        return Fraction(1)
-    return Fraction(base) ** e
-
-
 @lru_cache(maxsize=None)
 def _hermite_value(m: int, j) -> Fraction:
     """Hermite member m evaluated at j."""
@@ -133,7 +126,9 @@ def _double_sum(n: int, k: int, r: int, lam) -> Fraction:
         for l in range((n - k) // 2 + 1):
             tot += (
                 comb(n, k) * comb(r, j) * 2 ** k * (-1) ** l * (-lam) ** (r - j)
-                * factorial(n - k) * _pow00(2 * j, n - k - 2 * l)
+                # a Fraction power, so 0^0 = 1 on the diagonal and the int lam = -1
+                # of t4 still gives an exact quotient below
+                * factorial(n - k) * Fraction(2 * j) ** (n - k - 2 * l)
                 / (factorial(l) * factorial(n - k - 2 * l)))
     return tot / (1 - lam) ** r
 

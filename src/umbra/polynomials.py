@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import _format_terms, as_rational
+from .series import _convolve, _format_terms, _power, as_rational
 
 _ZERO = Fraction(0)
 
 
+@dataclass(frozen=True, slots=True)
 class Poly:
     """Univariate polynomial over exact rationals, trailing zeros trimmed.
 
@@ -16,16 +18,13 @@ class Poly:
     eval and derivative handle it like any other value.
     """
 
-    __slots__ = ("_coeffs",)
+    _coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs=()):
         coeffs = [as_rational(c) for c in coeffs]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "_coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -88,36 +87,15 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self._coeffs or not other._coeffs:
-                return Poly()
-            out = [_ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return Poly(out)
+            a, b = self._coeffs, other._coeffs
+            return Poly(_convolve(a, b, len(a) + len(b) - 2))
         c = as_rational(other)
         return Poly([c * ck for ck in self._coeffs])
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers take nonnegative integer exponents")
-        result = Poly([1])
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
+        return _power(self, k, Poly([1]))
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self._coeffs]})"

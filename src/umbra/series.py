@@ -11,6 +11,7 @@ which makes them safe to share between threads.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CompositionOrder, ExpConstantTerm, NotDelta, NotInvertible
@@ -57,10 +58,37 @@ def _format_terms(coeffs, var: str) -> str:
     return " ".join([head] + terms[1:])
 
 
+def _convolve(a, b, n: int) -> list[Fraction]:
+    """c_k = sum_i a_i b_(k-i) for k <= n, skipping zero factors before multiplying."""
+    out = [_ZERO] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        if not x:
+            continue
+        for j, y in enumerate(b[: n + 1 - i], i):
+            if y:
+                out[j] += x * y
+    return out
+
+
+def _power(base, k: int, one):
+    """base**k by repeated squaring, starting from the unit ``one``."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("powers take nonnegative integer exponents")
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+@dataclass(frozen=True, slots=True)
 class TruncatedSeries:
     """A formal power series known through degree ``trunc_order``."""
 
-    __slots__ = ("_coeffs",)
+    _coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs, order: int | None = None):
         coeffs = [as_rational(c) for c in coeffs]
@@ -73,9 +101,6 @@ class TruncatedSeries:
         if len(coeffs) < order + 1:
             coeffs.extend([_ZERO] * (order + 1 - len(coeffs)))
         object.__setattr__(self, "_coeffs", tuple(coeffs[: order + 1]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -128,9 +153,9 @@ class TruncatedSeries:
         return INFINITE
 
     def truncate(self, order: int) -> "TruncatedSeries":
-        """Forget coefficients above ``order`` (which may not exceed what is stored)."""
-        if order > self.trunc_order:
-            raise ValueError(f"cannot extend truncation order {self.trunc_order} to {order}")
+        """Forget coefficients above ``order`` (0 <= order <= what is stored)."""
+        if not 0 <= order <= self.trunc_order:
+            raise ValueError(f"cannot truncate order {self.trunc_order} to {order}")
         return TruncatedSeries(self._coeffs[: order + 1])
 
     # -- ring operations ---------------------------------------------------
@@ -157,15 +182,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             n = min(self.trunc_order, other.trunc_order)
-            a, b = self._coeffs, other._coeffs
-            out = []
-            for k in range(n + 1):
-                acc = _ZERO
-                for i in range(k + 1):
-                    if a[i] and b[k - i]:
-                        acc += a[i] * b[k - i]
-                out.append(acc)
-            return TruncatedSeries(out)
+            return TruncatedSeries(_convolve(self._coeffs, other._coeffs, n))
         c = as_rational(other)
         return TruncatedSeries([c * ck for ck in self._coeffs])
 
@@ -179,17 +196,7 @@ class TruncatedSeries:
 
     def __pow__(self, k: int) -> "TruncatedSeries":
         """k-th power for nonnegative integer k; f**0 is 1 at the same truncation."""
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("series powers take nonnegative integer exponents")
-        result = TruncatedSeries.one(self.trunc_order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, TruncatedSeries.one(self.trunc_order))
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse h with self*h = 1 through the truncation order.
@@ -255,15 +262,7 @@ class TruncatedSeries:
             result = result + term
         return result
 
-    # -- comparison / display ----------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
+    # -- display -------------------------------------------------------------
 
     def __repr__(self):
         return f"TruncatedSeries({[str(c) for c in self._coeffs]})"

@@ -18,6 +18,7 @@ routes must agree exactly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -61,9 +62,10 @@ def operator_apply(f: TruncatedSeries, p: Poly) -> Poly:
 
 def eval_functional(y, order: int) -> TruncatedSeries:
     """The evaluation functional e^{yt} truncated at ``order``; pairs to p(y)."""
-    return TruncatedSeries.monomial(1, order, y).exp() if order else TruncatedSeries.one(0)
+    return TruncatedSeries([0, y], order=order).exp()
 
 
+@dataclass(frozen=True, slots=True)
 class ShefferPair:
     """An invertible series g and a delta series f, with f's inverse cached.
 
@@ -71,47 +73,21 @@ class ShefferPair:
     inverse is computed once at construction.
     """
 
-    __slots__ = ("_g", "_f", "_fbar")
+    g: TruncatedSeries
+    f: TruncatedSeries
+    fbar: TruncatedSeries = field(init=False, repr=False, compare=False)
 
-    def __init__(self, g: TruncatedSeries, f: TruncatedSeries):
-        n = min(g.trunc_order, f.trunc_order)
-        g = g.truncate(n)
-        f = f.truncate(n)
-        if g.order != 0:
+    def __post_init__(self):
+        n = min(self.g.trunc_order, self.f.trunc_order)
+        object.__setattr__(self, "g", self.g.truncate(n))
+        object.__setattr__(self, "f", self.f.truncate(n))
+        if self.g.order != 0:
             raise NotInvertible("g of a Sheffer pair must be an invertible series")
-        object.__setattr__(self, "_g", g)
-        object.__setattr__(self, "_f", f)
-        object.__setattr__(self, "_fbar", f.comp_inverse())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShefferPair is immutable")
-
-    @property
-    def g(self) -> TruncatedSeries:
-        return self._g
-
-    @property
-    def f(self) -> TruncatedSeries:
-        return self._f
-
-    @property
-    def fbar(self) -> TruncatedSeries:
-        return self._fbar
+        object.__setattr__(self, "fbar", self.f.comp_inverse())
 
     @property
     def trunc_order(self) -> int:
-        return self._g.trunc_order
-
-    def __eq__(self, other):
-        if not isinstance(other, ShefferPair):
-            return NotImplemented
-        return self._g == other._g and self._f == other._f
-
-    def __hash__(self):
-        return hash((self._g, self._f))
-
-    def __repr__(self):
-        return f"ShefferPair(g={self._g!r}, f={self._f!r})"
+        return self.g.trunc_order
 
 
 def _require_order(pair: ShefferPair, n: int):
@@ -145,41 +121,27 @@ def sheffer_poly(pair: ShefferPair, n: int) -> Poly:
     return sheffer_polys(pair, n)[n]
 
 
+@dataclass(frozen=True, slots=True)
 class ConnectionMatrix:
     """Lower-triangular table C_{n,k} expressing one sequence in another's basis."""
 
-    __slots__ = ("_rows",)
+    rows: tuple[tuple[Fraction, ...], ...]
 
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
+    def __post_init__(self):
+        rows = tuple(tuple(r) for r in self.rows)
         for n, row in enumerate(rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
-        object.__setattr__(self, "_rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConnectionMatrix is immutable")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n_max(self) -> int:
-        return len(self._rows) - 1
-
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
+        return len(self.rows) - 1
 
     def entry(self, n: int, k: int) -> Fraction:
         if not 0 <= k <= n <= self.n_max:
             raise IndexError(f"entry ({n}, {k}) outside the triangular table")
-        return self._rows[n][k]
-
-    def __eq__(self, other):
-        if not isinstance(other, ConnectionMatrix):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self):
-        return hash(self._rows)
+        return self.rows[n][k]
 
     def __repr__(self):
         return f"ConnectionMatrix(n_max={self.n_max})"

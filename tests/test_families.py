@@ -156,6 +156,15 @@ def test_store_slices_equal_fresh_builds(pair_builds, spec, degrees, builds):
     assert len(families._store[spec]) == 9
 
 
+def test_rejected_degree_keeps_the_stored_table(pair_builds):
+    spec = bernoulli(2)
+    table = family_polys(spec, 6)
+    with pytest.raises(ValueError):
+        family_polys(spec, -1)
+    assert family_polys(spec, 6) == table
+    assert len(pair_builds) == 1
+
+
 def test_store_builds_each_spec_once(pair_builds):
     report = verify_theorem("t3", 6, 1, lambdas=[2, "1/2"])
     assert report.passed

@@ -233,6 +233,10 @@ def test_truncation_bookkeeping():
     assert f.truncate(2).coeffs == (F(1), F(2), F(3))
     with pytest.raises(ValueError):
         f.truncate(9)
+    with pytest.raises(ValueError):
+        f.truncate(-1)
+    with pytest.raises(ValueError):
+        S([1, 2, 3, 4]).truncate(-2)
     assert (f * S.one(3)).trunc_order == 3
     assert f.compose(S.t(4)).trunc_order == 4
 

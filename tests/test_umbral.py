@@ -67,6 +67,10 @@ def test_evaluation_functional():
     p = Poly([-1, 0, 1])  # x^2 - 1
     assert pair_functional(eval_functional(3, p.degree), p) == 8
     assert pair_functional(eval_functional(F(1, 2), 2), p) == F(-3, 4)
+    assert eval_functional(3, 0) == S.one(0)
+    for order in (0, 2):
+        with pytest.raises(TypeError):
+            eval_functional(0.5, order)
 
 
 def test_constant_functional_reads_constant_term():
@@ -135,6 +139,11 @@ def test_sheffer_poly_euler_and_hermite():
 def test_sheffer_poly_needs_truncation():
     with pytest.raises(TruncationTooShort):
         sheffer_poly(sheffer_pair_of(hermite(), 3), 5)
+    pair = sheffer_pair_of(hermite(), 3)
+    with pytest.raises(ValueError):
+        sheffer_polys(pair, -2)
+    with pytest.raises(ValueError):
+        connection_coeffs(pair, pair, -2)
 
 
 def test_sheffer_orthogonality_all_builtin_pairs():
