@@ -1,0 +1,37 @@
+"""The CLI prints the bytes the benchmark pins for its seed-0 inputs.
+
+`bench/pins.json` maps each benchmark command line to the sha256 of its
+stdout; a change to any table route that alters output shows up here.
+"""
+
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PINS = ROOT / "bench" / "pins.json"
+
+# benchmark workload -> its seed-0 command line, a key of pins.json
+SEED0_INPUTS = {
+    "verify-grid": "verify --theorems all --max-n 10 --orders 0,1,2,3,4",
+    "lambda-symbolic":
+        "verify --theorems t3,t8,remark --max-n 10 --orders 0,2,4 --lambdas=-1,2,1/2 --symbolic-lambda",
+    "connect-deep": "connect --from frobenius-euler:3:1/3 --to bernoulli:4 --max-n 60",
+}
+
+
+@pytest.mark.parametrize("workload", SEED0_INPUTS)
+def test_stdout_matches_pinned_digest(workload):
+    command = SEED0_INPUTS[workload]
+    if not PINS.exists():
+        pytest.skip("no pinned digests in this tree")
+    pins = json.loads(PINS.read_text())
+    done = subprocess.run(
+        [sys.executable, "-m", "umbra.cli", *command.split()], capture_output=True,
+        cwd=ROOT, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == pins[command]

@@ -61,6 +61,40 @@ def lagrange_inverse(f):
     return S(out, order=n_max)
 
 
+def matching_inverse(f):
+    """Compositional inverse by degree-by-degree matching.
+
+    Coefficient n of f(h) is a_1 h_n plus terms involving only h_1..h_{n-1},
+    so each h_n is read off one composition per degree.
+    """
+    a = f.coeffs
+    n_max = f.trunc_order
+    h = [F(0), F(1) / a[1]]
+    for n in range(2, n_max + 1):
+        partial = S(h, order=n)
+        residual = f.truncate(n).compose(partial).coeff(n)
+        h.append(-residual / a[1])
+    return S(h, order=n_max)
+
+
+def power_sum_exp(f):
+    """exp(f) = sum_j f^j / j!, one series product per term."""
+    n = f.trunc_order
+    result = S.one(n)
+    term = result
+    for j in range(1, n + 1):
+        term = term * f / j
+        result = result + term
+    return result
+
+
+def rand_delta(rng, order):
+    """Random delta series whose a_1 is a random nonzero rational."""
+    f = rand_series(rng, order, lowest=1).coeffs
+    a1 = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+    return S((F(0), a1) + f[2:])
+
+
 def test_order_examples():
     assert S([0, 1, 1]).order == 1
     assert S([5]).order == 0
@@ -159,6 +193,23 @@ def test_comp_inverse_matches_lagrange_oracle():
     for _ in range(6):
         f = rand_series(rng, 10, lowest=1)
         assert f.comp_inverse() == lagrange_inverse(f)
+
+
+def test_comp_inverse_matches_matching_oracle():
+    rng = random.Random(43)
+    for n in (1, 2, 5, 12, 20):
+        for _ in range(3):
+            f = rand_delta(rng, n)
+            assert f.comp_inverse() == matching_inverse(f)
+
+
+def test_exp_matches_power_sum_oracle():
+    assert S.zero(0).exp() == power_sum_exp(S.zero(0)) == S.one(0)
+    rng = random.Random(47)
+    for n in (1, 2, 5, 12, 20):
+        for _ in range(3):
+            f = rand_series(rng, n, lowest=1)
+            assert f.exp() == power_sum_exp(f)
 
 
 def test_exp_examples():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -17,6 +17,7 @@ from umbra import (
     connection_oracle,
     euler,
     eval_functional,
+    falling_factorial,
     family_poly,
     frobenius_euler,
     hermite,
@@ -25,6 +26,8 @@ from umbra import (
     sheffer_pair_of,
     sheffer_poly,
     sheffer_polys,
+    stirling1,
+    stirling2,
 )
 from umbra.umbral import _solve_in_basis
 
@@ -53,6 +56,32 @@ BUILTIN_SPECS = [
     frobenius_euler(3, F(-1)),
     frobenius_euler(4, F(2)),
 ]
+
+# Sheffer pairs whose delta series is neither t nor t/2, so the general
+# compositional inverse and the triangle builder are exercised in earnest.
+N_DELTA = 12
+
+
+def exp_minus_one(n):
+    return S([0] + [F(1, factorial(k)) for k in range(1, n + 1)])
+
+
+def log_one_plus(n):
+    return S([0] + [F((-1) ** (k + 1), k) for k in range(1, n + 1)])
+
+
+def laguerre_pair(a, n):
+    """((1-t)^(-a-1), t/(t-1)), the Laguerre pair of parameter a."""
+    g = S([comb(a + k, k) for k in range(n + 1)])
+    return ShefferPair(g, S([0] + [-1] * n))
+
+
+def falling_pair(n):
+    return ShefferPair(S.one(n), exp_minus_one(n))
+
+
+def touchard_pair(n):
+    return ShefferPair(S.one(n), log_one_plus(n))
 
 
 def test_monomial_pairing_is_factorial_delta():
@@ -229,3 +258,40 @@ def test_connection_matrix_shape():
         matrix.entry(1, 2)
     with pytest.raises(ValueError):
         ConnectionMatrix([[F(1), F(2)]])
+
+
+def test_nontrivial_delta_inverses():
+    n = N_DELTA
+    assert falling_pair(n).fbar == log_one_plus(n)
+    assert touchard_pair(n).fbar == exp_minus_one(n)
+    for a in (0, 2):
+        pair = laguerre_pair(a, n)
+        assert pair.fbar == pair.f  # t/(t-1) is its own inverse
+
+
+def test_nontrivial_delta_sequences():
+    n_max = N_DELTA
+    falling = sheffer_polys(falling_pair(n_max), n_max)
+    touchard = sheffer_polys(touchard_pair(n_max), n_max)
+    for n in range(n_max + 1):
+        assert falling[n] == falling_factorial(n)
+        assert touchard[n] == Poly([stirling2(n, k) for k in range(n + 1)])
+    for a in (0, 2):
+        laguerre = sheffer_polys(laguerre_pair(a, n_max), n_max)
+        for n in range(n_max + 1):
+            assert laguerre[n] == Poly(
+                [F(factorial(n), factorial(k)) * comb(n + a, n - k) * (-1) ** k
+                 for k in range(n + 1)])
+
+
+def test_nontrivial_delta_connections():
+    n_max = N_DELTA
+    falling = falling_pair(n_max)
+    monomial = ShefferPair(S.one(n_max), S.t(n_max))
+    to_monomial = connection_coeffs(falling, monomial, n_max)
+    from_monomial = connection_coeffs(monomial, falling, n_max)
+    assert to_monomial == connection_oracle(falling, monomial, n_max)
+    assert from_monomial == connection_oracle(monomial, falling, n_max)
+    for n in range(n_max + 1):
+        assert list(to_monomial.rows[n]) == [stirling1(n, k) for k in range(n + 1)]
+        assert list(from_monomial.rows[n]) == [stirling2(n, k) for k in range(n + 1)]
