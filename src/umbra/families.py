@@ -41,6 +41,8 @@ class FamilySpec:
     lam: Fraction | None = None
 
     def __post_init__(self):
+        if not isinstance(self.order_r, int) or isinstance(self.order_r, bool):
+            raise TypeError(f"family order must be an int, got {type(self.order_r).__name__}")
         if self.order_r < 0:
             raise ValueError("family order must be a nonnegative integer")
         if self.kind is FamilyKind.FROBENIUS_EULER:

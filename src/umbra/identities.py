@@ -39,8 +39,9 @@ from .families import (
     frobenius_euler,
     hermite,
 )
-from .polynomials import Poly, stirling2
+from .polynomials import stirling2
 from .series import as_rational
+from .umbral import _solve_in_basis
 
 # id -> (family paired with Hermite, whether that family is expanded in the
 # Hermite basis rather than Hermite in the family's basis).  Family constructors
@@ -252,26 +253,19 @@ class IdentityReport:
         return self.status == "PASS"
 
 
-def _first_mismatch(lhs: Poly, rhs: Poly, n: int, lam=None) -> Mismatch | None:
-    if lhs == rhs:
-        return None
-    for i in range(max(lhs.degree, rhs.degree) + 1):
-        if lhs.coeff(i) != rhs.coeff(i):
-            return Mismatch(n, i, lhs.coeff(i), rhs.coeff(i), lam)
-    raise AssertionError("unreachable: unequal polynomials with equal coefficients")
+def _first_mismatch(lhs_polys, basis_polys, coeff_fn, ns, lam=None) -> Mismatch | None:
+    """First (n, k) where the closed form coeff_fn(n, k) differs from the solved coefficient.
 
-
-def _check_expansion(lhs_polys, basis_polys, coeff_fn, ns, lam=None) -> Mismatch | None:
-    """Compare lhs_polys[n] with sum_k coeff_fn(n,k) * basis_polys[k] exactly."""
+    Each lhs_polys[n] is solved in the graded basis (basis_polys[k] has degree k),
+    and lhs_n = sum_k c_k basis_k holds exactly when c is the solved row, so a PASS
+    is the same polynomial equation as recombining the right-hand side.
+    """
+    solved = _solve_in_basis(lhs_polys, basis_polys)
     for n in ns:
-        rhs = Poly.zero()
-        for k in range(n + 1):
-            c = coeff_fn(n, k)
-            if c:
-                rhs = rhs + c * basis_polys[k]
-        found = _first_mismatch(lhs_polys[n], rhs, n, lam)
-        if found is not None:
-            return found
+        for k, expected in enumerate(solved[n]):
+            got = coeff_fn(n, k)
+            if got != expected:
+                return Mismatch(n, k, expected, got, lam)
     return None
 
 
@@ -320,7 +314,7 @@ def verify_theorem(
         params = (r,) if lam is None else (r, lam)
         polys = family_polys(family(*params), n_max)
         lhs, basis = (polys, hermite_polys) if in_hermite_basis else (hermite_polys, polys)
-        failure = _check_expansion(lhs, basis, lambda n, k: coeff(n, k, *params), ns, lam)
+        failure = _first_mismatch(lhs, basis, lambda n, k: coeff(n, k, *params), ns, lam)
         if failure is not None:
             break
 

@@ -233,34 +233,31 @@ class TruncatedSeries:
         return result
 
     def comp_inverse(self) -> "TruncatedSeries":
-        """Compositional inverse of a delta series, by degree-by-degree matching.
+        """Compositional inverse of a delta series, by Lagrange inversion.
 
         Returns h with self(h(t)) = h(self(t)) = t through the truncation
-        order.  Coefficient n of self(h) is a_1 h_n plus terms involving
-        only h_1..h_{n-1}, so each h_n is read off a triangular solve.
+        order.  With q = (self/t)^(-1), h_n = (1/n) [t^(n-1)] q^n (Roman,
+        The Umbral Calculus, 1984), read off a running power of q.
         """
         if self.order != 1:
             raise NotDelta("compositional inverse needs order exactly 1")
-        a = self._coeffs
-        n_max = self.trunc_order
-        h = [_ZERO, _ONE / a[1]]
-        for n in range(2, n_max + 1):
-            partial = TruncatedSeries(h, order=n)
-            residual = self.truncate(n).compose(partial).coeff(n)
-            h.append(-residual / a[1])
-        return TruncatedSeries(h, order=n_max)
+        q = TruncatedSeries(self._coeffs[1:]).reciprocal()
+        h = [_ZERO, q._coeffs[0]]
+        power = q
+        for n in range(2, len(self._coeffs)):
+            power = power * q
+            h.append(power._coeffs[n - 1] / n)
+        return TruncatedSeries(h)
 
     def exp(self) -> "TruncatedSeries":
-        """exp(self) = sum_j self^j / j!, requiring zero constant term."""
-        if self._coeffs[0]:
+        """exp(self), requiring zero constant term: e' = c' e gives n e_n = sum_k k c_k e_(n-k)."""
+        c = self._coeffs
+        if c[0]:
             raise ExpConstantTerm("exponential needs a series with zero constant term")
-        n = self.trunc_order
-        result = TruncatedSeries.one(n)
-        term = result
-        for j in range(1, n + 1):
-            term = term * self / j
-            result = result + term
-        return result
+        e = [_ONE]
+        for n in range(1, len(c)):
+            e.append(sum((k * c[k] * e[n - k] for k in range(1, n + 1) if c[k]), _ZERO) / n)
+        return TruncatedSeries(e)
 
     # -- display -------------------------------------------------------------
 

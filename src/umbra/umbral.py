@@ -96,24 +96,28 @@ def _require_order(pair: ShefferPair, n: int):
             f"pair truncated at {pair.trunc_order} cannot produce degree {n}")
 
 
+def _triangle(a: TruncatedSeries, b: TruncatedSeries, n_max: int) -> list[list[Fraction]]:
+    """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), k <= n; ``a`` is known through n_max."""
+    cols = [a.coeffs]
+    term = a
+    for _ in range(n_max):
+        term = term * b
+        cols.append(term.coeffs)
+    return [
+        [Fraction(factorial(n), factorial(k)) * cols[k][n] for k in range(n + 1)]
+        for n in range(n_max + 1)]
+
+
 def sheffer_polys(pair: ShefferPair, n_max: int) -> tuple[Poly, ...]:
     """S_0..S_{n_max} for the pair, from the generating identity.
 
-    With A = 1/g(fbar) and B = fbar, coefficient j of S_n is
-    n! [t^n](A B^j / j!); one sweep over j fills the whole triangle.
+    With A = 1/g(fbar) and B = fbar, coefficient k of S_n is
+    (n!/k!) [t^n](A B^k); one sweep over k fills the whole triangle.
     """
     _require_order(pair, n_max)
-    a = pair.g.compose(pair.fbar).truncate(n_max).reciprocal()
-    b = pair.fbar.truncate(n_max)
-    table = []
-    term = a
-    for j in range(n_max + 1):
-        if j:
-            term = term * b / j
-        table.append(term.coeffs)
-    return tuple(
-        Poly([factorial(n) * table[j][n] for j in range(n + 1)])
-        for n in range(n_max + 1))
+    fbar = pair.fbar.truncate(n_max)
+    a = pair.g.compose(fbar).reciprocal()
+    return tuple(Poly(row) for row in _triangle(a, fbar, n_max))
 
 
 def sheffer_poly(pair: ShefferPair, n: int) -> Poly:
@@ -156,20 +160,10 @@ def connection_coeffs(source: ShefferPair, target: ShefferPair, n_max: int) -> C
     _require_order(source, n_max)
     _require_order(target, n_max)
     fbar = source.fbar.truncate(n_max)
-    h_at = target.g.truncate(n_max).compose(fbar)
-    g_at = source.g.truncate(n_max).compose(fbar)
-    l_at = target.f.truncate(n_max).compose(fbar)
-    base = h_at * g_at.reciprocal()
-    cols = []
-    term = base
-    for k in range(n_max + 1):
-        if k:
-            term = term * l_at
-        cols.append(term.coeffs)
-    rows = [
-        [Fraction(factorial(n), factorial(k)) * cols[k][n] for k in range(n + 1)]
-        for n in range(n_max + 1)]
-    return ConnectionMatrix(rows)
+    h_at = target.g.compose(fbar)
+    g_at = source.g.compose(fbar)
+    l_at = target.f.compose(fbar)
+    return ConnectionMatrix(_triangle(h_at * g_at.reciprocal(), l_at, n_max))
 
 
 def connection_oracle(source: ShefferPair, target: ShefferPair, n_max: int) -> ConnectionMatrix:
@@ -185,13 +179,12 @@ def _solve_in_basis(polys, basis):
         if r.degree != k:
             raise SingularBasis(f"basis member {k} has degree {r.degree}, expected {k}")
     rows = []
-    for n, p in enumerate(polys):
-        residual = p
+    for n, residual in enumerate(polys):
         row = [_ZERO] * (n + 1)
         for k in range(n, -1, -1):
             c = residual.coeff(k) / basis[k].coeff(k)
             row[k] = c
             if c:
-                residual = residual - c * basis[k]
+                residual = residual + (-c) * basis[k]
         rows.append(row)
     return rows

@@ -209,6 +209,7 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     by_theorem = {r["theorem"]: r for r in doc["reports"]}
     assert by_theorem["t1"]["status"] == "FAIL"
     assert by_theorem["t1"]["first_failure"]["n"] == 2
+    assert by_theorem["t1"]["first_failure"]["k"] == 0
     assert by_theorem["t2"]["status"] == "PASS"
 
 

@@ -19,6 +19,7 @@ from umbra import (
     hermite_poly_via_operator,
     sheffer_pair_of,
     sheffer_polys,
+    t2_coeff,
     verify_theorem,
 )
 from umbra import families
@@ -62,6 +63,13 @@ def test_spec_validation():
         FamilySpec(FamilyKind.EULER, 1, F(2))
     with pytest.raises(ValueError):
         FamilySpec(FamilyKind.FROBENIUS_EULER, 1)
+    family_polys(bernoulli(2), 3)  # a stored equal spec must not let a float order through
+    for make in (lambda: FamilySpec(FamilyKind.BERNOULLI, 2.0), lambda: bernoulli(True),
+                 lambda: euler(F(2)), lambda: frobenius_euler(1.0, 2),
+                 lambda: family_polys(bernoulli(2.0), 3), lambda: t2_coeff(3, 1, 2.0),
+                 lambda: verify_theorem("t2", 3, True)):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_first_hermite_members():

@@ -246,8 +246,10 @@ def test_verify_reports_first_failure(monkeypatch):
     assert report.status == "FAIL"
     failure = report.first_failure
     assert failure.n == 3
-    # the corrupted k=1 column feeds a degree-1 basis member, so coefficient 1 drifts
+    # the failure names the wrong closed-form coefficient: expected is the solved value
     assert failure.expected != failure.got
+    assert failure.k == 1
+    assert failure.got == failure.expected + 1
 
 
 def test_report_invariant_enforced():
