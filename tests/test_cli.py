@@ -267,6 +267,20 @@ def test_bad_arguments_exit_two(capsys):
     assert main(["verify", "--theorems", "t1,tx", "--max-n", "3"]) == EXIT_USAGE
     assert main(["family", "--name", "hermite", "--max-degree", "-2"]) == EXIT_USAGE
     capsys.readouterr()
+    # the library refuses these before any document is written
+    for argv in (
+        "family --name euler --order -1 --max-degree 3",
+        "family --name hermite --max-degree -1",
+        "connect --from euler:1 --to hermite --max-n -1",
+        "connect --from euler:-1 --to hermite --max-n 3",
+        "verify --theorems t1 --max-n -1",
+        "verify --theorems t7 --max-n -1",
+        "verify --theorems all --max-n 3 --orders=-1,2",
+        "connect --from frobenius-euler:1 --to hermite --max-n 2",
+        "family --name hermite --lambda 2 --max-degree 2",
+    ):
+        assert main(argv.split()) == EXIT_USAGE, argv
+        assert capsys.readouterr().out == "", argv
 
 
 def test_version_flag(capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import umbra
 from umbra import (
     FamilyKind,
     FamilySpec,
@@ -9,7 +10,11 @@ from umbra import (
     Poly,
     TruncatedSeries,
     bernoulli,
+    connection_coeffs,
+    connection_oracle,
     euler,
+    eval_functional,
+    falling_factorial,
     family_number,
     family_numbers,
     family_poly,
@@ -17,8 +22,12 @@ from umbra import (
     frobenius_euler,
     hermite,
     hermite_poly_via_operator,
+    lambda_samples,
     sheffer_pair_of,
+    sheffer_poly,
     sheffer_polys,
+    stirling1,
+    stirling2,
     t2_coeff,
     verify_theorem,
 )
@@ -70,6 +79,73 @@ def test_spec_validation():
                  lambda: verify_theorem("t2", 3, True)):
         with pytest.raises(TypeError):
             make()
+
+
+def _count_arguments():
+    """(name, call) for every public entry point that takes a degree, order, index,
+    exponent or count; each call passes its argument x in that one position."""
+    pair = sheffer_pair_of(hermite(), 4)
+    calls = {
+        "TruncatedSeries(order=x)": lambda x: S([1], order=x),
+        "TruncatedSeries.monomial(x, 3)": lambda x: S.monomial(x, 3),
+        "TruncatedSeries.monomial(1, x)": lambda x: S.monomial(1, x),
+        "TruncatedSeries.truncate(x)": lambda x: S([1, 2, 3]).truncate(x),
+        "TruncatedSeries ** x": lambda x: S([1, 1]) ** x,
+        "Poly ** x": lambda x: Poly([1, 1]) ** x,
+        "Poly.derivative(x)": lambda x: Poly([1, 2, 3]).derivative(x),
+        "falling_factorial(x)": falling_factorial,
+        "stirling1(x, 0)": lambda x: stirling1(x, 0),
+        "stirling1(3, x)": lambda x: stirling1(3, x),
+        "stirling2(x, 0)": lambda x: stirling2(x, 0),
+        "stirling2(3, x)": lambda x: stirling2(3, x),
+        "eval_functional(1, x)": lambda x: eval_functional(1, x),
+        "sheffer_polys(pair, x)": lambda x: sheffer_polys(pair, x),
+        "sheffer_poly(pair, x)": lambda x: sheffer_poly(pair, x),
+        "connection_coeffs(pair, pair, x)": lambda x: connection_coeffs(pair, pair, x),
+        "connection_oracle(pair, pair, x)": lambda x: connection_oracle(pair, pair, x),
+        "sheffer_pair_of(hermite(), x)": lambda x: sheffer_pair_of(hermite(), x),
+        "family_polys(hermite(), x)": lambda x: family_polys(hermite(), x),
+        "family_poly(hermite(), x)": lambda x: family_poly(hermite(), x),
+        "family_numbers(euler(1), x)": lambda x: family_numbers(euler(1), x),
+        "family_number(euler(1), x)": lambda x: family_number(euler(1), x),
+        "hermite_poly_via_operator(x)": hermite_poly_via_operator,
+        "FamilySpec(BERNOULLI, x)": lambda x: FamilySpec(FamilyKind.BERNOULLI, x),
+        "verify_theorem('t1', x, 0)": lambda x: verify_theorem("t1", x, 0),
+        "verify_theorem('t1', 2, x)": lambda x: verify_theorem("t1", 2, x),
+        "lambda_samples(x)": lambda_samples,
+    }
+    # each tN_coeff at an in-regime (n, k, r), with x in place of one of the three
+    for tid in umbra.THEOREM_IDS:
+        coeff = getattr(umbra, f"{tid}_coeff")
+        nkr = {"t6": (2, 1, 3)}.get(tid, (3, 1, 2))
+        lam = (2,) if tid in ("t3", "t8", "remark") else ()
+        for i, name in enumerate("nkr"):
+            def call(x, coeff=coeff, nkr=nkr, lam=lam, i=i):
+                args = list(nkr)
+                args[i] = x
+                return coeff(*args, *lam)
+            calls[f"{tid}_coeff with {name}=x"] = call
+    return calls
+
+
+def test_counts_refuse_bool_float_and_negative():
+    for name, call in _count_arguments().items():
+        for bad in (True, 2.0):
+            with pytest.raises(TypeError):
+                call(bad)
+                pytest.fail(f"{name} accepted {bad!r}")
+        with pytest.raises(ValueError):
+            call(-1)
+            pytest.fail(f"{name} accepted -1")
+
+
+def test_degree_arguments_refuse_bool_and_float():
+    with pytest.raises(TypeError):
+        verify_theorem("t1", True, 0)
+    with pytest.raises(TypeError):
+        family_poly(hermite(), True)
+    with pytest.raises(TypeError):
+        family_polys(hermite(), 2.0)
 
 
 def test_first_hermite_members():
