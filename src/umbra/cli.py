@@ -7,11 +7,14 @@ arguments always produce byte-identical output.
 
 Exit codes: 0 success (all identities pass), 1 an identity check failed,
 2 bad arguments or out-of-regime parameters, 3 internal inconsistency
-(the two connection-coefficient routes disagree).  t6 needs an order above
---max-n and t7 one at or below it; an explicit order outside that is exit 2,
-and orders the CLI picks itself (no --orders, or --theorems all) give t6
-the order max-n + 1 and leave t7's orders above max-n out.  The environment
-variable UMBRA_THREADS is accepted but ignored; it must still be an integer.
+(the two connection-coefficient routes disagree).  Argument errors in
+sizes, orders and lambda come from the library's own checks: each raises
+ValueError or UmbraError before anything reaches stdout, and that is exit 2.
+t6 needs an order above --max-n and t7 one at or below it; an explicit
+order outside that is exit 2, and orders the CLI picks itself (no --orders,
+or --theorems all) give t6 the order max-n + 1 and leave t7's orders above
+max-n out.  The environment variable UMBRA_THREADS is accepted but ignored;
+it must still be an integer.
 """
 
 from __future__ import annotations
@@ -69,16 +72,7 @@ def _family_spec(name: str, order: int | None, lam: Fraction | None) -> FamilySp
     if kind is None:
         known = ", ".join(sorted(_FAMILY_NAMES))
         raise UsageError(f"unknown family {name!r} (known: {known})")
-    if kind is FamilyKind.FROBENIUS_EULER:
-        if lam is None:
-            raise UsageError("frobenius-euler needs --lambda")
-    elif lam is not None:
-        raise UsageError(f"{name} takes no --lambda")
-    if kind is FamilyKind.HERMITE:
-        return FamilySpec(kind)
-    r = 1 if order is None else order
-    if r < 0:
-        raise UsageError("--order must be nonnegative")
+    r = 0 if kind is FamilyKind.HERMITE else (1 if order is None else order)
     return FamilySpec(kind, r, lam)
 
 
@@ -207,8 +201,6 @@ def _emit_rows_csv(rows, width: int, out):
 def _cmd_family(args, out) -> int:
     lam = None if args.lam is None else parse_rational(args.lam)
     spec = _family_spec(args.name, args.order, lam)
-    if args.max_degree < 0:
-        raise UsageError("--max-degree must be nonnegative")
     doc = family_document(spec, args.max_degree)
     if args.format == "csv":
         _emit_rows_csv(doc["rows"], args.max_degree + 1, out)
@@ -220,8 +212,6 @@ def _cmd_family(args, out) -> int:
 def _cmd_connect(args, out) -> int:
     source = parse_family_descriptor(args.source)
     target = parse_family_descriptor(args.target)
-    if args.max_n < 0:
-        raise UsageError("--max-n must be nonnegative")
     doc, agree = connection_document(source, target, args.max_n)
     if not agree:
         print(
@@ -269,11 +259,7 @@ def _check_thread_env():
 
 def _cmd_verify(args, out) -> int:
     theorems, requested_all = _parse_theorems(args.theorems)
-    if args.max_n < 0:
-        raise UsageError("--max-n must be nonnegative")
     orders = [0, 1, 2, 3] if args.orders is None else _parse_int_list(args.orders, "--orders")
-    if any(r < 0 for r in orders):
-        raise UsageError("--orders must be nonnegative")
     lambdas = (
         list(DEFAULT_LAMBDAS)
         if args.lambdas is None
@@ -283,7 +269,8 @@ def _cmd_verify(args, out) -> int:
 
     # t6 lives in the r > n regime and t7 in r <= n; unless an id was asked
     # for explicitly with explicit orders, t6 gets its smallest admissible
-    # order and t7 leaves out the orders above max-n.
+    # order and t7 leaves out the orders above max-n (a negative max-n keeps
+    # them, so that verify_theorem refuses it).
     auto = requested_all or args.orders is None
 
     cells = []
@@ -292,7 +279,7 @@ def _cmd_verify(args, out) -> int:
             cells.append((tid, args.max_n + 1))
         else:
             cells.extend(
-                (tid, r) for r in orders if not (tid == "t7" and auto and r > args.max_n))
+                (tid, r) for r in orders if not (tid == "t7" and auto and r > args.max_n >= 0))
 
     _check_thread_env()
     reports = [

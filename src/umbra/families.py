@@ -21,7 +21,7 @@ from math import factorial
 
 from .errors import LambdaIsOne
 from .polynomials import Poly
-from .series import TruncatedSeries, as_rational
+from .series import TruncatedSeries, _as_count, as_rational
 from .umbral import ShefferPair, operator_apply, sheffer_polys
 
 
@@ -30,6 +30,14 @@ class FamilyKind(enum.Enum):
     BERNOULLI = "bernoulli"
     EULER = "euler"
     FROBENIUS_EULER = "frobenius-euler"
+
+
+def _as_lambda(value) -> Fraction:
+    """A Frobenius-Euler parameter: an exact rational other than 1."""
+    lam = as_rational(value)
+    if lam == 1:
+        raise LambdaIsOne("Frobenius-Euler parameter must differ from 1")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -41,16 +49,11 @@ class FamilySpec:
     lam: Fraction | None = None
 
     def __post_init__(self):
-        if not isinstance(self.order_r, int) or isinstance(self.order_r, bool):
-            raise TypeError(f"family order must be an int, got {type(self.order_r).__name__}")
-        if self.order_r < 0:
-            raise ValueError("family order must be a nonnegative integer")
+        _as_count(self.order_r, "family order")
         if self.kind is FamilyKind.FROBENIUS_EULER:
             if self.lam is None:
                 raise ValueError("Frobenius-Euler family needs a lambda parameter")
-            object.__setattr__(self, "lam", as_rational(self.lam))
-            if self.lam == 1:
-                raise LambdaIsOne("Frobenius-Euler parameter must differ from 1")
+            object.__setattr__(self, "lam", _as_lambda(self.lam))
         elif self.lam is not None:
             raise ValueError(f"{self.kind.value} family takes no lambda parameter")
 
@@ -68,7 +71,7 @@ def euler(order_r: int) -> FamilySpec:
 
 
 def frobenius_euler(order_r: int, lam) -> FamilySpec:
-    return FamilySpec(FamilyKind.FROBENIUS_EULER, order_r, as_rational(lam))
+    return FamilySpec(FamilyKind.FROBENIUS_EULER, order_r, lam)
 
 
 def _exp_shifted_down(n_max: int) -> TruncatedSeries:
@@ -87,9 +90,7 @@ def _frobenius_base(n_max: int, lam: Fraction) -> TruncatedSeries:
 def sheffer_pair_of(spec: FamilySpec, n_max: int) -> ShefferPair:
     """The family's Sheffer pair, truncated at n_max (at least 1: a delta
     series cannot be represented below order 1)."""
-    if n_max < 0:
-        raise ValueError("truncation order must be nonnegative")
-    n = max(n_max, 1)
+    n = max(_as_count(n_max, "n_max"), 1)
     if spec.kind is FamilyKind.HERMITE:
         g = TruncatedSeries([0, 0, Fraction(1, 4)], order=n).exp()
         return ShefferPair(g, TruncatedSeries.t(n) / 2)
@@ -113,8 +114,7 @@ def family_polys(spec: FamilySpec, n_max: int) -> tuple[Poly, ...]:
     read the pair's series only through degree n, and coefficient n of the
     compositional inverse depends on the delta series only through degree n.
     """
-    if n_max < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _as_count(n_max, "n_max")  # before the store is touched
     table = _store.pop(spec, ())
     if n_max >= len(table):
         table = sheffer_polys(sheffer_pair_of(spec, n_max), n_max)
@@ -126,8 +126,6 @@ def family_polys(spec: FamilySpec, n_max: int) -> tuple[Poly, ...]:
 
 def family_poly(spec: FamilySpec, n: int) -> Poly:
     """The degree-n member of the family."""
-    if n < 0:
-        raise ValueError("polynomial index must be nonnegative")
     return family_polys(spec, n)[n]
 
 
@@ -146,7 +144,5 @@ def hermite_poly_via_operator(n: int) -> Poly:
 
     An independent construction that must agree with the Sheffer route.
     """
-    if n < 0:
-        raise ValueError("polynomial index must be nonnegative")
     op = TruncatedSeries([0, 0, Fraction(-1, 4)], order=n).exp()
     return operator_apply(op, Poly.monomial(1, 2) ** n)

@@ -30,8 +30,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import LambdaIsOne, RegimeViolation
+from .errors import RegimeViolation
 from .families import (
+    _as_lambda,
     bernoulli,
     euler,
     family_numbers,
@@ -40,7 +41,7 @@ from .families import (
     hermite,
 )
 from .polynomials import stirling2
-from .series import as_rational
+from .series import _as_count
 from .umbral import _solve_in_basis
 
 # id -> (family paired with Hermite, whether that family is expanded in the
@@ -66,21 +67,10 @@ DEFAULT_LAMBDAS = (Fraction(-1), Fraction(2), Fraction(1, 2))
 _LAMBDA_SEED = DEFAULT_LAMBDAS + (Fraction(3), Fraction(-2), Fraction(5))
 
 
-def _check_nk(n: int, k: int):
-    if not 0 <= k <= n:
+def _check_nkr(n: int, k: int, r: int):
+    if _as_count(k, "k") > _as_count(n, "n"):
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-
-
-def _check_r(r: int):
-    if r < 0:
-        raise ValueError("family order must be nonnegative")
-
-
-def _check_lambda(lam) -> Fraction:
-    lam = as_rational(lam)
-    if lam == 1:
-        raise LambdaIsOne("parameter 1 is excluded")
-    return lam
+    _as_count(r, "r")
 
 
 @lru_cache(maxsize=None)
@@ -100,23 +90,19 @@ def _hermite_basis_coeff(numbers, n: int, k: int) -> Fraction:
 
 def t1_coeff(n: int, k: int, r: int) -> Fraction:
     """Hermite-basis coefficient of the degree-n order-r Euler member."""
-    _check_nk(n, k)
-    _check_r(r)
+    _check_nkr(n, k, r)
     return _hermite_basis_coeff(family_numbers(euler(r), n), n, k)
 
 
 def t2_coeff(n: int, k: int, r: int) -> Fraction:
     """Hermite-basis coefficient of the degree-n order-r Bernoulli member."""
-    _check_nk(n, k)
-    _check_r(r)
+    _check_nkr(n, k, r)
     return _hermite_basis_coeff(family_numbers(bernoulli(r), n), n, k)
 
 
 def t3_coeff(n: int, k: int, r: int, lam) -> Fraction:
     """Hermite-basis coefficient of the degree-n order-r Frobenius-Euler member."""
-    _check_nk(n, k)
-    _check_r(r)
-    lam = _check_lambda(lam)
+    _check_nkr(n, k, r)
     return _hermite_basis_coeff(family_numbers(frobenius_euler(r, lam), n), n, k)
 
 
@@ -143,15 +129,13 @@ def _hermite_values_sum(n: int, k: int, r: int, lam) -> Fraction:
 
 def t4_coeff(n: int, k: int, r: int) -> Fraction:
     """Order-r Euler-basis coefficient of the degree-n Hermite member (double sum)."""
-    _check_nk(n, k)
-    _check_r(r)
+    _check_nkr(n, k, r)
     return _double_sum(n, k, r, -1)
 
 
 def t5_coeff(n: int, k: int, r: int) -> Fraction:
     """Same coefficient as t4, through Hermite values at integer points."""
-    _check_nk(n, k)
-    _check_r(r)
+    _check_nkr(n, k, r)
     return _hermite_values_sum(n, k, r, -1)
 
 
@@ -169,8 +153,7 @@ def _stirling_route_coeff(n: int, k: int, r: int) -> Fraction:
 
 def t6_coeff(n: int, k: int, r: int) -> Fraction:
     """Order-r Bernoulli-basis coefficient of the degree-n Hermite member, r > n."""
-    _check_nk(n, k)
-    _check_r(r)
+    _check_nkr(n, k, r)
     if r <= n:
         raise RegimeViolation(f"this form needs r > n, got r={r}, n={n}")
     return _stirling_route_coeff(n, k, r)
@@ -182,8 +165,7 @@ def t7_coeff(n: int, k: int, r: int) -> Fraction:
     Splits at k = r: below it the Stirling-route shape applies, at and
     above it a single Hermite-values sum.
     """
-    _check_nk(n, k)
-    _check_r(r)
+    _check_nkr(n, k, r)
     if n < r:
         raise RegimeViolation(f"this form needs n >= r, got n={n}, r={r}")
     if k < r:
@@ -195,16 +177,14 @@ def t7_coeff(n: int, k: int, r: int) -> Fraction:
 
 def t8_coeff(n: int, k: int, r: int, lam) -> Fraction:
     """Order-r Frobenius-Euler-basis coefficient of the degree-n Hermite member."""
-    _check_nk(n, k)
-    _check_r(r)
-    return _hermite_values_sum(n, k, r, _check_lambda(lam))
+    _check_nkr(n, k, r)
+    return _hermite_values_sum(n, k, r, _as_lambda(lam))
 
 
 def remark_coeff(n: int, k: int, r: int, lam) -> Fraction:
     """Double-sum form of the t8 coefficient; identical values."""
-    _check_nk(n, k)
-    _check_r(r)
-    return _double_sum(n, k, r, _check_lambda(lam))
+    _check_nkr(n, k, r)
+    return _double_sum(n, k, r, _as_lambda(lam))
 
 
 def lambda_samples(count: int, base=()) -> tuple[Fraction, ...]:
@@ -213,7 +193,8 @@ def lambda_samples(count: int, base=()) -> tuple[Fraction, ...]:
     Samples from ``base`` come first (a value 1 there is an error); the
     default pool and then fresh integers fill up the remainder.
     """
-    out = list(dict.fromkeys(_check_lambda(v) for v in base))
+    _as_count(count, "count")
+    out = list(dict.fromkeys(_as_lambda(v) for v in base))
     fill = itertools.chain(_LAMBDA_SEED, map(Fraction, itertools.count(6)))
     while len(out) < count:
         v = next(fill)
@@ -288,10 +269,8 @@ def verify_theorem(
     tid = str(theorem_id).lower()
     if tid not in _CATALOG:
         raise ValueError(f"unknown identity id {theorem_id!r}")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    r = order_r
-    _check_r(r)
+    _as_count(n_max, "n_max")
+    r = _as_count(order_r, "order_r")
     if tid == "t6" and r <= n_max:
         raise RegimeViolation(f"t6 needs order_r > n_max, got order_r={r}, n_max={n_max}")
     if tid == "t7" and r > n_max:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import _convolve, _format_terms, _power, as_rational
+from .series import _as_count, _convolve, _format_terms, _power, as_rational
 
 _ZERO = Fraction(0)
 
@@ -60,10 +60,8 @@ class Poly:
 
     def derivative(self, k: int = 1) -> "Poly":
         """k-th derivative; zero once k exceeds the degree."""
-        if k < 0:
-            raise ValueError("derivative order must be nonnegative")
         p = self
-        for _ in range(k):
+        for _ in range(_as_count(k, "derivative order")):
             p = Poly([i * c for i, c in enumerate(p._coeffs)][1:])
             if not p._coeffs:
                 break
@@ -106,10 +104,8 @@ class Poly:
 
 def falling_factorial(n: int) -> Poly:
     """(x)_n = x(x-1)...(x-n+1); (x)_0 = 1."""
-    if n < 0:
-        raise ValueError("falling factorial index must be nonnegative")
     result = Poly([1])
-    for i in range(n):
+    for i in range(_as_count(n, "falling factorial index")):
         result = result * Poly([-i, 1])
     return result
 
@@ -130,17 +126,15 @@ _stirling2_rows = [[1]]
 
 def stirling1(n: int, l: int) -> Fraction:
     """Signed Stirling number of the first kind: [x^l] (x)_n."""
-    if n < 0 or l < 0:
-        raise ValueError("Stirling indices must be nonnegative")
+    if _as_count(l, "Stirling index") > _as_count(n, "Stirling index"):
+        return _ZERO
     # s(n, l) = s(n-1, l-1) - (n-1) s(n-1, l)
-    row = _triangle_row(_stirling1_rows, n, lambda m, k: 1 - m)
-    return Fraction(row[l]) if l <= n else _ZERO
+    return Fraction(_triangle_row(_stirling1_rows, n, lambda m, k: 1 - m)[l])
 
 
 def stirling2(l: int, n: int) -> Fraction:
     """Stirling number of the second kind: partitions of l items into n blocks."""
-    if n < 0 or l < 0:
-        raise ValueError("Stirling indices must be nonnegative")
+    if _as_count(n, "Stirling index") > _as_count(l, "Stirling index"):
+        return _ZERO
     # S(l, n) = S(l-1, n-1) + n S(l-1, n)
-    row = _triangle_row(_stirling2_rows, l, lambda m, k: k)
-    return Fraction(row[n]) if n <= l else _ZERO
+    return Fraction(_triangle_row(_stirling2_rows, l, lambda m, k: k)[n])

@@ -39,6 +39,15 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as an exact rational")
 
 
+def _as_count(value, what: str) -> int:
+    """A degree, order, index, exponent or count: an int >= 0, never a bool or float."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+    return value
+
+
 def _format_terms(coeffs, var: str) -> str:
     """Render c_0 + c_1 var + c_2 var^2 + ... with signs between terms; "0" if all vanish."""
     terms = []
@@ -72,8 +81,7 @@ def _convolve(a, b, n: int) -> list[Fraction]:
 
 def _power(base, k: int, one):
     """base**k by repeated squaring, starting from the unit ``one``."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("powers take nonnegative integer exponents")
+    _as_count(k, "exponent")
     result = one
     while k:
         if k & 1:
@@ -96,8 +104,8 @@ class TruncatedSeries:
             if not coeffs:
                 raise ValueError("need at least one coefficient or an explicit order")
             order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
+        else:
+            _as_count(order, "truncation order")
         if len(coeffs) < order + 1:
             coeffs.extend([_ZERO] * (order + 1 - len(coeffs)))
         object.__setattr__(self, "_coeffs", tuple(coeffs[: order + 1]))
@@ -124,7 +132,7 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, k: int, order: int, c=1) -> "TruncatedSeries":
         """c * t^k truncated at ``order`` (k must fit under the truncation)."""
-        if not 0 <= k <= order:
+        if _as_count(k, "monomial degree") > order:
             raise ValueError(f"monomial degree {k} outside truncation order {order}")
         return cls([_ZERO] * k + [as_rational(c)], order=order)
 
@@ -154,7 +162,7 @@ class TruncatedSeries:
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Forget coefficients above ``order`` (0 <= order <= what is stored)."""
-        if not 0 <= order <= self.trunc_order:
+        if _as_count(order, "truncation order") > self.trunc_order:
             raise ValueError(f"cannot truncate order {self.trunc_order} to {order}")
         return TruncatedSeries(self._coeffs[: order + 1])
 

@@ -24,16 +24,20 @@ from math import factorial
 
 from .errors import NotInvertible, SingularBasis, TruncationTooShort
 from .polynomials import Poly
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _as_count
 
 _ZERO = Fraction(0)
 
 
+def _require_known(known: int, degree: int, use: str):
+    """Refuse a request for degree ``degree`` from a series known through degree ``known``."""
+    if known < degree:
+        raise TruncationTooShort(f"series known to degree {known} cannot {use} degree {degree}")
+
+
 def pair_functional(f: TruncatedSeries, p: Poly) -> Fraction:
     """The pairing <f | p> = sum_n n! c_n(f) p_n over the monomial weights of p."""
-    if f.trunc_order < p.degree:
-        raise TruncationTooShort(
-            f"series known to degree {f.trunc_order} cannot pair with a degree-{p.degree} polynomial")
+    _require_known(f.trunc_order, p.degree, "pair with a polynomial of")
     acc = _ZERO
     for n in range(p.degree + 1):
         cn = f.coeff(n)
@@ -45,9 +49,7 @@ def pair_functional(f: TruncatedSeries, p: Poly) -> Fraction:
 
 def operator_apply(f: TruncatedSeries, p: Poly) -> Poly:
     """f acting as a differential operator: sum_k c_k(f) p^(k)(x)."""
-    if f.trunc_order < p.degree:
-        raise TruncationTooShort(
-            f"series known to degree {f.trunc_order} cannot act on a degree-{p.degree} polynomial")
+    _require_known(f.trunc_order, p.degree, "act on a polynomial of")
     result = Poly.zero()
     dk = p
     for k in range(p.degree + 1):
@@ -90,12 +92,6 @@ class ShefferPair:
         return self.g.trunc_order
 
 
-def _require_order(pair: ShefferPair, n: int):
-    if pair.trunc_order < n:
-        raise TruncationTooShort(
-            f"pair truncated at {pair.trunc_order} cannot produce degree {n}")
-
-
 def _triangle(a: TruncatedSeries, b: TruncatedSeries, n_max: int) -> list[list[Fraction]]:
     """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), k <= n; ``a`` is known through n_max."""
     cols = [a.coeffs]
@@ -114,7 +110,7 @@ def sheffer_polys(pair: ShefferPair, n_max: int) -> tuple[Poly, ...]:
     With A = 1/g(fbar) and B = fbar, coefficient k of S_n is
     (n!/k!) [t^n](A B^k); one sweep over k fills the whole triangle.
     """
-    _require_order(pair, n_max)
+    _require_known(pair.trunc_order, _as_count(n_max, "n_max"), "give a member of")
     fbar = pair.fbar.truncate(n_max)
     a = pair.g.compose(fbar).reciprocal()
     return tuple(Poly(row) for row in _triangle(a, fbar, n_max))
@@ -157,8 +153,9 @@ def connection_coeffs(source: ShefferPair, target: ShefferPair, n_max: int) -> C
     Here source ~ (g, f) and target ~ (h, l); fbar is the inverse of the
     source's delta series.  Satisfies S_n = sum_k C_{n,k} r_k exactly.
     """
-    _require_order(source, n_max)
-    _require_order(target, n_max)
+    _require_known(
+        min(source.trunc_order, target.trunc_order), _as_count(n_max, "n_max"),
+        "give connection coefficients of")
     fbar = source.fbar.truncate(n_max)
     h_at = target.g.compose(fbar)
     g_at = source.g.compose(fbar)

@@ -76,14 +76,15 @@ def test_spec_validation():
     for make in (lambda: FamilySpec(FamilyKind.BERNOULLI, 2.0), lambda: bernoulli(True),
                  lambda: euler(F(2)), lambda: frobenius_euler(1.0, 2),
                  lambda: family_polys(bernoulli(2.0), 3), lambda: t2_coeff(3, 1, 2.0),
-                 lambda: verify_theorem("t2", 3, True)):
+                 lambda: verify_theorem("t2", 3, True), lambda: verify_theorem("t1", True, 0),
+                 lambda: family_poly(hermite(), True), lambda: family_polys(hermite(), 2.0)):
         with pytest.raises(TypeError):
             make()
 
 
-def _count_arguments():
-    """(name, call) for every public entry point that takes a degree, order, index,
-    exponent or count; each call passes its argument x in that one position."""
+def test_counts_refuse_bool_float_and_negative():
+    # every public entry point that takes a degree, order, index, exponent or
+    # count, with x in that one position
     pair = sheffer_pair_of(hermite(), 4)
     calls = {
         "TruncatedSeries(order=x)": lambda x: S([1], order=x),
@@ -116,36 +117,21 @@ def _count_arguments():
     }
     # each tN_coeff at an in-regime (n, k, r), with x in place of one of the three
     for tid in umbra.THEOREM_IDS:
-        coeff = getattr(umbra, f"{tid}_coeff")
-        nkr = {"t6": (2, 1, 3)}.get(tid, (3, 1, 2))
+        nkr = (2, 1, 3) if tid == "t6" else (3, 1, 2)
         lam = (2,) if tid in ("t3", "t8", "remark") else ()
         for i, name in enumerate("nkr"):
-            def call(x, coeff=coeff, nkr=nkr, lam=lam, i=i):
-                args = list(nkr)
-                args[i] = x
-                return coeff(*args, *lam)
+            def call(x, coeff=getattr(umbra, f"{tid}_coeff"), nkr=nkr, lam=lam, i=i):
+                return coeff(*nkr[:i], x, *nkr[i + 1:], *lam)
             calls[f"{tid}_coeff with {name}=x"] = call
-    return calls
-
-
-def test_counts_refuse_bool_float_and_negative():
-    for name, call in _count_arguments().items():
+    # the messages show the refusal is the argument check, not a later failure
+    for name, call in calls.items():
         for bad in (True, 2.0):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match="must be an int"):
                 call(bad)
                 pytest.fail(f"{name} accepted {bad!r}")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonnegative|outside"):
             call(-1)
             pytest.fail(f"{name} accepted -1")
-
-
-def test_degree_arguments_refuse_bool_and_float():
-    with pytest.raises(TypeError):
-        verify_theorem("t1", True, 0)
-    with pytest.raises(TypeError):
-        family_poly(hermite(), True)
-    with pytest.raises(TypeError):
-        family_polys(hermite(), 2.0)
 
 
 def test_first_hermite_members():
