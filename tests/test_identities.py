@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import comb, factorial
 
 import pytest
 
@@ -9,6 +10,7 @@ from umbra import (
     bernoulli,
     connection_oracle,
     euler,
+    family_numbers,
     family_poly,
     frobenius_euler,
     hermite,
@@ -31,6 +33,87 @@ def oracle_rows(source_spec, target_spec, n_max):
     src = sheffer_pair_of(source_spec, n_max)
     tgt = sheffer_pair_of(target_spec, n_max)
     return connection_oracle(src, tgt, n_max).rows
+
+
+# Oracles: the per-(n, k) closed-form bodies, each term recomputed for every
+# coefficient.  The library shares the k-independent part of a row instead.
+
+def basis_sum_oracle(numbers, n, k):
+    """t1-t3: n! sum_m numbers[n-k-2m] / (k! (n-k-2m)! 2^(k+2m) m!)."""
+    tot = F(0)
+    for m in range((n - k) // 2 + 1):
+        tot += numbers[n - k - 2 * m] / (
+            factorial(k) * factorial(n - k - 2 * m) * 2 ** (k + 2 * m) * factorial(m))
+    return factorial(n) * tot
+
+
+def double_sum_oracle(n, k, r, lam):
+    """remark, and t4 at lam = -1: Hermite member n-k expanded term by term."""
+    tot = F(0)
+    for j in range(r + 1):
+        for l in range((n - k) // 2 + 1):
+            tot += (
+                comb(n, k) * comb(r, j) * 2 ** k * (-1) ** l * (-lam) ** (r - j)
+                * factorial(n - k) * F(2 * j) ** (n - k - 2 * l)
+                / (factorial(l) * factorial(n - k - 2 * l)))
+    return tot / (1 - lam) ** r
+
+
+def hermite_values_oracle(n, k, r, lam):
+    """t8, and t5 at lam = -1: Hermite values at 0..r from the Sheffer table."""
+    tot = sum(
+        comb(r, j) * (-lam) ** (r - j) * family_poly(hermite(), n - k).eval(j)
+        for j in range(r + 1))
+    return comb(n, k) * 2 ** k * tot / (1 - lam) ** r
+
+
+ORACLE_N = 12
+ORACLE_ORDERS = range(6)
+ORACLE_LAMBDAS = lambda_samples(6) + (-1,)  # the int -1 too, as t4 and t5 pass it
+
+
+def oracle_cells():
+    for r in ORACLE_ORDERS:
+        for n in range(ORACLE_N + 1):
+            for k in range(n + 1):
+                yield n, k, r
+
+
+def assert_exact(got, want, where):
+    assert isinstance(got, F), where
+    assert got == want, where
+
+
+def test_t1_t2_match_basis_sum_oracle():
+    for n, k, r in oracle_cells():
+        for coeff, spec in ((t1_coeff, euler(r)), (t2_coeff, bernoulli(r))):
+            want = basis_sum_oracle(family_numbers(spec, n), n, k)
+            assert_exact(coeff(n, k, r), want, (coeff.__name__, n, k, r))
+
+
+def test_t3_matches_basis_sum_oracle():
+    for lam in ORACLE_LAMBDAS:
+        for n, k, r in oracle_cells():
+            want = basis_sum_oracle(family_numbers(frobenius_euler(r, lam), n), n, k)
+            assert_exact(t3_coeff(n, k, r, lam), want, (n, k, r, lam))
+
+
+def test_t4_remark_match_double_sum_oracle():
+    for n, k, r in oracle_cells():
+        assert_exact(t4_coeff(n, k, r), double_sum_oracle(n, k, r, -1), (n, k, r))
+    for lam in ORACLE_LAMBDAS:
+        for n, k, r in oracle_cells():
+            want = double_sum_oracle(n, k, r, lam)
+            assert_exact(remark_coeff(n, k, r, lam), want, (n, k, r, lam))
+
+
+def test_t5_t8_match_hermite_values_oracle():
+    for n, k, r in oracle_cells():
+        assert_exact(t5_coeff(n, k, r), hermite_values_oracle(n, k, r, -1), (n, k, r))
+    for lam in ORACLE_LAMBDAS:
+        for n, k, r in oracle_cells():
+            want = hermite_values_oracle(n, k, r, lam)
+            assert_exact(t8_coeff(n, k, r, lam), want, (n, k, r, lam))
 
 
 def test_t1_spot_values():
