@@ -32,6 +32,7 @@ from . import __version__
 from .errors import UmbraError
 from .families import FamilyKind, FamilySpec, family_polys, sheffer_pair_of
 from .identities import DEFAULT_LAMBDAS, THEOREM_IDS, IdentityReport, verify_theorem
+from .series import _as_count
 from .umbral import connection_coeffs, connection_oracle
 
 EXIT_OK = 0
@@ -72,6 +73,8 @@ def _family_spec(name: str, order: int | None, lam: Fraction | None) -> FamilySp
     if kind is None:
         known = ", ".join(sorted(_FAMILY_NAMES))
         raise UsageError(f"unknown family {name!r} (known: {known})")
+    if kind is FamilyKind.HERMITE and order is not None:
+        _as_count(order, "family order")  # refused like any other order, then unused
     r = 0 if kind is FamilyKind.HERMITE else (1 if order is None else order)
     return FamilySpec(kind, r, lam)
 

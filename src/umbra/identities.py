@@ -15,7 +15,14 @@ Identity ids t1..t3 expand a family in the Hermite basis; t4..t8 and
   (Hermite-values and double-sum forms).
 
 Frobenius-Euler at lam = -1 is Euler, so t4 / t5 share their formula
-bodies with remark / t8.  Verification compares coefficient vectors,
+bodies with remark / t8.  Each of t1..t5, t8 and remark is n!/(k! 2^k) w(n-k)
+or C(n, k) 2^k w(n-k), where w depends on the order and lambda but not on k,
+so w(m) is evaluated once per m = n - k in a cell and reused for every (n, k)
+with that m.  The memos behind this are bounded, and verify_theorem empties
+them when a cell starts.  t4 and remark read Hermite values from the explicit
+sum H_m(j) = sum_l (-1)^l m!/(l! (m-2l)!) (2j)^(m-2l), in integers, never from
+the Sheffer Hermite table that t5 and t8 read, so each pair checks two
+routes.  Verification compares coefficient vectors,
 never evaluations, so a PASS is an exact identity at the checked
 parameters.  For the lambda families the identity is rational in lambda
 of bounded degree, so checking n_max + r + 1 distinct samples
@@ -32,6 +39,7 @@ from math import comb, factorial
 
 from .errors import RegimeViolation
 from .families import (
+    FamilySpec,
     _as_lambda,
     bernoulli,
     euler,
@@ -73,70 +81,85 @@ def _check_nkr(n: int, k: int, r: int):
     _as_count(r, "r")
 
 
-@lru_cache(maxsize=None)
+#: Entries each closed-form memo keeps, least recently used evicted first.
+_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _hermite_value(m: int, j) -> Fraction:
-    """Hermite member m evaluated at j."""
+    """Hermite member m evaluated at j, read from the Sheffer table."""
     return family_polys(hermite(), m)[m].eval(j)
 
 
-def _hermite_basis_coeff(numbers, n: int, k: int) -> Fraction:
-    # shared even-index sum: n! sum_m numbers[n-k-2m] / (k! (n-k-2m)! 2^(k+2m) m!)
-    tot = Fraction(0)
-    for m in range((n - k) // 2 + 1):
-        tot += numbers[n - k - 2 * m] / (
-            factorial(k) * factorial(n - k - 2 * m) * 2 ** (k + 2 * m) * factorial(m))
-    return factorial(n) * tot
+@lru_cache(maxsize=_MEMO_SIZE)
+def _explicit_hermite(m: int, j: int) -> int:
+    """H_m(j) = sum_l (-1)^l m! / (l! (m-2l)!) (2j)^(m-2l); never reads a Sheffer table."""
+    return sum(
+        (-1) ** l * (factorial(m) // (factorial(l) * factorial(m - 2 * l))) * (2 * j) ** (m - 2 * l)
+        for l in range(m // 2 + 1))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _weighted_values(value, m: int, r: int, lam) -> Fraction:
+    # sum_j C(r, j) (-lam)^(r-j) value(m, j) / (1 - lam)^r; a Fraction power keeps
+    # the int lam = -1 of t4 and t5 exact
+    tot = sum(comb(r, j) * (-lam) ** (r - j) * value(m, j) for j in range(r + 1))
+    return tot / Fraction(1 - lam) ** r
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _hermite_basis_sum(spec: FamilySpec, m: int) -> Fraction:
+    # sum_i numbers[m-2i] / ((m-2i)! 4^i i!) over the family's numbers 0..m
+    numbers = family_numbers(spec, m)
+    return sum(
+        numbers[m - 2 * i] / (factorial(m - 2 * i) * 4 ** i * factorial(i))
+        for i in range(m // 2 + 1))
+
+
+def _new_cell():
+    """Empty every closed-form memo, so a cell reads only the tables it runs with."""
+    for memo in (_hermite_value, _explicit_hermite, _weighted_values, _hermite_basis_sum):
+        memo.cache_clear()
+
+
+def _hermite_basis_coeff(spec: FamilySpec, n: int, k: int) -> Fraction:
+    # t1-t3: n! / (k! 2^k) times the k-free sum at m = n - k
+    return Fraction(factorial(n), factorial(k) * 2 ** k) * _hermite_basis_sum(spec, n - k)
+
+
+def _hermite_sum_coeff(value, n: int, k: int, r: int, lam) -> Fraction:
+    # t4/t5/t8/remark: C(n, k) 2^k times the k-free weighted sum at m = n - k
+    return comb(n, k) * 2 ** k * _weighted_values(value, n - k, r, lam)
 
 
 def t1_coeff(n: int, k: int, r: int) -> Fraction:
     """Hermite-basis coefficient of the degree-n order-r Euler member."""
     _check_nkr(n, k, r)
-    return _hermite_basis_coeff(family_numbers(euler(r), n), n, k)
+    return _hermite_basis_coeff(euler(r), n, k)
 
 
 def t2_coeff(n: int, k: int, r: int) -> Fraction:
     """Hermite-basis coefficient of the degree-n order-r Bernoulli member."""
     _check_nkr(n, k, r)
-    return _hermite_basis_coeff(family_numbers(bernoulli(r), n), n, k)
+    return _hermite_basis_coeff(bernoulli(r), n, k)
 
 
 def t3_coeff(n: int, k: int, r: int, lam) -> Fraction:
     """Hermite-basis coefficient of the degree-n order-r Frobenius-Euler member."""
     _check_nkr(n, k, r)
-    return _hermite_basis_coeff(family_numbers(frobenius_euler(r, lam), n), n, k)
-
-
-def _double_sum(n: int, k: int, r: int, lam) -> Fraction:
-    # remark's double sum, t4 at lam = -1: Hermite member n-k expanded term by term
-    tot = Fraction(0)
-    for j in range(r + 1):
-        for l in range((n - k) // 2 + 1):
-            tot += (
-                comb(n, k) * comb(r, j) * 2 ** k * (-1) ** l * (-lam) ** (r - j)
-                # a Fraction power, so 0^0 = 1 on the diagonal and the int lam = -1
-                # of t4 still gives an exact quotient below
-                * factorial(n - k) * Fraction(2 * j) ** (n - k - 2 * l)
-                / (factorial(l) * factorial(n - k - 2 * l)))
-    return tot / (1 - lam) ** r
-
-
-def _hermite_values_sum(n: int, k: int, r: int, lam) -> Fraction:
-    # t8's sum of Hermite values at 0..r, t5 at lam = -1
-    tot = sum(
-        comb(r, j) * (-lam) ** (r - j) * _hermite_value(n - k, j) for j in range(r + 1))
-    return comb(n, k) * 2 ** k * tot / (1 - lam) ** r
+    return _hermite_basis_coeff(frobenius_euler(r, lam), n, k)
 
 
 def t4_coeff(n: int, k: int, r: int) -> Fraction:
     """Order-r Euler-basis coefficient of the degree-n Hermite member (double sum)."""
     _check_nkr(n, k, r)
-    return _double_sum(n, k, r, -1)
+    return _hermite_sum_coeff(_explicit_hermite, n, k, r, -1)
 
 
 def t5_coeff(n: int, k: int, r: int) -> Fraction:
     """Same coefficient as t4, through Hermite values at integer points."""
     _check_nkr(n, k, r)
-    return _hermite_values_sum(n, k, r, -1)
+    return _hermite_sum_coeff(_hermite_value, n, k, r, -1)
 
 
 def _stirling_route_coeff(n: int, k: int, r: int) -> Fraction:
@@ -178,13 +201,13 @@ def t7_coeff(n: int, k: int, r: int) -> Fraction:
 def t8_coeff(n: int, k: int, r: int, lam) -> Fraction:
     """Order-r Frobenius-Euler-basis coefficient of the degree-n Hermite member."""
     _check_nkr(n, k, r)
-    return _hermite_values_sum(n, k, r, _as_lambda(lam))
+    return _hermite_sum_coeff(_hermite_value, n, k, r, _as_lambda(lam))
 
 
 def remark_coeff(n: int, k: int, r: int, lam) -> Fraction:
     """Double-sum form of the t8 coefficient; identical values."""
     _check_nkr(n, k, r)
-    return _double_sum(n, k, r, _as_lambda(lam))
+    return _hermite_sum_coeff(_explicit_hermite, n, k, r, _as_lambda(lam))
 
 
 def lambda_samples(count: int, base=()) -> tuple[Fraction, ...]:
@@ -285,6 +308,7 @@ def verify_theorem(
         if not lams:
             raise ValueError("need at least one lambda sample")
     family, coeff = globals()[family_name], globals()[f"{tid}_coeff"]
+    _new_cell()
 
     hermite_polys = family_polys(hermite(), n_max)
     ns = range(r if tid == "t7" else 0, n_max + 1)

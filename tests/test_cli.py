@@ -278,6 +278,8 @@ def test_bad_arguments_exit_two(capsys):
         "verify --theorems all --max-n 3 --orders=-1,2",
         "connect --from frobenius-euler:1 --to hermite --max-n 2",
         "family --name hermite --lambda 2 --max-degree 2",
+        "family --name hermite --order -3 --max-degree 2",
+        "connect --from hermite:-1 --to euler --max-n 2",
     ):
         assert main(argv.split()) == EXIT_USAGE, argv
         assert capsys.readouterr().out == "", argv

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -333,6 +335,48 @@ def test_verify_reports_first_failure(monkeypatch):
     assert failure.expected != failure.got
     assert failure.k == 1
     assert failure.got == failure.expected + 1
+
+
+# Replaces H_3 in the stored Hermite table by H_3 + 1, then verifies t5 at
+# n_max = 6, r = 2; "warm" verifies the same cell once before the swap.
+_SWAP_SCRIPT = """
+import sys
+from umbra import Poly, families, family_polys, hermite, verify_theorem
+if sys.argv[1] == "warm":
+    verify_theorem("t5", 6, 2)
+good = family_polys(hermite(), 6)
+families._store[hermite()] = tuple(
+    p + Poly([1]) if n == 3 else p for n, p in enumerate(good))
+report = verify_theorem("t5", 6, 2)
+print(report.status, report.first_failure)
+"""
+
+
+def test_fail_report_does_not_depend_on_earlier_cells():
+    # each run in a fresh process, so nothing left by other tests can warm either one
+    reports = [
+        subprocess.run(
+            [sys.executable, "-c", _SWAP_SCRIPT, mode], capture_output=True, text=True,
+            timeout=120, check=True).stdout
+        for mode in ("cold", "warm")]
+    assert reports[0].startswith("FAIL "), reports
+    assert reports[0] == reports[1]
+
+
+def test_explicit_route_reads_no_sheffer_table(monkeypatch):
+    # t4 and remark check t5 and t8, so they must not read the table those use
+    cells = [(n, k, r) for r in range(4) for n in range(9) for k in range(n + 1)]
+    want_t4 = [double_sum_oracle(n, k, r, -1) for n, k, r in cells]
+    want_remark = [double_sum_oracle(n, k, r, F(1, 2)) for n, k, r in cells]
+
+    def refuse(*args):
+        raise AssertionError("the explicit route read the Sheffer Hermite table")
+
+    identities._new_cell()  # nothing computed before the patch may answer
+    monkeypatch.setattr(identities, "family_polys", refuse)
+    monkeypatch.setattr(identities, "_hermite_value", refuse)
+    assert [t4_coeff(*c) for c in cells] == want_t4
+    assert [remark_coeff(*c, F(1, 2)) for c in cells] == want_remark
 
 
 def test_report_invariant_enforced():

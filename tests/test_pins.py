@@ -1,4 +1,4 @@
-"""The CLI prints the bytes the benchmark pins for its seed-0 inputs.
+"""The CLI prints the bytes the benchmark pins for its seed-0 inputs and one more.
 
 `bench/pins.json` maps each benchmark command line to the sha256 of its
 stdout; a change to any table route that alters output shows up here.
@@ -15,11 +15,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PINS = ROOT / "bench" / "pins.json"
 
-# benchmark workload -> its seed-0 command line, a key of pins.json
+# benchmark workload (at seed 0 unless named) -> its command line, a key of pins.json
 SEED0_INPUTS = {
     "verify-grid": "verify --theorems all --max-n 10 --orders 0,1,2,3,4",
     "lambda-symbolic":
         "verify --theorems t3,t8,remark --max-n 10 --orders 0,2,4 --lambdas=-1,2,1/2 --symbolic-lambda",
+    # the closed-form memos are keyed by lambda, so pin a second sample base too
+    "lambda-symbolic-seed4":
+        "verify --theorems t3,t8,remark --max-n 10 --orders 0,2,4 --lambdas=-1,1/2,-2 --symbolic-lambda",
     "connect-deep": "connect --from frobenius-euler:3:1/3 --to bernoulli:4 --max-n 60",
 }
 
