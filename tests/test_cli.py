@@ -267,7 +267,7 @@ def test_bad_arguments_exit_two(capsys):
     assert main(["verify", "--theorems", "t1,tx", "--max-n", "3"]) == EXIT_USAGE
     assert main(["family", "--name", "hermite", "--max-degree", "-2"]) == EXIT_USAGE
     capsys.readouterr()
-    # the library refuses these before any document is written
+    # the CLI or the library refuses these before any document is written
     for argv in (
         "family --name euler --order -1 --max-degree 3",
         "family --name hermite --max-degree -1",
@@ -280,6 +280,10 @@ def test_bad_arguments_exit_two(capsys):
         "family --name hermite --lambda 2 --max-degree 2",
         "family --name hermite --order -3 --max-degree 2",
         "connect --from hermite:-1 --to euler --max-n 2",
+        "verify --theorems , --max-n 3",
+        "verify --theorems t1 --max-n 3 --orders x",
+        "verify --theorems t1 --max-n 3 --orders ,",
+        "verify --theorems t3 --max-n 3 --lambdas ,",
     ):
         assert main(argv.split()) == EXIT_USAGE, argv
         assert capsys.readouterr().out == "", argv

@@ -19,6 +19,7 @@ from umbra import (
     lambda_samples,
     remark_coeff,
     sheffer_pair_of,
+    stirling2,
     t1_coeff,
     t2_coeff,
     t3_coeff,
@@ -69,6 +70,27 @@ def hermite_values_oracle(n, k, r, lam):
     return comb(n, k) * 2 ** k * tot / (1 - lam) ** r
 
 
+def stirling_route_oracle(n, k, r):
+    """t6, and t7 below k = r: the (j, l) double sum with every term in full."""
+    tot = F(0)
+    for j in range(k + 1):
+        outer = (-1) ** (k - j) * comb(k, j)
+        for l in range(n + 1):
+            tot += (
+                outer * 2 ** l * stirling2(l + r - k, r - k)
+                * family_poly(hermite(), n - l).eval(j)
+                * F(factorial(r - k), factorial(l + r - k) * factorial(k) * factorial(n - l)))
+    return factorial(n) * tot
+
+
+def t7_upper_oracle(n, k, r):
+    """t7 at and above k = r: one Hermite-values sum."""
+    tot = sum(
+        comb(r, j) * (-1) ** (r - j) * family_poly(hermite(), n - k + r).eval(j)
+        for j in range(r + 1))
+    return F(2 ** (k - r) * factorial(n), factorial(k) * factorial(n - k + r)) * tot
+
+
 ORACLE_N = 12
 ORACLE_ORDERS = range(6)
 ORACLE_LAMBDAS = lambda_samples(6) + (-1,)  # the int -1 too, as t4 and t5 pass it
@@ -116,6 +138,20 @@ def test_t5_t8_match_hermite_values_oracle():
         for n, k, r in oracle_cells():
             want = hermite_values_oracle(n, k, r, lam)
             assert_exact(t8_coeff(n, k, r, lam), want, (n, k, r, lam))
+
+
+def test_t6_matches_stirling_route_oracle():
+    for r in range(ORACLE_N + 1, ORACLE_N + 4):
+        for n in range(ORACLE_N + 1):
+            for k in range(n + 1):
+                assert_exact(t6_coeff(n, k, r), stirling_route_oracle(n, k, r), (n, k, r))
+
+
+def test_t7_matches_oracles_on_both_branches():
+    for n, k, r in oracle_cells():
+        if n >= r:
+            want = stirling_route_oracle(n, k, r) if k < r else t7_upper_oracle(n, k, r)
+            assert_exact(t7_coeff(n, k, r), want, (n, k, r))
 
 
 def test_t1_spot_values():
@@ -316,6 +352,8 @@ def test_verify_regime_errors():
         verify_theorem("t9", 5, 1)
     with pytest.raises(LambdaIsOne):
         verify_theorem("t8", 4, 1, lambdas=(F(1),))
+    with pytest.raises(ValueError):
+        verify_theorem("t8", 4, 1, lambdas=())
 
 
 def test_verify_reports_first_failure(monkeypatch):

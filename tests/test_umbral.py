@@ -19,6 +19,7 @@ from umbra import (
     eval_functional,
     falling_factorial,
     family_poly,
+    family_polys,
     frobenius_euler,
     hermite,
     operator_apply,
@@ -242,6 +243,53 @@ def test_oracle_bernoulli2_row_in_monomials():
     tgt = ShefferPair(S.one(4), S.t(4))
     matrix = connection_oracle(src, tgt, 4)
     assert list(matrix.rows[1]) == [F(-1), F(1)]  # x - 1
+
+
+def poly_solve_oracle(polys, basis):
+    """Triangular solve by Poly arithmetic: the residual loses c * basis[k] each step."""
+    for k, r in enumerate(basis):
+        if r.degree != k:
+            raise SingularBasis(f"basis member {k} has degree {r.degree}, expected {k}")
+    rows = []
+    for n, residual in enumerate(polys):
+        row = [F(0)] * (n + 1)
+        for k in range(n, -1, -1):
+            c = residual.coeff(k) / basis[k].coeff(k)
+            row[k] = c
+            if c:
+                residual = residual + (-c) * basis[k]
+        rows.append(row)
+    return rows
+
+
+def assert_same_solve(polys, basis, where):
+    got = _solve_in_basis(polys, basis)
+    assert got == poly_solve_oracle(polys, basis), where
+    assert all(isinstance(c, F) for row in got for c in row), where
+
+
+def test_solve_matches_poly_oracle_on_random_bases():
+    rng = random.Random(41)
+    for trial in range(60):
+        n_max = rng.randint(0, 12)
+        basis = []
+        for k in range(n_max + 1):
+            coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.5 else F(0)
+                      for _ in range(k)]
+            lead = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            basis.append(Poly(coeffs + [lead]))
+        # members of lower degree than their slot, the zero polynomial among them
+        polys = [rand_poly(rng, rng.randint(-1, n)) if rng.random() < 0.3 else rand_poly(rng, n)
+                 for n in range(n_max + 1)]
+        assert_same_solve(polys, basis, trial)
+
+
+def test_solve_matches_poly_oracle_on_builtin_tables():
+    n_max = 20
+    tables = [family_polys(spec, n_max) for spec in BUILTIN_SPECS]
+    for i, polys in enumerate(tables):
+        for j, basis in enumerate(tables):
+            assert_same_solve(polys, basis, (BUILTIN_SPECS[i], BUILTIN_SPECS[j]))
 
 
 def test_solver_rejects_malformed_basis():
