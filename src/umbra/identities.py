@@ -19,14 +19,16 @@ bodies with remark / t8.  Each of t1..t5, t8 and remark is n!/(k! 2^k) w(n-k)
 or C(n, k) 2^k w(n-k), where w depends on the order and lambda but not on k,
 so w(m) is evaluated once per m = n - k in a cell and reused for every (n, k)
 with that m.  The memos behind this are bounded, and verify_theorem empties
-them when a cell starts.  t4 and remark read Hermite values from the explicit
-sum H_m(j) = sum_l (-1)^l m!/(l! (m-2l)!) (2j)^(m-2l), in integers, never from
+them when a cell starts.  t6, and t7 below k = r, are n!/k! times a sum over
+l of the k-th forward difference sum_j (-1)^(k-j) C(k, j) H_(n-l)(j), each
+weighted once per l by 2^l S(l+r-k, r-k) (r-k)! / ((l+r-k)! (n-l)!).  t4 and
+remark read Hermite values from the explicit sum
+H_m(j) = sum_l (-1)^l m!/(l! (m-2l)!) (2j)^(m-2l), in integers, never from
 the Sheffer Hermite table that t5 and t8 read, so each pair checks two
-routes.  Verification compares coefficient vectors,
-never evaluations, so a PASS is an exact identity at the checked
-parameters.  For the lambda families the identity is rational in lambda
-of bounded degree, so checking n_max + r + 1 distinct samples
-("symbolic" mode) proves it for every lambda != 1.
+routes.  Verification compares coefficient vectors, never evaluations, so a
+PASS is an exact identity at the checked parameters.  For the lambda families
+the identity is rational in lambda of bounded degree, so checking
+n_max + r + 1 distinct samples ("symbolic" mode) proves it for every lambda != 1.
 """
 
 from __future__ import annotations
@@ -165,13 +167,11 @@ def t5_coeff(n: int, k: int, r: int) -> Fraction:
 def _stirling_route_coeff(n: int, k: int, r: int) -> Fraction:
     # the k < r shape shared by t6 and t7's first branch
     tot = Fraction(0)
-    for j in range(k + 1):
-        outer = (-1) ** (k - j) * comb(k, j)
-        for l in range(n + 1):
-            tot += (
-                outer * 2 ** l * stirling2(l + r - k, r - k) * _hermite_value(n - l, j)
-                * Fraction(factorial(r - k), factorial(l + r - k) * factorial(k) * factorial(n - l)))
-    return factorial(n) * tot
+    for l in range(n + 1):
+        diff = sum((-1) ** (k - j) * comb(k, j) * _hermite_value(n - l, j) for j in range(k + 1))
+        tot += diff * 2 ** l * stirling2(l + r - k, r - k) * Fraction(
+            factorial(r - k), factorial(l + r - k) * factorial(n - l))
+    return Fraction(factorial(n), factorial(k)) * tot
 
 
 def t6_coeff(n: int, k: int, r: int) -> Fraction:

@@ -110,18 +110,15 @@ def falling_factorial(n: int) -> Poly:
     return result
 
 
-def _triangle_row(rows: list[list[int]], n: int, weight) -> list[int]:
-    # t(m, k) = t(m-1, k-1) + weight(m, k) t(m-1, k) with t(0, 0) = 1, grown row by
-    # row in a loop: a recursion n deep overflows near n = 500
-    while len(rows) <= n:
-        m = len(rows)
-        prev = rows[-1] + [0]
-        rows.append([0] + [prev[k - 1] + weight(m, k) * prev[k] for k in range(1, m + 1)])
-    return rows[n]
-
-
-_stirling1_rows = [[1]]
-_stirling2_rows = [[1]]
+def _triangle_entry(n: int, l: int, weight) -> int:
+    # t(m, k) = t(m-1, k-1) + weight(m, k) t(m-1, k), t(0, 0) = 1, down rows 1..n in one
+    # list, right to left in place; entry l of row n reads only columns l-(n-m)..l of row m
+    col = [1] + [0] * l
+    for m in range(1, n + 1):
+        for k in range(min(m, l), max(0, l - n + m - 1), -1):
+            col[k] = col[k - 1] + weight(m, k) * col[k]
+        col[0] = 0
+    return col[l]
 
 
 def stirling1(n: int, l: int) -> Fraction:
@@ -129,7 +126,7 @@ def stirling1(n: int, l: int) -> Fraction:
     if _as_count(l, "Stirling index") > _as_count(n, "Stirling index"):
         return _ZERO
     # s(n, l) = s(n-1, l-1) - (n-1) s(n-1, l)
-    return Fraction(_triangle_row(_stirling1_rows, n, lambda m, k: 1 - m)[l])
+    return Fraction(_triangle_entry(n, l, lambda m, k: 1 - m))
 
 
 def stirling2(l: int, n: int) -> Fraction:
@@ -137,4 +134,4 @@ def stirling2(l: int, n: int) -> Fraction:
     if _as_count(n, "Stirling index") > _as_count(l, "Stirling index"):
         return _ZERO
     # S(l, n) = S(l-1, n-1) + n S(l-1, n)
-    return Fraction(_triangle_row(_stirling2_rows, l, lambda m, k: k)[n])
+    return Fraction(_triangle_entry(l, n, lambda m, k: k))

@@ -176,12 +176,15 @@ def _solve_in_basis(polys, basis):
         if r.degree != k:
             raise SingularBasis(f"basis member {k} has degree {r.degree}, expected {k}")
     rows = []
-    for n, residual in enumerate(polys):
-        row = [_ZERO] * (n + 1)
+    for n, p in enumerate(polys):
+        # in place: entry k turns from the residual's x^k coefficient into basis[k]'s weight
+        row = [p.coeff(i) for i in range(n + 1)]
         for k in range(n, -1, -1):
-            c = residual.coeff(k) / basis[k].coeff(k)
-            row[k] = c
+            b = basis[k].coeffs
+            c = row[k] = row[k] / b[k]
             if c:
-                residual = residual + (-c) * basis[k]
+                for i in range(k):
+                    if b[i]:
+                        row[i] -= c * b[i]
         rows.append(row)
     return rows

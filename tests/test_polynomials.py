@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -115,6 +117,32 @@ def test_stirling1_deep_rows_match_closed_forms():
     assert stirling1(n, n) == 1
     assert stirling1(n, n - 1) == -comb(n, 2)
     assert stirling1(n, 1) == (-1) ** (n - 1) * factorial(n - 1)
+
+
+def test_stirling_closed_forms_at_depth_2000():
+    n = 2000
+    assert stirling1(n, 1) == (-1) ** (n - 1) * factorial(n - 1)
+    assert stirling2(n, 2) == 2 ** (n - 1) - 1
+    assert stirling2(n, 3) == (3 ** n - 3 * 2 ** n + 3) // 6
+
+
+# Memory still allocated after two deep Stirling calls, measured from just after
+# the import so that nothing else in the process counts.
+_STIRLING_MEMORY_SCRIPT = """
+import tracemalloc
+import umbra
+tracemalloc.start()
+umbra.stirling1(600, 3)
+umbra.stirling2(600, 3)
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_stirling_numbers_keep_no_rows():
+    held = subprocess.run(
+        [sys.executable, "-c", _STIRLING_MEMORY_SCRIPT], capture_output=True, text=True,
+        timeout=120, check=True).stdout
+    assert int(held) < 2 ** 20, held
 
 
 def test_stirling_inversion_orthogonality():
