@@ -16,6 +16,7 @@ from umbra import (
     TruncatedSeries,
     as_rational,
 )
+from umbra.umbral import _solve_in_basis, _triangle
 
 S = TruncatedSeries
 
@@ -44,6 +45,55 @@ def naive_product(a, b, n):
             if i + j <= n:
                 out[i + j] += x * y
     return out
+
+
+def horner_compose(f, inner):
+    """f(inner) by Horner's rule on Fraction coefficient lists, one naive product per step."""
+    if inner.coeffs[0]:
+        raise CompositionOrder("inner series of a composition must have zero constant term")
+    n = min(f.trunc_order, inner.trunc_order)
+    g, c = inner.coeffs[: n + 1], f.coeffs
+    result = [c[n]] + [F(0)] * n
+    for k in range(n - 1, -1, -1):
+        result = naive_product(result, g, n)
+        result[0] += c[k]
+    return S(result)
+
+
+def fraction_reciprocal(f):
+    """1/f from c_0 h_k = delta_(k,0) - sum_(i>=1) c_i h_(k-i), one Fraction at a time."""
+    c = f.coeffs
+    if not c[0]:
+        raise NotInvertible("series has zero constant term")
+    h = [F(1) / c[0]]
+    for k in range(1, len(c)):
+        acc = F(0)
+        for i in range(1, k + 1):
+            if c[i] and h[k - i]:
+                acc += c[i] * h[k - i]
+        h.append(-acc / c[0])
+    return S(h)
+
+
+def assert_canonical(values, where=None):
+    """Every value is a reduced Fraction with a positive denominator."""
+    for c in values:
+        assert type(c) is F, where
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1, where
+
+
+def wide_coeffs(rng, degree, bound=10 ** 12):
+    """Random coefficients 0..degree with numerators and denominators up to bound, a third zero."""
+    return [F(rng.randint(-bound, bound), rng.randint(1, bound)) if rng.random() < 2 / 3 else F(0)
+            for _ in range(degree + 1)]
+
+
+def wide_unit(rng, bound=10 ** 12):
+    """A random nonzero rational, negative half the time."""
+    return F(rng.choice([-1, 1]) * rng.randint(1, bound), rng.randint(1, bound))
+
+
+KERNEL_ORDERS = (0, 1, 2, 12, 40)
 
 
 def lagrange_inverse(f):
@@ -271,10 +321,63 @@ def test_scalars_stay_canonical():
     rng = random.Random(23)
     f = rand_series(rng, 12)
     g = rand_series(rng, 12, lowest=1)
-    for result in (f * f, f.reciprocal(), f.compose(g), g.comp_inverse(), g.exp()):
-        for c in result.coeffs:
-            assert c.denominator > 0
-            assert gcd(abs(c.numerator), c.denominator) == 1
+    wide_f = S([wide_unit(rng)] + wide_coeffs(rng, 12)[1:])
+    wide_g = S([0, wide_unit(rng)] + wide_coeffs(rng, 12)[2:])
+    for a, b in ((f, g), (wide_f, wide_g)):
+        for result in (a * a, a.reciprocal(), a.compose(b), b.comp_inverse(), b.exp()):
+            assert_canonical(result.coeffs)
+        assert_canonical([c for row in _triangle(a, b, 12) for c in row])
+        polys = [Poly(a.coeffs[: n + 1]) for n in range(13)]
+        basis = [Poly(wide_coeffs(rng, n - 1) + [wide_unit(rng)]) for n in range(13)]
+        assert_canonical([c for row in _solve_in_basis(polys, basis) for c in row])
+
+
+def test_products_match_fraction_oracle_on_wide_inputs():
+    rng = random.Random(53)
+    for n in KERNEL_ORDERS:
+        for _ in range(3):
+            a, b = wide_coeffs(rng, n), wide_coeffs(rng, n)
+            a[-1] = -abs(wide_unit(rng))
+            got = (S(a) * S(b)).coeffs
+            assert got == tuple(naive_product(a, b, n)), n
+            assert_canonical(got, n)
+            got = (Poly(a) * Poly(b)).coeffs
+            assert got == Poly(naive_product(a, b, 2 * n)).coeffs, n
+            assert_canonical(got, n)
+
+
+def test_reciprocal_matches_fraction_oracle_on_wide_inputs():
+    rng = random.Random(59)
+    for n in KERNEL_ORDERS:
+        for _ in range(3):
+            f = S([wide_unit(rng)] + wide_coeffs(rng, n)[1:])
+            got = f.reciprocal()
+            assert got == fraction_reciprocal(f), n
+            assert_canonical(got.coeffs, n)
+
+
+def test_compose_matches_horner_oracle_on_wide_inputs():
+    rng = random.Random(61)
+    for n in KERNEL_ORDERS:
+        for bound in (10 ** 12, 9):
+            outer = S(wide_coeffs(rng, n, bound))
+            inner = S([0] + wide_coeffs(rng, n, bound)[1:])
+            got = outer.compose(inner)
+            assert got == horner_compose(outer, inner), (n, bound)
+            assert_canonical(got.coeffs, n)
+    with pytest.raises(CompositionOrder):
+        horner_compose(S([1, 1]), S([1, 1]))
+
+
+def test_comp_inverse_matches_oracle_on_wide_inputs():
+    rng = random.Random(67)
+    # 12-digit entries stop at N = 12: the Fraction oracle needs seconds for a dense N = 40 inverse
+    cases = [(n, 10 ** 12) for n in (1, 2, 12)] + [(n, 9) for n in KERNEL_ORDERS[1:]]
+    for n, bound in cases:
+        f = S([0, wide_unit(rng, bound)] + wide_coeffs(rng, n, bound)[2:])
+        got = f.comp_inverse()
+        assert got == lagrange_inverse(f), (n, bound)
+        assert_canonical(got.coeffs, n)
 
 
 def test_truncation_bookkeeping():

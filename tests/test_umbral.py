@@ -30,7 +30,9 @@ from umbra import (
     stirling1,
     stirling2,
 )
-from umbra.umbral import _solve_in_basis
+from umbra.umbral import _solve_in_basis, _triangle
+
+from test_series import KERNEL_ORDERS, assert_canonical, naive_product, wide_coeffs, wide_unit
 
 S = TruncatedSeries
 
@@ -262,10 +264,73 @@ def poly_solve_oracle(polys, basis):
     return rows
 
 
+def fraction_triangle(a, b, n_max):
+    """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), the columns a b^k by naive Fraction products."""
+    cols = [list(a.coeffs[: n_max + 1])]
+    for _ in range(n_max):
+        cols.append(naive_product(cols[-1], b.coeffs, n_max))
+    return [
+        [F(factorial(n), factorial(k)) * cols[k][n] for k in range(n + 1)]
+        for n in range(n_max + 1)]
+
+
 def assert_same_solve(polys, basis, where):
     got = _solve_in_basis(polys, basis)
     assert got == poly_solve_oracle(polys, basis), where
-    assert all(isinstance(c, F) for row in got for c in row), where
+    assert_canonical([c for row in got for c in row], where)
+
+
+def nontrivial_pairs(n):
+    return [falling_pair(n), touchard_pair(n), laguerre_pair(0, n), laguerre_pair(2, n)]
+
+
+def table_inputs(pair, n_max):
+    """The (a, b) that sheffer_polys hands to the triangle: 1/g(fbar) and fbar."""
+    fbar = pair.fbar.truncate(n_max)
+    return pair.g.compose(fbar).reciprocal(), fbar
+
+
+def assert_same_triangle(a, b, n_max, where):
+    got = _triangle(a, b, n_max)
+    assert got == fraction_triangle(a, b, n_max), where
+    assert_canonical([c for row in got for c in row], where)
+
+
+def test_triangle_matches_fraction_oracle_on_sheffer_pairs():
+    n_max = 20
+    pairs = [sheffer_pair_of(spec, n_max) for spec in BUILTIN_SPECS] + nontrivial_pairs(n_max)
+    for i, pair in enumerate(pairs):
+        assert_same_triangle(*table_inputs(pair, n_max), n_max, i)
+        other = pairs[(i + 1) % len(pairs)]
+        fbar = pair.fbar.truncate(n_max)
+        a = other.g.compose(fbar) * pair.g.compose(fbar).reciprocal()
+        assert_same_triangle(a, other.f.compose(fbar), n_max, (i, "connection"))
+
+
+def test_triangle_matches_fraction_oracle_on_wide_inputs():
+    rng = random.Random(73)
+    for n_max in KERNEL_ORDERS:
+        for bound in (10 ** 12, 9):
+            a = TruncatedSeries([wide_unit(rng, bound)] + wide_coeffs(rng, n_max, bound)[1:])
+            b = TruncatedSeries([0] + wide_coeffs(rng, n_max, bound)[1:])
+            assert_same_triangle(a, b, n_max, (n_max, bound))
+
+
+def test_solve_matches_poly_oracle_on_wide_inputs():
+    rng = random.Random(79)
+    for n_max in KERNEL_ORDERS:
+        basis = [Poly(wide_coeffs(rng, k - 1) + [wide_unit(rng)]) for k in range(n_max + 1)]
+        polys = [Poly(wide_coeffs(rng, n)) for n in range(n_max + 1)]
+        assert_same_solve(polys, basis, n_max)
+
+
+def test_solve_matches_poly_oracle_on_nontrivial_tables():
+    n_max = N_DELTA
+    tables = [sheffer_polys(pair, n_max) for pair in nontrivial_pairs(n_max)]
+    tables.append(family_polys(hermite(), n_max))
+    for i, polys in enumerate(tables):
+        for j, basis in enumerate(tables):
+            assert_same_solve(polys, basis, (i, j))
 
 
 def test_solve_matches_poly_oracle_on_random_bases():
