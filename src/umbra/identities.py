@@ -167,7 +167,8 @@ def t5_coeff(n: int, k: int, r: int) -> Fraction:
 def _stirling_route_coeff(n: int, k: int, r: int) -> Fraction:
     # the k < r shape shared by t6 and t7's first branch
     tot = Fraction(0)
-    for l in range(n + 1):
+    # the k-th forward difference of H_(n-l) vanishes once its degree n - l falls below k
+    for l in range(n - k + 1):
         diff = sum((-1) ** (k - j) * comb(k, j) * _hermite_value(n - l, j) for j in range(k + 1))
         tot += diff * 2 ** l * stirling2(l + r - k, r - k) * Fraction(
             factorial(r - k), factorial(l + r - k) * factorial(n - l))

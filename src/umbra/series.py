@@ -3,9 +3,14 @@
 A series is stored through a fixed degree N by its ordinary coefficients:
 entry k is the coefficient c_k of t^k, and ``trunc_order`` is N.  Binary
 operations truncate to the shorter operand, so precision loss is always
-visible in the result's order.  Coefficients are `fractions.Fraction`
-throughout; values are immutable and all operations return new series,
-which makes them safe to share between threads.
+visible in the result's order.  Every coefficient a caller sees is a
+canonical `fractions.Fraction`; values are immutable and all operations
+return new series, which makes them safe to share between threads.
+
+The kernel loops (products, `reciprocal`, `compose`, the running power in
+`comp_inverse`, and umbral's triangle and basis solve) run on integer
+numerators over one common denominator and cancel by one gcd per step;
+a `Fraction` is built only when a loop returns.
 """
 
 from __future__ import annotations
@@ -67,16 +72,45 @@ def _format_terms(coeffs, var: str) -> str:
     return " ".join([head] + terms[1:])
 
 
-def _convolve(a, b, n: int) -> list[Fraction]:
+# -- the integer core: a Fraction vector is held as integers over one common denominator
+
+
+def _scale(values) -> tuple[list[int], int]:
+    """Integers A and the lcm d of the denominators, with values[i] = A[i] / d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _int_convolve(a, b, n: int) -> list[int]:
     """c_k = sum_i a_i b_(k-i) for k <= n, skipping zero factors before multiplying."""
-    out = [_ZERO] * (n + 1)
+    out = [0] * (n + 1)
+    terms = [(j, y) for j, y in enumerate(b[: n + 1]) if y]
     for i, x in enumerate(a[: n + 1]):
-        if not x:
-            continue
-        for j, y in enumerate(b[: n + 1 - i], i):
-            if y:
-                out[j] += x * y
+        if x:
+            for j, y in terms:
+                if j > n - i:
+                    break
+                out[i + j] += x * y
     return out
+
+
+def _reduce(nums: list[int], d: int) -> tuple[list[int], int]:
+    """Cancel the common factor of the numerators and the denominator with one gcd."""
+    g = math.gcd(d, *nums)
+    if g == 1:
+        return nums, d
+    return [x // g for x in nums], d // g
+
+
+def _fractions(nums, d: int) -> list[Fraction]:
+    """The canonical Fractions nums[i] / d."""
+    return [Fraction(x, d) for x in nums]
+
+
+def _convolve(a, b, n: int) -> list[Fraction]:
+    """c_k = sum_i a_i b_(k-i) for k <= n, on integers over the product of two denominators."""
+    (na, da), (nb, db) = _scale(a[: n + 1]), _scale(b[: n + 1])
+    return _fractions(_int_convolve(na, nb, n), da * db)
 
 
 def _power(base, k: int, one):
@@ -211,17 +245,15 @@ class TruncatedSeries:
 
         Solves the triangular system c_0 h_k = delta_{k,0} - sum_{i>=1} c_i h_{k-i}.
         """
-        c = self._coeffs
-        if not c[0]:
+        if not self._coeffs[0]:
             raise NotInvertible("series has zero constant term")
-        h = [_ONE / c[0]]
+        c, dc = _scale(self._coeffs)
+        # h = nums / d; each step puts one more factor c_0 under every h_j
+        nums, d = [dc], c[0]
         for k in range(1, len(c)):
-            acc = _ZERO
-            for i in range(1, k + 1):
-                if c[i] and h[k - i]:
-                    acc += c[i] * h[k - i]
-            h.append(-acc / c[0])
-        return TruncatedSeries(h)
+            acc = sum(c[i] * nums[k - i] for i in range(1, k + 1) if c[i])
+            nums, d = _reduce([x * c[0] for x in nums] + [-acc], d * c[0])
+        return TruncatedSeries(_fractions(nums, d))
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(t)) through degree min of the two truncation orders.
@@ -233,12 +265,17 @@ class TruncatedSeries:
         if inner._coeffs[0]:
             raise CompositionOrder("inner series of a composition must have zero constant term")
         n = min(self.trunc_order, inner.trunc_order)
-        g = inner.truncate(n)
-        c = self._coeffs
-        result = TruncatedSeries.constant(c[n], n)
+        g, dg = _scale(inner._coeffs[: n + 1])
+        c, dc = _scale(self._coeffs[: n + 1])
+        # result = nums / d; a reduction can drop factors of dc from d, so re-take the lcm
+        nums, d = [c[n]] + [0] * n, dc
         for k in range(n - 1, -1, -1):
-            result = result * g + c[k]
-        return result
+            nums, d = _int_convolve(nums, g, n), d * dg
+            m = math.lcm(d, dc)
+            nums = [x * (m // d) for x in nums]
+            nums[0] += c[k] * (m // dc)
+            nums, d = _reduce(nums, m)
+        return TruncatedSeries(_fractions(nums, d))
 
     def comp_inverse(self) -> "TruncatedSeries":
         """Compositional inverse of a delta series, by Lagrange inversion.
@@ -249,12 +286,12 @@ class TruncatedSeries:
         """
         if self.order != 1:
             raise NotDelta("compositional inverse needs order exactly 1")
-        q = TruncatedSeries(self._coeffs[1:]).reciprocal()
-        h = [_ZERO, q._coeffs[0]]
-        power = q
+        q, dq = _scale(TruncatedSeries(self._coeffs[1:]).reciprocal()._coeffs)
+        h = [_ZERO, Fraction(q[0], dq)]
+        power, d = q, dq
         for n in range(2, len(self._coeffs)):
-            power = power * q
-            h.append(power._coeffs[n - 1] / n)
+            power, d = _reduce(_int_convolve(power, q, len(q) - 1), d * dq)
+            h.append(Fraction(power[n - 1], d * n))
         return TruncatedSeries(h)
 
     def exp(self) -> "TruncatedSeries":

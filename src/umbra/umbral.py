@@ -24,7 +24,7 @@ from math import factorial
 
 from .errors import NotInvertible, SingularBasis, TruncationTooShort
 from .polynomials import Poly
-from .series import TruncatedSeries, _as_count
+from .series import TruncatedSeries, _as_count, _int_convolve, _reduce, _scale
 
 _ZERO = Fraction(0)
 
@@ -94,14 +94,17 @@ class ShefferPair:
 
 def _triangle(a: TruncatedSeries, b: TruncatedSeries, n_max: int) -> list[list[Fraction]]:
     """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), k <= n; ``a`` is known through n_max."""
-    cols = [a.coeffs]
-    term = a
-    for _ in range(n_max):
-        term = term * b
-        cols.append(term.coeffs)
-    return [
-        [Fraction(factorial(n), factorial(k)) * cols[k][n] for k in range(n + 1)]
-        for n in range(n_max + 1)]
+    fact = [factorial(n) for n in range(n_max + 1)]
+    rows = [[] for _ in range(n_max + 1)]
+    # column k is a b^k = term / d on integers, read into the rows before the next one
+    term, d = _scale(a.coeffs[: n_max + 1])
+    nb, db = _scale(b.coeffs[: n_max + 1])
+    for k in range(n_max + 1):
+        if k:
+            term, d = _reduce(_int_convolve(term, nb, n_max), d * db)
+        for n in range(k, n_max + 1):
+            rows[n].append(Fraction(fact[n] // fact[k] * term[n], d))
+    return rows
 
 
 def sheffer_polys(pair: ShefferPair, n_max: int) -> tuple[Poly, ...]:
@@ -175,16 +178,17 @@ def _solve_in_basis(polys, basis):
     for k, r in enumerate(basis):
         if r.degree != k:
             raise SingularBasis(f"basis member {k} has degree {r.degree}, expected {k}")
+    scaled = [_scale(r.coeffs) for r in basis]
     rows = []
     for n, p in enumerate(polys):
-        # in place: entry k turns from the residual's x^k coefficient into basis[k]'s weight
-        row = [p.coeff(i) for i in range(n + 1)]
+        # fraction-free back substitution: the residual's x^i coefficient is nums[i] / d
+        nums, d = _scale([p.coeff(i) for i in range(n + 1)])
+        row = [_ZERO] * (n + 1)
         for k in range(n, -1, -1):
-            b = basis[k].coeffs
-            c = row[k] = row[k] / b[k]
-            if c:
-                for i in range(k):
-                    if b[i]:
-                        row[i] -= c * b[i]
+            b, db = scaled[k]
+            lead, top = b[k], nums.pop()
+            if top:
+                row[k] = Fraction(top * db, d * lead)
+                nums, d = _reduce([x * lead - top * y for x, y in zip(nums, b)], d * lead)
         rows.append(row)
     return rows

@@ -24,6 +24,8 @@ SEED0_INPUTS = {
     "lambda-symbolic-seed4":
         "verify --theorems t3,t8,remark --max-n 10 --orders 0,2,4 --lambdas=-1,1/2,-2 --symbolic-lambda",
     "connect-deep": "connect --from frobenius-euler:3:1/3 --to bernoulli:4 --max-n 60",
+    # a negative, non-unit denominator through every integer loop of the table routes
+    "connect-deep-seed5": "connect --from frobenius-euler:3:-3/2 --to bernoulli:4 --max-n 60",
 }
 
 

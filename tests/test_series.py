@@ -298,6 +298,16 @@ def test_comp_inverse_round_trip_at_16():
         assert f.compose(fbar) == S.t(16)
 
 
+def test_comp_inverse_round_trip_at_64():
+    rng = random.Random(71)
+    for _ in range(3):
+        f = rand_delta(rng, 64)
+        assert f.coeffs[1] != 1
+        fbar = f.comp_inverse()
+        assert f.compose(fbar) == S.t(64)
+        assert fbar.compose(f) == S.t(64)
+
+
 def test_ring_laws_on_random_inputs():
     rng = random.Random(17)
     for _ in range(6):

@@ -10,10 +10,17 @@ from hypothesis import strategies as st  # noqa: E402
 
 from umbra import TruncatedSeries as S  # noqa: E402
 
+from test_series import horner_compose  # noqa: E402
+
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 series = st.lists(rationals, min_size=1, max_size=8).map(S)
 scalars = st.integers(-9, 9) | rationals
 laws = settings(max_examples=60, deadline=None, database=None)
+
+# wide entries, so the kernel's common denominators run to many digits
+wide = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6)
+wide_tails = st.lists(wide, max_size=7)
+wide_series = st.lists(wide, min_size=1, max_size=8).map(S)
 
 
 @laws
@@ -33,6 +40,32 @@ def test_negation_is_an_involution(a):
 @given(series, series | scalars)
 def test_reflected_subtraction_is_negated_subtraction(a, c):
     assert c - a == -(a - c)
+
+
+@laws
+@given(wide.filter(bool), wide_tails)
+def test_reciprocal_inverts_a_unit(c0, tail):
+    a = S([c0] + tail)
+    assert a * a.reciprocal() == S.one(a.trunc_order)
+
+
+@laws
+@given(wide_series, wide_series, wide_series)
+def test_product_is_associative(a, b, c):
+    assert (a * b) * c == a * (b * c)
+
+
+@laws
+@given(wide_series, wide_series, wide_series)
+def test_product_distributes_over_sum(a, b, c):
+    assert a * (b + c) == a * b + a * c
+
+
+@laws
+@given(wide_series, wide_tails)
+def test_compose_matches_horner_oracle(outer, tail):
+    inner = S([0] + tail)
+    assert outer.compose(inner) == horner_compose(outer, inner)
 
 
 @laws
