@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -14,6 +15,8 @@ from umbra import (
     stirling1,
     stirling2,
 )
+
+from test_series import assert_canonical, wide_coeffs, wide_unit
 
 
 def set_partition_count(l, n):
@@ -35,6 +38,34 @@ def set_partition_count(l, n):
         for block in range(min(used + 1, n)):
             stack.append((placed + 1, max(used, block + 1)))
     return count
+
+
+def wide_poly(rng, degree, bound=10 ** 12):
+    """A polynomial of exactly this degree (the zero polynomial at -1), a third of its
+    lower coefficients zero."""
+    if degree < 0:
+        return Poly.zero()
+    return Poly(wide_coeffs(rng, degree - 1, bound) + [wide_unit(rng, bound)])
+
+
+def stepwise_derivative(p, k=1):
+    """The k-th derivative by k single steps, one Poly each: x^i goes to i x^(i-1)."""
+    for _ in range(k):
+        p = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+        if not p.coeffs:
+            break
+    return p
+
+
+def test_derivative_matches_stepwise_oracle_on_wide_inputs():
+    rng = random.Random(89)
+    for degree in range(-1, 21):
+        for bound in (10 ** 12, 9):
+            p = wide_poly(rng, degree, bound)
+            for k in range(degree + 3):
+                got = p.derivative(k)
+                assert got == stepwise_derivative(p, k), (degree, bound, k)
+                assert_canonical(got.coeffs, (degree, bound, k))
 
 
 def test_derivative_examples():

@@ -30,8 +30,9 @@ from umbra import (
     stirling1,
     stirling2,
 )
-from umbra.umbral import _solve_in_basis, _triangle
+from umbra.umbral import _require_known, _solve_in_basis, _triangle
 
+from test_polynomials import stepwise_derivative, wide_poly
 from test_series import KERNEL_ORDERS, assert_canonical, naive_product, wide_coeffs, wide_unit
 
 S = TruncatedSeries
@@ -40,10 +41,6 @@ S = TruncatedSeries
 def rand_poly(rng, max_degree):
     coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(max_degree + 1)]
     return Poly(coeffs)
-
-
-def rand_series(rng, order):
-    return S([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)])
 
 
 BUILTIN_SPECS = [
@@ -125,6 +122,54 @@ def test_operator_examples():
     assert operator_apply(gauss, Poly.monomial(1, 2) ** 3) == Poly([0, -12, 0, 8])
 
 
+def stepwise_pairing(f, p):
+    """<f | p> accumulated one nonzero term n! c_n(f) p_n at a time."""
+    _require_known(f.trunc_order, p.degree, "pair with a polynomial of")
+    acc = F(0)
+    for n in range(p.degree + 1):
+        cn = f.coeff(n)
+        pn = p.coeff(n)
+        if cn and pn:
+            acc += factorial(n) * cn * pn
+    return acc
+
+
+def stepwise_operator(f, p):
+    """sum_k c_k(f) p^(k)(x), one derivative step and one partial-sum Poly per k."""
+    _require_known(f.trunc_order, p.degree, "act on a polynomial of")
+    result = Poly.zero()
+    dk = p
+    for k in range(p.degree + 1):
+        ck = f.coeff(k)
+        if ck:
+            result = result + ck * dk
+        dk = stepwise_derivative(dk)
+        if dk.degree < 0:
+            break
+    return result
+
+
+def test_operator_and_pairing_match_stepwise_oracles_on_wide_inputs():
+    rng = random.Random(83)
+    for degree in range(-1, 21):
+        for bound in (10 ** 12, 9):
+            p = wide_poly(rng, degree, bound)
+            for extra in range(3):  # the series is known 0..2 degrees past the polynomial
+                f = S(wide_coeffs(rng, max(degree, 0) + extra, bound))
+                where = (degree, bound, extra)
+                got = operator_apply(f, p)
+                assert got == stepwise_operator(f, p), where
+                assert_canonical(got.coeffs, where)
+                got = pair_functional(f, p)
+                assert got == stepwise_pairing(f, p), where
+                assert_canonical([got], where)
+            if degree > 0:
+                short = S(wide_coeffs(rng, degree - 1, bound))
+                for route in (operator_apply, stepwise_operator, pair_functional, stepwise_pairing):
+                    with pytest.raises(TruncationTooShort):
+                        route(short, p)
+
+
 def test_operator_matches_family_route():
     gauss = S.monomial(2, 3, F(-1, 4)).exp()
     assert operator_apply(gauss, Poly.monomial(1, 2) ** 3) == family_poly(hermite(), 3)
@@ -132,12 +177,15 @@ def test_operator_matches_family_route():
 
 def test_adjoint_law_random():
     rng = random.Random(29)
-    for _ in range(100):
-        deg = rng.randint(0, 8)
-        p = rand_poly(rng, deg)
-        f = rand_series(rng, 8)
-        g = rand_series(rng, 8)
-        assert pair_functional(f * g, p) == pair_functional(g, operator_apply(f, p))
+    for degree in range(-1, 21):
+        for bound in (10 ** 12, 9):
+            for _ in range(3):
+                p = wide_poly(rng, degree, bound)
+                order = max(degree, 0) + rng.randint(0, 2)
+                f = S(wide_coeffs(rng, order, bound))
+                g = S(wide_coeffs(rng, order, bound))
+                assert pair_functional(f * g, p) == pair_functional(g, operator_apply(f, p)), \
+                    (degree, bound)
 
 
 def test_derivative_extraction_law():
@@ -228,16 +276,18 @@ def test_connection_expands_source_in_target_basis():
 
 
 def test_connection_transitivity():
-    a = sheffer_pair_of(euler(1), 8)
-    b = sheffer_pair_of(hermite(), 8)
-    c = sheffer_pair_of(bernoulli(2), 8)
-    ab = connection_coeffs(a, b, 8)
-    bc = connection_coeffs(b, c, 8)
-    ac = connection_coeffs(a, c, 8)
-    for n in range(9):
-        for m in range(n + 1):
-            product = sum(ab.entry(n, k) * bc.entry(k, m) for k in range(m, n + 1))
-            assert product == ac.entry(n, m)
+    n_max = N_DELTA
+    pairs = [sheffer_pair_of(spec, n_max) for spec in BUILTIN_SPECS] + nontrivial_pairs(n_max)
+    rng = random.Random(43)
+    for trial in range(20):
+        a, b, c = rng.sample(pairs, 3)
+        ab = connection_coeffs(a, b, n_max)
+        bc = connection_coeffs(b, c, n_max)
+        ac = connection_coeffs(a, c, n_max)
+        for n in range(n_max + 1):
+            for m in range(n + 1):
+                product = sum(ab.entry(n, k) * bc.entry(k, m) for k in range(m, n + 1))
+                assert product == ac.entry(n, m), (trial, n, m)
 
 
 def test_oracle_bernoulli2_row_in_monomials():
