@@ -145,4 +145,4 @@ def hermite_poly_via_operator(n: int) -> Poly:
     An independent construction that must agree with the Sheffer route.
     """
     op = TruncatedSeries([0, 0, Fraction(-1, 4)], order=n).exp()
-    return operator_apply(op, Poly.monomial(1, 2) ** n)
+    return operator_apply(op, Poly.monomial(n, 2 ** n))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 
 from .series import _as_count, _convolve, _format_terms, _power, as_rational
 
@@ -59,13 +60,9 @@ class Poly:
     __call__ = eval
 
     def derivative(self, k: int = 1) -> "Poly":
-        """k-th derivative; zero once k exceeds the degree."""
-        p = self
-        for _ in range(_as_count(k, "derivative order")):
-            p = Poly([i * c for i, c in enumerate(p._coeffs)][1:])
-            if not p._coeffs:
-                break
-        return p
+        """k-th derivative, [x^i] p^(k) = (i+k)!/i! p_(i+k); zero once k exceeds the degree."""
+        k = _as_count(k, "derivative order")
+        return Poly([perm(i + k, k) * c for i, c in enumerate(self._coeffs[k:])])
 
     def __add__(self, other):
         if not isinstance(other, Poly):

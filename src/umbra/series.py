@@ -8,9 +8,9 @@ canonical `fractions.Fraction`; values are immutable and all operations
 return new series, which makes them safe to share between threads.
 
 The kernel loops (products, `reciprocal`, `compose`, the running power in
-`comp_inverse`, and umbral's triangle and basis solve) run on integer
-numerators over one common denominator and cancel by one gcd per step;
-a `Fraction` is built only when a loop returns.
+`comp_inverse`, and umbral's triangle, basis solve and operator action) run
+on integer numerators over one common denominator and cancel by one gcd per
+step; a `Fraction` is built only when a loop returns.
 """
 
 from __future__ import annotations

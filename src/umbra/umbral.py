@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 from .errors import NotInvertible, SingularBasis, TruncationTooShort
 from .polynomials import Poly
@@ -38,28 +38,17 @@ def _require_known(known: int, degree: int, use: str):
 def pair_functional(f: TruncatedSeries, p: Poly) -> Fraction:
     """The pairing <f | p> = sum_n n! c_n(f) p_n over the monomial weights of p."""
     _require_known(f.trunc_order, p.degree, "pair with a polynomial of")
-    acc = _ZERO
-    for n in range(p.degree + 1):
-        cn = f.coeff(n)
-        pn = p.coeff(n)
-        if cn and pn:
-            acc += factorial(n) * cn * pn
-    return acc
+    return sum((factorial(n) * c * pn for n, (c, pn) in enumerate(zip(f.coeffs, p.coeffs))), _ZERO)
 
 
 def operator_apply(f: TruncatedSeries, p: Poly) -> Poly:
-    """f acting as a differential operator: sum_k c_k(f) p^(k)(x)."""
+    """f acting as a differential operator: [x^i] f p = sum_k c_k(f) (i+k)!/i! p_(i+k)."""
     _require_known(f.trunc_order, p.degree, "act on a polynomial of")
-    result = Poly.zero()
-    dk = p
-    for k in range(p.degree + 1):
-        ck = f.coeff(k)
-        if ck:
-            result = result + ck * dk
-        dk = dk.derivative()
-        if dk.degree < 0:
-            break
-    return result
+    m = len(p.coeffs)
+    (c, dc), (q, dq) = _scale(f.coeffs[:m]), _scale(p.coeffs)
+    return Poly([
+        Fraction(sum(c[k] * perm(i + k, k) * q[i + k] for k in range(m - i) if c[k]), dc * dq)
+        for i in range(m)])
 
 
 def eval_functional(y, order: int) -> TruncatedSeries:
