@@ -8,8 +8,9 @@ arguments always produce byte-identical output.
 Exit codes: 0 success (all identities pass), 1 an identity check failed,
 2 bad arguments or out-of-regime parameters, 3 internal inconsistency
 (the two connection-coefficient routes disagree).  Argument errors in
-sizes, orders and lambda come from the library's own checks: each raises
-ValueError or UmbraError before anything reaches stdout, and that is exit 2.
+sizes, orders, lambda and rational text come from the library's own checks:
+each raises ValueError or UmbraError before anything reaches stdout, and
+that is exit 2.
 t6 needs an order above --max-n and t7 one at or below it; an explicit
 order outside that is exit 2, and orders the CLI picks itself (no --orders,
 or --theorems all) give t6 the order max-n + 1 and leave t7's orders above
@@ -24,13 +25,12 @@ import csv
 import io
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .errors import UmbraError
-from .families import FamilyKind, FamilySpec, family_polys, sheffer_pair_of
+from .families import FamilyKind, FamilySpec, _as_lambda, family_polys, sheffer_pair_of
 from .identities import DEFAULT_LAMBDAS, THEOREM_IDS, IdentityReport, verify_theorem
 from .series import _as_count
 from .umbral import connection_coeffs, connection_oracle
@@ -48,31 +48,14 @@ _CONVENTIONS = {
     "scalars": "exact rationals 'p/q' in lowest terms, positive denominator",
 }
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-
 _FAMILY_NAMES = {kind.value: kind for kind in FamilyKind}
 
 
-class UsageError(UmbraError):
-    """Bad command-line input."""
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a canonical 'p/q' or integer string; decimals are rejected."""
-    text = text.strip()
-    if not _RATIONAL_RE.match(text):
-        raise UsageError(f"not an exact rational: {text!r} (use p or p/q)")
-    value = text.split("/")
-    if len(value) == 2 and int(value[1]) == 0:
-        raise UsageError(f"zero denominator: {text!r}")
-    return Fraction(text)
-
-
-def _family_spec(name: str, order: int | None, lam: Fraction | None) -> FamilySpec:
+def _family_spec(name: str, order: int | None, lam: str | None) -> FamilySpec:
     kind = _FAMILY_NAMES.get(name)
     if kind is None:
         known = ", ".join(sorted(_FAMILY_NAMES))
-        raise UsageError(f"unknown family {name!r} (known: {known})")
+        raise ValueError(f"unknown family {name!r} (known: {known})")
     if kind is FamilyKind.HERMITE and order is not None:
         _as_count(order, "family order")  # refused like any other order, then unused
     r = 0 if kind is FamilyKind.HERMITE else (1 if order is None else order)
@@ -83,18 +66,14 @@ def parse_family_descriptor(text: str) -> FamilySpec:
     """Parse 'name[:order[:lambda]]', e.g. euler:1 or frobenius-euler:2:1/2."""
     parts = text.split(":")
     if len(parts) > 3:
-        raise UsageError(f"bad family descriptor {text!r}")
-    name = parts[0]
+        raise ValueError(f"bad family descriptor {text!r}")
     order = None
-    lam = None
     if len(parts) > 1:
         try:
             order = int(parts[1])
         except ValueError:
-            raise UsageError(f"bad order in descriptor {text!r}") from None
-    if len(parts) > 2:
-        lam = parse_rational(parts[2])
-    return _family_spec(name, order, lam)
+            raise ValueError(f"bad order in descriptor {text!r}") from None
+    return _family_spec(parts[0], order, parts[2] if len(parts) > 2 else None)
 
 
 def _describe_spec(spec: FamilySpec) -> dict:
@@ -107,18 +86,20 @@ def _describe_spec(spec: FamilySpec) -> dict:
 
 # -- documents ---------------------------------------------------------------
 
+def _rows(table) -> list[dict]:
+    """Row n of a lower-triangular table as {"n": n, "coefficients": its n + 1 entries as text}."""
+    return [{"n": n, "coefficients": [str(c) for c in row]} for n, row in enumerate(table)]
+
+
 def family_document(spec: FamilySpec, max_degree: int) -> dict:
     polys = family_polys(spec, max_degree)
-    rows = [
-        {"n": n, "coefficients": [str(p.coeff(i)) for i in range(n + 1)]}
-        for n, p in enumerate(polys)]
     return {
         "document": "family-table",
         "tool": _TOOL,
         "conventions": _CONVENTIONS,
         "family": _describe_spec(spec),
         "max_degree": max_degree,
-        "rows": rows,
+        "rows": _rows([p.coeff(i) for i in range(n + 1)] for n, p in enumerate(polys)),
     }
 
 
@@ -128,9 +109,6 @@ def connection_document(source: FamilySpec, target: FamilySpec, n_max: int) -> t
     direct = connection_coeffs(src_pair, tgt_pair, n_max)
     solved = connection_oracle(src_pair, tgt_pair, n_max)
     agree = direct == solved
-    rows = [
-        {"n": n, "coefficients": [str(c) for c in row]}
-        for n, row in enumerate(direct.rows)]
     doc = {
         "document": "connection-table",
         "tool": _TOOL,
@@ -139,7 +117,7 @@ def connection_document(source: FamilySpec, target: FamilySpec, n_max: int) -> t
         "target": _describe_spec(target),
         "max_n": n_max,
         "routes_agree": agree,
-        "rows": rows,
+        "rows": _rows(direct.rows),
     }
     return doc, agree
 
@@ -191,25 +169,25 @@ def _emit_json(doc: dict, out):
     out.write("\n")
 
 
-def _emit_rows_csv(rows, width: int, out):
+def _emit_table(doc: dict, fmt: str, out) -> int:
+    """Write a table document as JSON, or its rows as CSV padded to the widest row."""
+    if fmt != "csv":
+        _emit_json(doc, out)
+        return EXIT_OK
+    rows = doc["rows"]
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n"] + [f"c{i}" for i in range(width)])
+    writer.writerow(["n"] + [f"c{i}" for i in range(len(rows))])
     for row in rows:
         cells = row["coefficients"]
-        writer.writerow([row["n"]] + cells + [""] * (width - len(cells)))
+        writer.writerow([row["n"]] + cells + [""] * (len(rows) - len(cells)))
+    return EXIT_OK
 
 
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_family(args, out) -> int:
-    lam = None if args.lam is None else parse_rational(args.lam)
-    spec = _family_spec(args.name, args.order, lam)
-    doc = family_document(spec, args.max_degree)
-    if args.format == "csv":
-        _emit_rows_csv(doc["rows"], args.max_degree + 1, out)
-    else:
-        _emit_json(doc, out)
-    return EXIT_OK
+    spec = _family_spec(args.name, args.order, args.lam)
+    return _emit_table(family_document(spec, args.max_degree), args.format, out)
 
 
 def _cmd_connect(args, out) -> int:
@@ -221,22 +199,18 @@ def _cmd_connect(args, out) -> int:
             "error: transfer-formula and triangular-solve routes disagree",
             file=sys.stderr)
         return EXIT_INCONSISTENT
-    if args.format == "csv":
-        _emit_rows_csv(doc["rows"], args.max_n + 1, out)
-    else:
-        _emit_json(doc, out)
-    return EXIT_OK
+    return _emit_table(doc, args.format, out)
 
 
 def _parse_theorems(text: str) -> tuple[list[str], bool]:
     tokens = [tok.strip().lower() for tok in text.split(",") if tok.strip()]
     if not tokens:
-        raise UsageError("--theorems needs at least one id")
+        raise ValueError("--theorems needs at least one id")
     if "all" in tokens:
         return list(THEOREM_IDS), True
     for tok in tokens:
         if tok not in THEOREM_IDS:
-            raise UsageError(f"unknown theorem id {tok!r} (known: all, {', '.join(THEOREM_IDS)})")
+            raise ValueError(f"unknown theorem id {tok!r} (known: all, {', '.join(THEOREM_IDS)})")
     # keep canonical order, drop duplicates
     return [tid for tid in THEOREM_IDS if tid in tokens], False
 
@@ -245,9 +219,9 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
         values = sorted({int(tok) for tok in text.split(",") if tok.strip()})
     except ValueError:
-        raise UsageError(f"{flag} needs a comma-separated list of integers") from None
+        raise ValueError(f"{flag} needs a comma-separated list of integers") from None
     if not values:
-        raise UsageError(f"{flag} needs at least one value")
+        raise ValueError(f"{flag} needs at least one value")
     return values
 
 
@@ -257,7 +231,7 @@ def _check_thread_env():
     try:
         int(raw)
     except ValueError:
-        raise UsageError(f"UMBRA_THREADS must be an integer, got {raw!r}") from None
+        raise ValueError(f"UMBRA_THREADS must be an integer, got {raw!r}") from None
 
 
 def _cmd_verify(args, out) -> int:
@@ -266,9 +240,9 @@ def _cmd_verify(args, out) -> int:
     lambdas = (
         list(DEFAULT_LAMBDAS)
         if args.lambdas is None
-        else [parse_rational(tok) for tok in args.lambdas.split(",") if tok.strip()])
+        else [_as_lambda(tok) for tok in args.lambdas.split(",") if tok.strip()])
     if not lambdas:
-        raise UsageError("--lambdas needs at least one value")
+        raise ValueError("--lambdas needs at least one value")
 
     # t6 lives in the r > n regime and t7 in r <= n; unless an id was asked
     # for explicitly with explicit orders, t6 gets its smallest admissible

@@ -16,6 +16,7 @@ step; a `Fraction` is built only when a loop returns.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,10 +29,15 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+_RATIONAL_TEXT = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+
+
 def as_rational(value) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact Fraction.
+    """Coerce an int, Fraction, or 'p' / 'p/q' string to an exact Fraction.
 
     Floats and bools are rejected: the kernel is exact, and True is not a number.
+    Text is an optional sign, digits and an optional '/digits', with surrounding
+    spaces; anything else, a zero denominator included, is a ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -40,7 +46,13 @@ def as_rational(value) -> Fraction:
             raise TypeError("cannot use bool as an exact rational")
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        match = _RATIONAL_TEXT.fullmatch(value)
+        if not match:
+            raise ValueError(f"not an exact rational: {value!r} (use p or p/q)")
+        den = int(match[2] or 1)
+        if not den:
+            raise ValueError(f"zero denominator: {value!r}")
+        return Fraction(int(match[1]), den)
     raise TypeError(f"cannot use {type(value).__name__} as an exact rational")
 
 

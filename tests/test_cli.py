@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import umbra.identities as identities
+from umbra import as_rational
 from umbra.cli import (
     EXIT_IDENTITY_FAILURE,
     EXIT_OK,
@@ -11,7 +12,6 @@ from umbra.cli import (
     main,
     parse_document,
     parse_family_descriptor,
-    parse_rational,
     parse_table_csv,
 )
 from umbra.families import FamilyKind
@@ -24,12 +24,12 @@ def run(capsys, *argv):
 
 
 def test_parse_rational():
-    assert parse_rational("3/4") == F(3, 4)
-    assert parse_rational("-7") == F(-7)
-    assert parse_rational(" 1/2 ") == F(1, 2)
+    assert as_rational("3/4") == F(3, 4)
+    assert as_rational("-7") == F(-7)
+    assert as_rational(" 1/2 ") == F(1, 2)
     for bad in ("1.5", "x", "3/0", "1/2/3", ""):
         with pytest.raises(Exception):
-            parse_rational(bad)
+            as_rational(bad)
 
 
 def test_parse_family_descriptor():
@@ -284,6 +284,7 @@ def test_bad_arguments_exit_two(capsys):
         "verify --theorems t1 --max-n 3 --orders x",
         "verify --theorems t1 --max-n 3 --orders ,",
         "verify --theorems t3 --max-n 3 --lambdas ,",
+        "verify --theorems t1 --max-n 2 --orders 1 --lambdas 1",
     ):
         assert main(argv.split()) == EXIT_USAGE, argv
         assert capsys.readouterr().out == "", argv

@@ -15,6 +15,7 @@ from umbra import (
     ShefferPair,
     TruncatedSeries,
     as_rational,
+    frobenius_euler,
 )
 from umbra.umbral import _solve_in_basis, _triangle
 
@@ -492,10 +493,19 @@ def test_powers_match_repeated_products():
 def test_as_rational_accepts_exact_scalars_only():
     assert as_rational(3) == F(3)
     assert as_rational("-2/6") == F(-1, 3)
+    assert as_rational(" +3/4 ") == F(3, 4)
     assert as_rational(F(1, 2)) == F(1, 2)
     for bad in (True, False, 0.5):
         with pytest.raises(TypeError):
             as_rational(bad)
+    # text is an optional sign, digits and an optional /digits, nothing else
+    for bad in ("1.5", "1_000", "1e3", "3/0", "1/-2", "- 1", "1/2/3", "x", ""):
+        with pytest.raises(ValueError):
+            as_rational(bad)
+    with pytest.raises(ValueError):
+        frobenius_euler(1, "3/0")
+    with pytest.raises(ValueError):
+        Poly([1]).eval("1/0")
     with pytest.raises(TypeError):
         S([1, True])
 
