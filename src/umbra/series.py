@@ -28,7 +28,6 @@ INFINITE = math.inf
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-
 _RATIONAL_TEXT = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
