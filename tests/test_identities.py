@@ -1,6 +1,8 @@
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from functools import cache
 from math import comb, factorial
 
 import pytest
@@ -30,6 +32,8 @@ from umbra import (
     t8_coeff,
     verify_theorem,
 )
+
+from test_series import assert_canonical
 
 
 def oracle_rows(source_spec, target_spec, n_max):
@@ -70,16 +74,30 @@ def hermite_values_oracle(n, k, r, lam):
     return comb(n, k) * 2 ** k * tot / (1 - lam) ** r
 
 
+@cache
+def stirling2_at(l, n):
+    return stirling2(l, n)
+
+
+@cache
+def hermite_at(m, j):
+    return family_poly(hermite(), m).eval(j)
+
+
 def stirling_route_oracle(n, k, r):
-    """t6, and t7 below k = r: the (j, l) double sum with every term in full."""
+    """t6, and t7 below k = r: the (j, l) double sum with every term in full.
+
+    Each term is one Fraction; Stirling numbers and Hermite values are cached,
+    as the wide tests ask for about 200,000 terms.
+    """
     tot = F(0)
     for j in range(k + 1):
         outer = (-1) ** (k - j) * comb(k, j)
         for l in range(n + 1):
-            tot += (
-                outer * 2 ** l * stirling2(l + r - k, r - k)
-                * family_poly(hermite(), n - l).eval(j)
-                * F(factorial(r - k), factorial(l + r - k) * factorial(k) * factorial(n - l)))
+            h = hermite_at(n - l, j)
+            tot += F(
+                outer * 2 ** l * stirling2_at(l + r - k, r - k) * h.numerator * factorial(r - k),
+                factorial(l + r - k) * factorial(k) * factorial(n - l) * h.denominator)
     return factorial(n) * tot
 
 
@@ -152,6 +170,55 @@ def test_t7_matches_oracles_on_both_branches():
         if n >= r:
             want = stirling_route_oracle(n, k, r) if k < r else t7_upper_oracle(n, k, r)
             assert_exact(t7_coeff(n, k, r), want, (n, k, r))
+
+
+def wide_lambdas(seed):
+    """Seeded lambdas of height up to 10^6: one above 1 (so q - p < 0), one in (0, 1),
+    one negative, and -1 as a Fraction and as the int t4 and t5 pass."""
+    rng = random.Random(seed)
+    q = rng.randint(2, 10 ** 6)
+    above = F(rng.randint(q + 1, 10 ** 6 + q), q)
+    below = F(rng.randint(1, 10 ** 6), rng.randint(10 ** 6 + 1, 2 * 10 ** 6))
+    negative = F(-rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+    return above, below, negative, F(-1), -1
+
+
+WIDE_N = 14
+
+
+def assert_wide(got, want, where):
+    assert_canonical([got], where)
+    assert got == want, where
+
+
+def test_t6_matches_stirling_route_oracle_wide():
+    for n in range(WIDE_N + 1):
+        for r in range(n + 1, 31):
+            for k in range(n + 1):
+                assert_wide(t6_coeff(n, k, r), stirling_route_oracle(n, k, r), (n, k, r))
+
+
+def test_t7_matches_oracles_wide_on_both_branches():
+    for r in range(WIDE_N + 1):
+        for n in range(r, WIDE_N + 1):
+            for k in range(n + 1):
+                want = stirling_route_oracle(n, k, r) if k < r else t7_upper_oracle(n, k, r)
+                assert_wide(t7_coeff(n, k, r), want, (n, k, r))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_lambda_forms_match_oracles_at_wide_lambdas(seed):
+    lams = wide_lambdas(seed)
+    assert lams[0] > 1 and 0 < lams[1] < 1 and lams[2] < 0
+    for lam in lams:
+        for n, k, r in oracle_cells():
+            if n > 10:
+                continue
+            where = (n, k, r, lam)
+            want = basis_sum_oracle(family_numbers(frobenius_euler(r, lam), n), n, k)
+            assert_wide(t3_coeff(n, k, r, lam), want, where)
+            assert_wide(t8_coeff(n, k, r, lam), hermite_values_oracle(n, k, r, lam), where)
+            assert_wide(remark_coeff(n, k, r, lam), double_sum_oracle(n, k, r, lam), where)
 
 
 def test_t1_spot_values():
