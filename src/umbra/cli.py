@@ -6,8 +6,10 @@ diagnostics go to stderr.  Every scalar is an exact rational rendered as
 arguments always produce byte-identical output.
 
 Exit codes: 0 success (all identities pass), 1 an identity check failed,
-2 bad arguments or out-of-regime parameters, 3 internal inconsistency
-(the two connection-coefficient routes disagree).  Argument errors in
+2 bad arguments or out-of-regime parameters, 3 internal error (the two
+connection-coefficient routes disagree, or an exception other than
+UmbraError and ValueError escaped; one "error:" line on stderr, nothing on
+stdout).  Argument errors in
 sizes, orders, lambda and rational text come from the library's own checks:
 each raises ValueError or UmbraError before anything reaches stdout, and
 that is exit 2.
@@ -347,6 +349,9 @@ def main(argv=None) -> int:
     except (UmbraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a crash, told apart from a FAIL (exit 1)
+        print(f"error: unexpected {exc!r}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

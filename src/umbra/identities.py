@@ -14,21 +14,33 @@ Identity ids t1..t3 expand a family in the Hermite basis; t4..t8 and
 * t8 / remark: Hermite members in the order-r Frobenius-Euler basis
   (Hermite-values and double-sum forms).
 
-Frobenius-Euler at lam = -1 is Euler, so t4 / t5 share their formula
-bodies with remark / t8.  Each of t1..t5, t8 and remark is n!/(k! 2^k) w(n-k)
-or C(n, k) 2^k w(n-k), where w depends on the order and lambda but not on k,
-so w(m) is evaluated once per m = n - k in a cell and reused for every (n, k)
-with that m.  The memos behind this are bounded, and verify_theorem empties
-them when a cell starts.  t6, and t7 below k = r, are n!/k! times a sum over
-l of the k-th forward difference sum_j (-1)^(k-j) C(k, j) H_(n-l)(j), each
-weighted once per l by 2^l S(l+r-k, r-k) (r-k)! / ((l+r-k)! (n-l)!).  t4 and
-remark read Hermite values from the explicit sum
-H_m(j) = sum_l (-1)^l m!/(l! (m-2l)!) (2j)^(m-2l), in integers, never from
-the Sheffer Hermite table that t5 and t8 read, so each pair checks two
-routes.  Verification compares coefficient vectors, never evaluations, so a
-PASS is an exact identity at the checked parameters.  For the lambda families
-the identity is rational in lambda of bounded degree, so checking
-n_max + r + 1 distinct samples ("symbolic" mode) proves it for every lambda != 1.
+Each identity has one row builder.  A verification cell sets it up once per
+order and lambda from tables that do not depend on k, and it gives row n of
+the closed form as integer numerators over one denominator:
+
+* t1..t3: n!/(k! 2^k) w(n-k), with w(m) the family's Hermite-basis sum, as
+  (n!/k!) 2^(n-k) W[n-k] over 2^n D, where w = W / D;
+* t4, t5, t8, remark: C(n, k) 2^k w(n-k), where for lam = p/q
+  w(m) = sum_j C(r, j) (-p)^(r-j) q^j H_m(j) / (q-p)^r is summed on integers.
+  Frobenius-Euler at lam = -1 is Euler, so t4 / t5 are remark / t8 at -1;
+* t6, and t7 below k = r: with j = r - k, n! j!/(k! (n+j)!) times
+  sum_l D^k H_(n-l)(0) 2^l S(j+l, j) C(n+j, n-l), where D^k H_m(0) is the
+  k-th forward difference at 0, computed once per (m, k), and the Stirling
+  column S(j+l, j) is computed once per j;
+* t7 at and above k = r: 2^(k-r) n! D^r H_(n-k+r)(0) / (k! (n-k+r)!).
+  Both t7 branches and t6 share the row denominator (n+r)!.
+
+A cell compares these rows with the solved rows by cross-multiplying
+integers and builds a Fraction only for a mismatch.  The public tN_coeff
+read one entry of the same rows.  t4 and remark read Hermite values from the
+explicit sum H_m(j) = sum_l (-1)^l m!/(l! (m-2l)!) (2j)^(m-2l), in integers,
+never from the Sheffer Hermite table that t5..t8 read, so each pair checks
+two routes.  The tables are kept in bounded memos that verify_theorem
+empties when a cell starts.  Verification compares coefficient vectors,
+never evaluations, so a PASS is an exact identity at the checked
+parameters.  For the lambda families the identity is rational in lambda of
+bounded degree, so checking n_max + r + 1 distinct samples ("symbolic"
+mode) proves it for every lambda != 1.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm, perm
 
 from .errors import RegimeViolation
 from .families import (
@@ -50,26 +62,9 @@ from .families import (
     frobenius_euler,
     hermite,
 )
-from .polynomials import stirling2
-from .series import _as_count
+from .polynomials import _stirling2_columns
+from .series import _as_count, _scale
 from .umbral import _solve_in_basis
-
-# id -> (family paired with Hermite, whether that family is expanded in the
-# Hermite basis rather than Hermite in the family's basis).  Family constructors
-# and tN_coeff are looked up by name when a cell runs, so a replaced one is used.
-_CATALOG = {
-    "t1": ("euler", True),
-    "t2": ("bernoulli", True),
-    "t3": ("frobenius_euler", True),
-    "t4": ("euler", False),
-    "t5": ("euler", False),
-    "t6": ("bernoulli", False),
-    "t7": ("bernoulli", False),
-    "t8": ("frobenius_euler", False),
-    "remark": ("frobenius_euler", False),
-}
-
-THEOREM_IDS = tuple(_CATALOG)
 
 #: Default parameter samples for the lambda families (1 is never allowed).
 DEFAULT_LAMBDAS = (Fraction(-1), Fraction(2), Fraction(1, 2))
@@ -83,96 +78,183 @@ def _check_nkr(n: int, k: int, r: int):
     _as_count(r, "r")
 
 
-#: Entries each closed-form memo keeps, least recently used evicted first.
-_MEMO_SIZE = 4096
+#: Entries each table memo keeps, least recently used evicted first.
+_MEMO_SIZE = 256
+
+
+def _values_at(rows, j_max: int) -> list[list[int]]:
+    """Each integer coefficient row evaluated at 0..j_max."""
+    out = []
+    for row in rows:
+        values = []
+        for j in range(j_max + 1):
+            acc = 0
+            for c in reversed(row):
+                acc = acc * j + c
+            values.append(acc)
+        out.append(values)
+    return out
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _hermite_value(m: int, j) -> Fraction:
-    """Hermite member m evaluated at j, read from the Sheffer table."""
-    return family_polys(hermite(), m)[m].eval(j)
+def _explicit_hermite(n_max: int, j_max: int) -> tuple[list[list[int]], int]:
+    """H_m(j) for m <= n_max, j <= j_max over the denominator 1; never reads a Sheffer table.
+
+    [x^(m-2l)] H_m = (-1)^l m! / (l! (m-2l)!) 2^(m-2l).
+    """
+    rows = []
+    for m in range(n_max + 1):
+        row = [0] * (m + 1)
+        for l in range(m // 2 + 1):
+            c = factorial(m) // (factorial(l) * factorial(m - 2 * l)) << (m - 2 * l)
+            row[m - 2 * l] = -c if l % 2 else c
+        rows.append(row)
+    return _values_at(rows, j_max), 1
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _explicit_hermite(m: int, j: int) -> int:
-    """H_m(j) = sum_l (-1)^l m! / (l! (m-2l)!) (2j)^(m-2l); never reads a Sheffer table."""
-    return sum(
-        (-1) ** l * (factorial(m) // (factorial(l) * factorial(m - 2 * l))) * (2 * j) ** (m - 2 * l)
-        for l in range(m // 2 + 1))
+def _hermite_value(n_max: int, j_max: int) -> tuple[list[list[int]], int]:
+    """H_m(j) for m <= n_max, j <= j_max from the Sheffer Hermite table, over one denominator."""
+    polys = family_polys(hermite(), n_max)
+    d = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    rows = [[c.numerator * (d // c.denominator) for c in p.coeffs] for p in polys]
+    return _values_at(rows, j_max), d
+
+
+def _forward_differences(values) -> list[int]:
+    """D^k f(0) for k < len(values), from the values f(0), f(1), ..."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
+
+
+# A row builder takes the family spec paired with Hermite and n_max and returns
+# rows 0..n_max as (numerators, denominator), entry k of row n being the
+# coefficient at (n, k).
+
+def _basis_rows(spec: FamilySpec, n_max: int):
+    """t1-t3: n!/(k! 2^k) w(n-k) as (n!/k!) 2^(n-k) W[n-k] over 2^n D, where w = W / D."""
+    numbers = family_numbers(spec, n_max)
+    # w(m) = sum_i numbers[m-2i] / ((m-2i)! 4^i i!)
+    w, d = _scale([
+        sum(numbers[m - 2 * i] / (factorial(m - 2 * i) * 4 ** i * factorial(i))
+            for i in range(m // 2 + 1))
+        for m in range(n_max + 1)])
+    return [([perm(n, m) * w[m] << m for m in range(n, -1, -1)], d << n) for n in range(n_max + 1)]
+
+
+def _weighted_rows(hermite_values, spec: FamilySpec, n_max: int):
+    """t4, t5, t8, remark: C(n, k) 2^k w(n-k) over one denominator, where for lam = p/q
+    w(m) = sum_j C(r, j) (-p)^(r-j) q^j H_m(j) / (q-p)^r, H_m(j) = V[m][j] / dV."""
+    values, dv = hermite_values
+    r = spec.order_r
+    lam = Fraction(-1) if spec.lam is None else spec.lam  # Euler is Frobenius-Euler at -1
+    p, q = lam.numerator, lam.denominator
+    weights = [comb(r, j) * (-p) ** (r - j) * q ** j for j in range(r + 1)]
+    w = [sum(c * v for c, v in zip(weights, row)) for row in values]
+    d = dv * (q - p) ** r
+    return [([comb(n, k) * w[n - k] << k for k in range(n + 1)], d) for n in range(n_max + 1)]
+
+
+def _explicit_rows(spec: FamilySpec, n_max: int):
+    """t4 and remark: the weighted rows on the explicit Hermite sum."""
+    return _weighted_rows(_explicit_hermite(n_max, spec.order_r), spec, n_max)
+
+
+def _sheffer_rows(spec: FamilySpec, n_max: int):
+    """t5 and t8: the weighted rows on values of the Sheffer Hermite table."""
+    return _weighted_rows(_hermite_value(n_max, spec.order_r), spec, n_max)
+
+
+def _stirling_rows(spec: FamilySpec, n_max: int):
+    """t6 and t7 over (n+r)! dV, since k! (n+r-k)! divides (n+r)! by C(n+r, k)."""
+    r = spec.order_r
+    values, dv = _hermite_value(n_max, n_max)
+    diffs = [_forward_differences(row[: m + 1]) for m, row in enumerate(values)]
+    cols = [col[:] for col in _stirling2_columns(r, n_max + 1)]  # cols[j][l] = S(j+l, j)
+    rows = []
+    for n in range(n_max + 1):
+        row = []
+        for k in range(n + 1):
+            if k < r:
+                j = r - k
+                tot = sum(diffs[n - l][k] * cols[j][l] * comb(n + j, n - l) << l
+                          for l in range(n - k + 1))
+                row.append(factorial(n) * factorial(j) * comb(n + r, k) * tot)
+            else:
+                row.append(factorial(n) * comb(n + r, k) * diffs[n - k + r][r] << (k - r))
+        rows.append((row, factorial(n + r) * dv))
+    return rows
+
+
+# id -> (family paired with Hermite, whether that family is expanded in the
+# Hermite basis rather than Hermite in the family's basis, row builder).  Family
+# constructors are looked up by name, so a replaced one is used.  A cell builds
+# its rows with the builder found here when it runs; tN_coeff are no longer
+# looked up by name, and each reads one entry of the same rows.
+_CATALOG = {
+    "t1": ("euler", True, _basis_rows),
+    "t2": ("bernoulli", True, _basis_rows),
+    "t3": ("frobenius_euler", True, _basis_rows),
+    "t4": ("euler", False, _explicit_rows),
+    "t5": ("euler", False, _sheffer_rows),
+    "t6": ("bernoulli", False, _stirling_rows),
+    "t7": ("bernoulli", False, _stirling_rows),
+    "t8": ("frobenius_euler", False, _sheffer_rows),
+    "remark": ("frobenius_euler", False, _explicit_rows),
+}
+
+THEOREM_IDS = tuple(_CATALOG)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _weighted_values(value, m: int, r: int, lam) -> Fraction:
-    # sum_j C(r, j) (-lam)^(r-j) value(m, j) / (1 - lam)^r; a Fraction power keeps
-    # the int lam = -1 of t4 and t5 exact
-    tot = sum(comb(r, j) * (-lam) ** (r - j) * value(m, j) for j in range(r + 1))
-    return tot / Fraction(1 - lam) ** r
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _hermite_basis_sum(spec: FamilySpec, m: int) -> Fraction:
-    # sum_i numbers[m-2i] / ((m-2i)! 4^i i!) over the family's numbers 0..m
-    numbers = family_numbers(spec, m)
-    return sum(
-        numbers[m - 2 * i] / (factorial(m - 2 * i) * 4 ** i * factorial(i))
-        for i in range(m // 2 + 1))
+def _cell_rows(tid: str, spec: FamilySpec, n_max: int):
+    """Rows 0..n_max of identity tid for the family spec, built once per cell."""
+    return _CATALOG[tid][2](spec, n_max)
 
 
 def _new_cell():
-    """Empty every closed-form memo, so a cell reads only the tables it runs with."""
-    for memo in (_hermite_value, _explicit_hermite, _weighted_values, _hermite_basis_sum):
+    """Empty every table memo, so a cell reads only the tables it runs with."""
+    for memo in (_explicit_hermite, _hermite_value, _cell_rows):
         memo.cache_clear()
 
 
-def _hermite_basis_coeff(spec: FamilySpec, n: int, k: int) -> Fraction:
-    # t1-t3: n! / (k! 2^k) times the k-free sum at m = n - k
-    return Fraction(factorial(n), factorial(k) * 2 ** k) * _hermite_basis_sum(spec, n - k)
-
-
-def _hermite_sum_coeff(value, n: int, k: int, r: int, lam) -> Fraction:
-    # t4/t5/t8/remark: C(n, k) 2^k times the k-free weighted sum at m = n - k
-    return comb(n, k) * 2 ** k * _weighted_values(value, n - k, r, lam)
+def _entry(tid: str, n: int, k: int, *params) -> Fraction:
+    """Entry (n, k) of tid's rows for the family made from params (the order, and lambda)."""
+    nums, d = _cell_rows(tid, globals()[_CATALOG[tid][0]](*params), n)[n]
+    return Fraction(nums[k], d)
 
 
 def t1_coeff(n: int, k: int, r: int) -> Fraction:
     """Hermite-basis coefficient of the degree-n order-r Euler member."""
     _check_nkr(n, k, r)
-    return _hermite_basis_coeff(euler(r), n, k)
+    return _entry("t1", n, k, r)
 
 
 def t2_coeff(n: int, k: int, r: int) -> Fraction:
     """Hermite-basis coefficient of the degree-n order-r Bernoulli member."""
     _check_nkr(n, k, r)
-    return _hermite_basis_coeff(bernoulli(r), n, k)
+    return _entry("t2", n, k, r)
 
 
 def t3_coeff(n: int, k: int, r: int, lam) -> Fraction:
     """Hermite-basis coefficient of the degree-n order-r Frobenius-Euler member."""
     _check_nkr(n, k, r)
-    return _hermite_basis_coeff(frobenius_euler(r, lam), n, k)
+    return _entry("t3", n, k, r, _as_lambda(lam))
 
 
 def t4_coeff(n: int, k: int, r: int) -> Fraction:
     """Order-r Euler-basis coefficient of the degree-n Hermite member (double sum)."""
     _check_nkr(n, k, r)
-    return _hermite_sum_coeff(_explicit_hermite, n, k, r, -1)
+    return _entry("t4", n, k, r)
 
 
 def t5_coeff(n: int, k: int, r: int) -> Fraction:
     """Same coefficient as t4, through Hermite values at integer points."""
     _check_nkr(n, k, r)
-    return _hermite_sum_coeff(_hermite_value, n, k, r, -1)
-
-
-def _stirling_route_coeff(n: int, k: int, r: int) -> Fraction:
-    # the k < r shape shared by t6 and t7's first branch
-    tot = Fraction(0)
-    # the k-th forward difference of H_(n-l) vanishes once its degree n - l falls below k
-    for l in range(n - k + 1):
-        diff = sum((-1) ** (k - j) * comb(k, j) * _hermite_value(n - l, j) for j in range(k + 1))
-        tot += diff * 2 ** l * stirling2(l + r - k, r - k) * Fraction(
-            factorial(r - k), factorial(l + r - k) * factorial(n - l))
-    return Fraction(factorial(n), factorial(k)) * tot
+    return _entry("t5", n, k, r)
 
 
 def t6_coeff(n: int, k: int, r: int) -> Fraction:
@@ -180,35 +262,31 @@ def t6_coeff(n: int, k: int, r: int) -> Fraction:
     _check_nkr(n, k, r)
     if r <= n:
         raise RegimeViolation(f"this form needs r > n, got r={r}, n={n}")
-    return _stirling_route_coeff(n, k, r)
+    return _entry("t6", n, k, r)
 
 
 def t7_coeff(n: int, k: int, r: int) -> Fraction:
     """Order-r Bernoulli-basis coefficient of the degree-n Hermite member, n >= r.
 
-    Splits at k = r: below it the Stirling-route shape applies, at and
-    above it a single Hermite-values sum.
+    Splits at k = r: below it the Stirling-route shape of t6 applies, at and
+    above it a single r-th forward difference.
     """
     _check_nkr(n, k, r)
     if n < r:
         raise RegimeViolation(f"this form needs n >= r, got n={n}, r={r}")
-    if k < r:
-        return _stirling_route_coeff(n, k, r)
-    tot = sum(
-        comb(r, j) * (-1) ** (r - j) * _hermite_value(n - k + r, j) for j in range(r + 1))
-    return Fraction(2 ** (k - r) * factorial(n), factorial(k) * factorial(n - k + r)) * tot
+    return _entry("t7", n, k, r)
 
 
 def t8_coeff(n: int, k: int, r: int, lam) -> Fraction:
     """Order-r Frobenius-Euler-basis coefficient of the degree-n Hermite member."""
     _check_nkr(n, k, r)
-    return _hermite_sum_coeff(_hermite_value, n, k, r, _as_lambda(lam))
+    return _entry("t8", n, k, r, _as_lambda(lam))
 
 
 def remark_coeff(n: int, k: int, r: int, lam) -> Fraction:
     """Double-sum form of the t8 coefficient; identical values."""
     _check_nkr(n, k, r)
-    return _hermite_sum_coeff(_explicit_hermite, n, k, r, _as_lambda(lam))
+    return _entry("remark", n, k, r, _as_lambda(lam))
 
 
 def lambda_samples(count: int, base=()) -> tuple[Fraction, ...]:
@@ -258,19 +336,21 @@ class IdentityReport:
         return self.status == "PASS"
 
 
-def _first_mismatch(lhs_polys, basis_polys, coeff_fn, ns, lam=None) -> Mismatch | None:
-    """First (n, k) where the closed form coeff_fn(n, k) differs from the solved coefficient.
+def _first_mismatch(lhs_polys, basis_polys, rows, ns, lam=None) -> Mismatch | None:
+    """First (n, k) where the closed-form rows differ from the solved coefficients.
 
     Each lhs_polys[n] is solved in the graded basis (basis_polys[k] has degree k),
     and lhs_n = sum_k c_k basis_k holds exactly when c is the solved row, so a PASS
-    is the same polynomial equation as recombining the right-hand side.
+    is the same polynomial equation as recombining the right-hand side.  rows[n] is
+    (numerators, denominator); each entry is cross-multiplied with the solved
+    Fraction, and a Fraction is built only for the Mismatch.
     """
     solved = _solve_in_basis(lhs_polys, basis_polys)
     for n in ns:
-        for k, expected in enumerate(solved[n]):
-            got = coeff_fn(n, k)
-            if got != expected:
-                return Mismatch(n, k, expected, got, lam)
+        nums, d = rows[n]
+        for k, (want, got) in enumerate(zip(solved[n], nums, strict=True)):
+            if want.numerator * d != got * want.denominator:
+                return Mismatch(n, k, want, Fraction(got, d), lam)
     return None
 
 
@@ -300,7 +380,7 @@ def verify_theorem(
     if tid == "t7" and r > n_max:
         raise RegimeViolation(f"t7 needs order_r <= n_max, got order_r={r}, n_max={n_max}")
 
-    family_name, in_hermite_basis = _CATALOG[tid]
+    family_name, in_hermite_basis, _ = _CATALOG[tid]
     lams: tuple[Fraction, ...] = ()
     if family_name == "frobenius_euler":
         base = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)
@@ -308,17 +388,17 @@ def verify_theorem(
         lams = lambda_samples(count, base)
         if not lams:
             raise ValueError("need at least one lambda sample")
-    family, coeff = globals()[family_name], globals()[f"{tid}_coeff"]
+    family = globals()[family_name]
     _new_cell()
 
     hermite_polys = family_polys(hermite(), n_max)
     ns = range(r if tid == "t7" else 0, n_max + 1)
     failure: Mismatch | None = None
     for lam in lams or (None,):
-        params = (r,) if lam is None else (r, lam)
-        polys = family_polys(family(*params), n_max)
+        spec = family(r) if lam is None else family(r, lam)
+        polys = family_polys(spec, n_max)
         lhs, basis = (polys, hermite_polys) if in_hermite_basis else (hermite_polys, polys)
-        failure = _first_mismatch(lhs, basis, lambda n, k: coeff(n, k, *params), ns, lam)
+        failure = _first_mismatch(lhs, basis, _cell_rows(tid, spec, n_max), ns, lam)
         if failure is not None:
             break
 

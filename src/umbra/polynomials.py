@@ -33,7 +33,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, k: int, c=1) -> "Poly":
-        return cls([_ZERO] * k + [as_rational(c)])
+        return cls([_ZERO] * _as_count(k, "degree") + [as_rational(c)])
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -107,28 +107,37 @@ def falling_factorial(n: int) -> Poly:
     return result
 
 
-def _triangle_entry(n: int, l: int, weight) -> int:
-    # t(m, k) = t(m-1, k-1) + weight(m, k) t(m-1, k), t(0, 0) = 1, down rows 1..n in one
-    # list, right to left in place; entry l of row n reads only columns l-(n-m)..l of row m
-    col = [1] + [0] * l
-    for m in range(1, n + 1):
-        for k in range(min(m, l), max(0, l - n + m - 1), -1):
-            col[k] = col[k - 1] + weight(m, k) * col[k]
-        col[0] = 0
-    return col[l]
-
-
 def stirling1(n: int, l: int) -> Fraction:
     """Signed Stirling number of the first kind: [x^l] (x)_n."""
     if _as_count(l, "Stirling index") > _as_count(n, "Stirling index"):
         return _ZERO
-    # s(n, l) = s(n-1, l-1) - (n-1) s(n-1, l)
-    return Fraction(_triangle_entry(n, l, lambda m, k: 1 - m))
+    # s(m, i) = s(m-1, i-1) - (m-1) s(m-1, i), s(0, 0) = 1, down rows 1..n in one list, right
+    # to left in place; entry l of row n reads only columns l-(n-m)..l of row m
+    col = [1] + [0] * l
+    for m in range(1, n + 1):
+        for i in range(min(m, l), max(0, l - n + m - 1), -1):
+            col[i] = col[i - 1] + (1 - m) * col[i]
+        col[0] = 0
+    return Fraction(col[l])
+
+
+def _stirling2_columns(j_max: int, length: int):
+    """Yield c_j[l] = S(j+l, j) for l < length, for j = 0..j_max, in one list updated in place.
+
+    S(j+l, j) is the complete homogeneous sum h_l(1..j), so column j follows from
+    column j-1 by c_j[l] = c_(j-1)[l] + j c_j[l-1], starting from c_0 = [1, 0, 0, ...].
+    """
+    col = [1] + [0] * (length - 1)
+    yield col
+    for j in range(1, j_max + 1):
+        for l in range(1, length):
+            col[l] += j * col[l - 1]
+        yield col
 
 
 def stirling2(l: int, n: int) -> Fraction:
     """Stirling number of the second kind: partitions of l items into n blocks."""
     if _as_count(n, "Stirling index") > _as_count(l, "Stirling index"):
         return _ZERO
-    # S(l, n) = S(l-1, n-1) + n S(l-1, n)
-    return Fraction(_triangle_entry(l, n, lambda m, k: k))
+    *_, col = _stirling2_columns(n, l - n + 1)
+    return Fraction(col[l - n])

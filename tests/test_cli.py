@@ -7,6 +7,7 @@ import umbra.identities as identities
 from umbra import as_rational
 from umbra.cli import (
     EXIT_IDENTITY_FAILURE,
+    EXIT_INCONSISTENT,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -194,14 +195,8 @@ def test_verify_csv_refused(capsys):
     assert code == EXIT_USAGE
 
 
-def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
-    base = identities.t1_coeff
-
-    def corrupted(n, k, r):
-        value = base(n, k, r)
-        return value + 1 if (n, k) == (2, 0) else value
-
-    monkeypatch.setattr(identities, "t1_coeff", corrupted)
+def test_verify_reports_failure_with_exit_one(capsys, corrupt_entry):
+    corrupt_entry("t1", 2, 0)
     code, out, _ = run(capsys, "verify", "--theorems", "t1,t2", "--max-n", "3", "--orders", "1")
     assert code == EXIT_IDENTITY_FAILURE
     doc = parse_document(out)
@@ -294,3 +289,16 @@ def test_version_flag(capsys):
     assert main(["--version"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("umbra ")
+
+
+def test_unexpected_exception_exits_three(capsys, monkeypatch):
+    import umbra.cli as cli
+
+    def crash(*args, **kwargs):
+        raise TypeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "verify_theorem", crash)
+    code, out, err = run(capsys, "verify", "--theorems", "t1", "--max-n", "3")
+    assert code == EXIT_INCONSISTENT == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "TypeError" in err

@@ -93,6 +93,8 @@ def test_counts_refuse_bool_float_and_negative():
         "TruncatedSeries.truncate(x)": lambda x: S([1, 2, 3]).truncate(x),
         "TruncatedSeries ** x": lambda x: S([1, 1]) ** x,
         "Poly ** x": lambda x: Poly([1, 1]) ** x,
+        "Poly.monomial(x)": Poly.monomial,
+        "Poly.monomial(x, 5)": lambda x: Poly.monomial(x, 5),
         "Poly.derivative(x)": lambda x: Poly([1, 2, 3]).derivative(x),
         "falling_factorial(x)": falling_factorial,
         "stirling1(x, 0)": lambda x: stirling1(x, 0),

@@ -16,6 +16,7 @@ from umbra import (
     euler,
     family_numbers,
     family_poly,
+    family_polys,
     frobenius_euler,
     hermite,
     lambda_samples,
@@ -32,6 +33,8 @@ from umbra import (
     t8_coeff,
     verify_theorem,
 )
+
+from umbra.umbral import _solve_in_basis
 
 from test_series import assert_canonical
 
@@ -219,6 +222,21 @@ def test_lambda_forms_match_oracles_at_wide_lambdas(seed):
             assert_wide(t3_coeff(n, k, r, lam), want, where)
             assert_wide(t8_coeff(n, k, r, lam), hermite_values_oracle(n, k, r, lam), where)
             assert_wide(remark_coeff(n, k, r, lam), double_sum_oracle(n, k, r, lam), where)
+
+
+@pytest.mark.parametrize("tid", identities.THEOREM_IDS)
+def test_builder_row_is_the_solved_row_and_the_public_row(tid):
+    n_max, r = 8, {"t6": 9, "t7": 3}.get(tid, 2)
+    family_name, in_hermite_basis, build = identities._CATALOG[tid]
+    lam = (F(-7, 3),) if family_name == "frobenius_euler" else ()
+    spec = getattr(identities, family_name)(r, *lam)
+    hermites, polys = family_polys(hermite(), n_max), family_polys(spec, n_max)
+    lhs, basis = (polys, hermites) if in_hermite_basis else (hermites, polys)
+    solved = _solve_in_basis(lhs, basis)[n_max]
+    nums, d = build(spec, n_max)[n_max]
+    assert [F(x, d) for x in nums] == solved
+    coeff = getattr(identities, f"{tid}_coeff")
+    assert [coeff(n_max, k, r, *lam) for k in range(n_max + 1)] == solved
 
 
 def test_t1_spot_values():
@@ -423,14 +441,8 @@ def test_verify_regime_errors():
         verify_theorem("t8", 4, 1, lambdas=())
 
 
-def test_verify_reports_first_failure(monkeypatch):
-    base = identities.t1_coeff
-
-    def corrupted(n, k, r):
-        value = base(n, k, r)
-        return value + 1 if (n, k) == (3, 1) else value
-
-    monkeypatch.setattr(identities, "t1_coeff", corrupted)
+def test_verify_reports_first_failure(corrupt_entry):
+    corrupt_entry("t1", 3, 1)
     report = verify_theorem("t1", 5, 1)
     assert not report.passed
     assert report.status == "FAIL"
@@ -439,6 +451,19 @@ def test_verify_reports_first_failure(monkeypatch):
     # the failure names the wrong closed-form coefficient: expected is the solved value
     assert failure.expected != failure.got
     assert failure.k == 1
+    assert failure.got == failure.expected + 1
+
+
+@pytest.mark.parametrize("tid, n_max, r, n, k, lam", [
+    ("t6", 6, 7, 4, 2, None),  # inside the Stirling-route sum
+    ("t7", 6, 2, 5, 3, None),  # on the k >= r branch
+    ("t8", 5, 2, 4, 1, F(-1)),  # the first lambda sample fails first
+])
+def test_verify_reports_first_failure_in_every_row_shape(corrupt_entry, tid, n_max, r, n, k, lam):
+    assert verify_theorem(tid, n_max, r).passed
+    corrupt_entry(tid, n, k)
+    failure = verify_theorem(tid, n_max, r).first_failure
+    assert (failure.n, failure.k, failure.lam) == (n, k, lam)
     assert failure.got == failure.expected + 1
 
 
