@@ -82,34 +82,13 @@ def _check_nkr(n: int, k: int, r: int):
 _MEMO_SIZE = 256
 
 
-def _values_at(rows, j_max: int) -> list[list[int]]:
-    """Each integer coefficient row evaluated at 0..j_max."""
-    out = []
-    for row in rows:
-        values = []
-        for j in range(j_max + 1):
-            acc = 0
-            for c in reversed(row):
-                acc = acc * j + c
-            values.append(acc)
-        out.append(values)
-    return out
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def _explicit_hermite(n_max: int, j_max: int) -> tuple[list[list[int]], int]:
-    """H_m(j) for m <= n_max, j <= j_max over the denominator 1; never reads a Sheffer table.
-
-    [x^(m-2l)] H_m = (-1)^l m! / (l! (m-2l)!) 2^(m-2l).
-    """
-    rows = []
-    for m in range(n_max + 1):
-        row = [0] * (m + 1)
-        for l in range(m // 2 + 1):
-            c = factorial(m) // (factorial(l) * factorial(m - 2 * l)) << (m - 2 * l)
-            row[m - 2 * l] = -c if l % 2 else c
-        rows.append(row)
-    return _values_at(rows, j_max), 1
+    """H_m(j) = sum_l (-1)^l m!/(l! (m-2l)!) (2j)^(m-2l) for m <= n_max, j <= j_max, over the
+    denominator 1; never reads a Sheffer table."""
+    return [[sum((-1) ** l * (factorial(m) // (factorial(l) * factorial(m - 2 * l)))
+                 * (2 * j) ** (m - 2 * l) for l in range(m // 2 + 1))
+             for j in range(j_max + 1)] for m in range(n_max + 1)], 1
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -118,16 +97,8 @@ def _hermite_value(n_max: int, j_max: int) -> tuple[list[list[int]], int]:
     polys = family_polys(hermite(), n_max)
     d = lcm(*(c.denominator for p in polys for c in p.coeffs))
     rows = [[c.numerator * (d // c.denominator) for c in p.coeffs] for p in polys]
-    return _values_at(rows, j_max), d
-
-
-def _forward_differences(values) -> list[int]:
-    """D^k f(0) for k < len(values), from the values f(0), f(1), ..."""
-    out = []
-    while values:
-        out.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    return out
+    return [[sum(c * j ** i for i, c in enumerate(row)) for j in range(j_max + 1)]
+            for row in rows], d
 
 
 # A row builder takes the family spec paired with Hermite and n_max and returns
@@ -172,7 +143,9 @@ def _stirling_rows(spec: FamilySpec, n_max: int):
     """t6 and t7 over (n+r)! dV, since k! (n+r-k)! divides (n+r)! by C(n+r, k)."""
     r = spec.order_r
     values, dv = _hermite_value(n_max, n_max)
-    diffs = [_forward_differences(row[: m + 1]) for m, row in enumerate(values)]
+    # diffs[m][k] = D^k H_m(0) dV = sum_i (-1)^(k-i) C(k, i) H_m(i) dV, once per (m, k)
+    diffs = [[sum((-1) ** (k - i) * comb(k, i) * row[i] for i in range(k + 1))
+              for k in range(m + 1)] for m, row in enumerate(values)]
     cols = [col[:] for col in _stirling2_columns(r, n_max + 1)]  # cols[j][l] = S(j+l, j)
     rows = []
     for n in range(n_max + 1):
