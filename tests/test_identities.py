@@ -458,6 +458,7 @@ def test_verify_reports_first_failure(corrupt_entry):
     ("t6", 6, 7, 4, 2, None),  # inside the Stirling-route sum
     ("t7", 6, 2, 5, 3, None),  # on the k >= r branch
     ("t8", 5, 2, 4, 1, F(-1)),  # the first lambda sample fails first
+    ("t5", 4, 1, 3, 3, None),  # the last entry of a row
 ])
 def test_verify_reports_first_failure_in_every_row_shape(corrupt_entry, tid, n_max, r, n, k, lam):
     assert verify_theorem(tid, n_max, r).passed
