@@ -33,7 +33,6 @@ from umbra import (
     t8_coeff,
     verify_theorem,
 )
-
 from umbra.umbral import _solve_in_basis
 
 from test_series import assert_canonical
