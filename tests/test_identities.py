@@ -114,13 +114,22 @@ def t7_upper_oracle(n, k, r):
 ORACLE_N = 12
 ORACLE_ORDERS = range(6)
 ORACLE_LAMBDAS = lambda_samples(6) + (-1,)  # the int -1 too, as t4 and t5 pass it
+# orders above every checked degree, where the r + 1 weights of t4, t5, t8 and
+# remark outnumber the coefficients of the Hermite member they weigh
+HIGH_ORDERS = range(13, 21)
+HIGH_ORDER_N = 8
 
 
-def oracle_cells():
-    for r in ORACLE_ORDERS:
-        for n in range(ORACLE_N + 1):
+def oracle_cells(orders=ORACLE_ORDERS, n_max=ORACLE_N):
+    for r in orders:
+        for n in range(n_max + 1):
             for k in range(n + 1):
                 yield n, k, r
+
+
+def weighted_cells():
+    yield from oracle_cells()
+    yield from oracle_cells(HIGH_ORDERS, HIGH_ORDER_N)
 
 
 def assert_exact(got, want, where):
@@ -143,19 +152,19 @@ def test_t3_matches_basis_sum_oracle():
 
 
 def test_t4_remark_match_double_sum_oracle():
-    for n, k, r in oracle_cells():
+    for n, k, r in weighted_cells():
         assert_exact(t4_coeff(n, k, r), double_sum_oracle(n, k, r, -1), (n, k, r))
     for lam in ORACLE_LAMBDAS:
-        for n, k, r in oracle_cells():
+        for n, k, r in weighted_cells():
             want = double_sum_oracle(n, k, r, lam)
             assert_exact(remark_coeff(n, k, r, lam), want, (n, k, r, lam))
 
 
 def test_t5_t8_match_hermite_values_oracle():
-    for n, k, r in oracle_cells():
+    for n, k, r in weighted_cells():
         assert_exact(t5_coeff(n, k, r), hermite_values_oracle(n, k, r, -1), (n, k, r))
     for lam in ORACLE_LAMBDAS:
-        for n, k, r in oracle_cells():
+        for n, k, r in weighted_cells():
             want = hermite_values_oracle(n, k, r, lam)
             assert_exact(t8_coeff(n, k, r, lam), want, (n, k, r, lam))
 
