@@ -148,14 +148,20 @@ def report_document(report: IdentityReport) -> dict:
 def parse_document(text: str) -> dict:
     """Parse an emitted JSON document back into exact values.
 
-    Row coefficients (and lambda fields) come back as Fractions, so a
-    parsed table compares equal to the values it was built from.
+    Row coefficients, each report's lambdas and a FAIL report's expected, got and
+    lambda come back as Fractions that compare equal to the values they were built
+    from; the grid's lambdas and each family descriptor's lambda stay text.
     """
     doc = json.loads(text)
     for row in doc.get("rows", ()):
         row["coefficients"] = [Fraction(c) for c in row["coefficients"]]
     for report in doc.get("reports", ()):
         report["lambdas"] = [Fraction(v) for v in report["lambdas"]]
+        failure = report["first_failure"]
+        if failure is not None:
+            for key in ("expected", "got", "lambda"):
+                if failure[key] is not None:
+                    failure[key] = Fraction(failure[key])
     return doc
 
 

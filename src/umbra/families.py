@@ -49,6 +49,8 @@ class FamilySpec:
     lam: Fraction | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, FamilyKind):
+            raise TypeError(f"family kind must be a FamilyKind, got {self.kind!r}")
         _as_count(self.order_r, "family order")
         if self.kind is FamilyKind.FROBENIUS_EULER:
             if self.lam is None:

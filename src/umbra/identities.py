@@ -14,33 +14,33 @@ Identity ids t1..t3 expand a family in the Hermite basis; t4..t8 and
 * t8 / remark: Hermite members in the order-r Frobenius-Euler basis
   (Hermite-values and double-sum forms).
 
-Each identity has one row builder.  A verification cell sets it up once per
-order and lambda from tables that do not depend on k, and it gives row n of
-the closed form as integer numerators over one denominator:
+Each identity has one row builder.  It gives rows 0..n_max of the closed form
+as integer numerators over one denominator, from tables that do not depend on k:
 
 * t1..t3: n!/(k! 2^k) w(n-k), with w(m) the family's Hermite-basis sum, as
   (n!/k!) 2^(n-k) W[n-k] over 2^n D, where w = W / D;
 * t4, t5, t8, remark: C(n, k) 2^k w(n-k), where for lam = p/q
-  w(m) = sum_j C(r, j) (-p)^(r-j) q^j H_m(j) / (q-p)^r is summed on integers.
+  w(m) = sum_i [x^i]H_m M_i / (q-p)^r, on the integer moments
+  M_i = sum_j C(r, j) (-p)^(r-j) q^j j^i.
   Frobenius-Euler at lam = -1 is Euler, so t4 / t5 are remark / t8 at -1;
 * t6, and t7 below k = r: with j = r - k, n! j!/(k! (n+j)!) times
-  sum_l D^k H_(n-l)(0) 2^l S(j+l, j) C(n+j, n-l), where D^k H_m(0) is the
-  k-th forward difference at 0, computed once per (m, k), and the Stirling
-  column S(j+l, j) is computed once per j;
+  sum_l D^k H_(n-l)(0) 2^l S(j+l, j) C(n+j, n-l), where the k-th forward
+  difference at 0 is D^k H_m(0) = k! sum_i [x^i]H_m S(i, k), and the Stirling
+  columns S(j+l, j) are built once per row set;
 * t7 at and above k = r: 2^(k-r) n! D^r H_(n-k+r)(0) / (k! (n-k+r)!).
   Both t7 branches and t6 share the row denominator (n+r)!.
 
-A cell compares these rows with the solved rows by cross-multiplying
-integers and builds a Fraction only for a mismatch.  The public tN_coeff
-read one entry of the same rows.  t4 and remark read Hermite values from the
-explicit sum H_m(j) = sum_l (-1)^l m!/(l! (m-2l)!) (2j)^(m-2l), in integers,
-never from the Sheffer Hermite table that t5..t8 read, so each pair checks
-two routes.  The tables are kept in bounded memos that verify_theorem
-empties when a cell starts.  Verification compares coefficient vectors,
-never evaluations, so a PASS is an exact identity at the checked
-parameters.  For the lambda families the identity is rational in lambda of
-bounded degree, so checking n_max + r + 1 distinct samples ("symbolic"
-mode) proves it for every lambda != 1.
+A verification cell builds its rows when it runs and keeps no table, so its
+verdict does not depend on the cells before it.  It compares the rows with the
+solved rows by cross-multiplying integers and builds a Fraction only for a
+mismatch.  The public tN_coeff read one entry of the same rows, which are
+memoized for them alone.  t4 and remark read the explicit Hermite coefficients
+[x^(m-2l)] H_m = (-1)^l m!/(l! (m-2l)!) 2^(m-2l), never the Sheffer Hermite
+table that t5..t8 read, so each pair checks two routes.  Verification
+compares coefficient vectors, never evaluations, so a PASS is an exact
+identity at the checked parameters.  For the lambda families the identity is
+rational in lambda of bounded degree, so checking n_max + r + 1 distinct
+samples ("symbolic" mode) proves it for every lambda != 1.
 """
 
 from __future__ import annotations
@@ -78,27 +78,22 @@ def _check_nkr(n: int, k: int, r: int):
     _as_count(r, "r")
 
 
-#: Entries each table memo keeps, least recently used evicted first.
-_MEMO_SIZE = 256
+def _explicit_hermite(n_max: int) -> tuple[list[list[int]], int]:
+    """[x^i] H_m for m <= n_max over the denominator 1, from
+    [x^(m-2l)] H_m = (-1)^l m!/(l! (m-2l)!) 2^(m-2l); never reads a Sheffer table."""
+    rows = [[0] * (m + 1) for m in range(n_max + 1)]
+    for m, row in enumerate(rows):
+        for l in range(m // 2 + 1):
+            i = m - 2 * l
+            row[i] = (-1) ** l * (factorial(m) // (factorial(l) * factorial(i))) << i
+    return rows, 1
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _explicit_hermite(n_max: int, j_max: int) -> tuple[list[list[int]], int]:
-    """H_m(j) = sum_l (-1)^l m!/(l! (m-2l)!) (2j)^(m-2l) for m <= n_max, j <= j_max, over the
-    denominator 1; never reads a Sheffer table."""
-    return [[sum((-1) ** l * (factorial(m) // (factorial(l) * factorial(m - 2 * l)))
-                 * (2 * j) ** (m - 2 * l) for l in range(m // 2 + 1))
-             for j in range(j_max + 1)] for m in range(n_max + 1)], 1
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _hermite_value(n_max: int, j_max: int) -> tuple[list[list[int]], int]:
-    """H_m(j) for m <= n_max, j <= j_max from the Sheffer Hermite table, over one denominator."""
+def _sheffer_hermite(n_max: int) -> tuple[list[list[int]], int]:
+    """[x^i] H_m for m <= n_max from the Sheffer Hermite table, over one denominator."""
     polys = family_polys(hermite(), n_max)
     d = lcm(*(c.denominator for p in polys for c in p.coeffs))
-    rows = [[c.numerator * (d // c.denominator) for c in p.coeffs] for p in polys]
-    return [[sum(c * j ** i for i, c in enumerate(row)) for j in range(j_max + 1)]
-            for row in rows], d
+    return [[c.numerator * (d // c.denominator) for c in p.coeffs] for p in polys], d
 
 
 # A row builder takes the family spec paired with Hermite and n_max and returns
@@ -116,37 +111,39 @@ def _basis_rows(spec: FamilySpec, n_max: int):
     return [([perm(n, m) * w[m] << m for m in range(n, -1, -1)], d << n) for n in range(n_max + 1)]
 
 
-def _weighted_rows(hermite_values, spec: FamilySpec, n_max: int):
+def _weighted_rows(hermite_coeffs, spec: FamilySpec, n_max: int):
     """t4, t5, t8, remark: C(n, k) 2^k w(n-k) over one denominator, where for lam = p/q
-    w(m) = sum_j C(r, j) (-p)^(r-j) q^j H_m(j) / (q-p)^r, H_m(j) = V[m][j] / dV."""
-    values, dv = hermite_values
+    w(m) = sum_i [x^i]H_m M_i / (q-p)^r, M_i = sum_j C(r, j) (-p)^(r-j) q^j j^i, and
+    [x^i]H_m = A[m][i] / dA."""
+    coeffs, da = hermite_coeffs
     r = spec.order_r
     lam = Fraction(-1) if spec.lam is None else spec.lam  # Euler is Frobenius-Euler at -1
     p, q = lam.numerator, lam.denominator
     weights = [comb(r, j) * (-p) ** (r - j) * q ** j for j in range(r + 1)]
-    w = [sum(c * v for c, v in zip(weights, row)) for row in values]
-    d = dv * (q - p) ** r
+    moments = [sum(c * j ** i for j, c in enumerate(weights)) for i in range(n_max + 1)]
+    w = [sum(c * mo for c, mo in zip(row, moments)) for row in coeffs]
+    d = da * (q - p) ** r
     return [([comb(n, k) * w[n - k] << k for k in range(n + 1)], d) for n in range(n_max + 1)]
 
 
 def _explicit_rows(spec: FamilySpec, n_max: int):
-    """t4 and remark: the weighted rows on the explicit Hermite sum."""
-    return _weighted_rows(_explicit_hermite(n_max, spec.order_r), spec, n_max)
+    """t4 and remark: the weighted rows on the explicit Hermite coefficients."""
+    return _weighted_rows(_explicit_hermite(n_max), spec, n_max)
 
 
 def _sheffer_rows(spec: FamilySpec, n_max: int):
-    """t5 and t8: the weighted rows on values of the Sheffer Hermite table."""
-    return _weighted_rows(_hermite_value(n_max, spec.order_r), spec, n_max)
+    """t5 and t8: the weighted rows on the Sheffer Hermite coefficients."""
+    return _weighted_rows(_sheffer_hermite(n_max), spec, n_max)
 
 
 def _stirling_rows(spec: FamilySpec, n_max: int):
-    """t6 and t7 over (n+r)! dV, since k! (n+r-k)! divides (n+r)! by C(n+r, k)."""
+    """t6 and t7 over (n+r)! dA, since k! (n+r-k)! divides (n+r)! by C(n+r, k)."""
     r = spec.order_r
-    values, dv = _hermite_value(n_max, n_max)
-    # diffs[m][k] = D^k H_m(0) dV = sum_i (-1)^(k-i) C(k, i) H_m(i) dV, once per (m, k)
-    diffs = [[sum((-1) ** (k - i) * comb(k, i) * row[i] for i in range(k + 1))
-              for k in range(m + 1)] for m, row in enumerate(values)]
+    coeffs, da = _sheffer_hermite(n_max)
     cols = [col[:] for col in _stirling2_columns(r, n_max + 1)]  # cols[j][l] = S(j+l, j)
+    # diffs[m][k] = D^k H_m(0) dA = k! sum_i [x^i]H_m S(i, k) dA, for k <= min(m, r)
+    diffs = [[factorial(k) * sum(c * s for c, s in zip(row[k:], cols[k]))
+              for k in range(min(m, r) + 1)] for m, row in enumerate(coeffs)]
     rows = []
     for n in range(n_max + 1):
         row = []
@@ -158,15 +155,15 @@ def _stirling_rows(spec: FamilySpec, n_max: int):
                 row.append(factorial(n) * factorial(j) * comb(n + r, k) * tot)
             else:
                 row.append(factorial(n) * comb(n + r, k) * diffs[n - k + r][r] << (k - r))
-        rows.append((row, factorial(n + r) * dv))
+        rows.append((row, factorial(n + r) * da))
     return rows
 
 
 # id -> (family paired with Hermite, whether that family is expanded in the
 # Hermite basis rather than Hermite in the family's basis, row builder).  Family
-# constructors are looked up by name, so a replaced one is used.  A cell builds
-# its rows with the builder found here when it runs; tN_coeff are no longer
-# looked up by name, and each reads one entry of the same rows.
+# constructors are looked up by name, so a replaced one is used.  verify_theorem
+# calls the builder found here each time a cell runs; the public tN_coeff read
+# its rows through the _cell_rows memo.
 _CATALOG = {
     "t1": ("euler", True, _basis_rows),
     "t2": ("bernoulli", True, _basis_rows),
@@ -182,16 +179,10 @@ _CATALOG = {
 THEOREM_IDS = tuple(_CATALOG)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=256)
 def _cell_rows(tid: str, spec: FamilySpec, n_max: int):
-    """Rows 0..n_max of identity tid for the family spec, built once per cell."""
+    """Rows 0..n_max of identity tid for the family spec, kept for the public tN_coeff."""
     return _CATALOG[tid][2](spec, n_max)
-
-
-def _new_cell():
-    """Empty every table memo, so a cell reads only the tables it runs with."""
-    for memo in (_explicit_hermite, _hermite_value, _cell_rows):
-        memo.cache_clear()
 
 
 def _entry(tid: str, n: int, k: int, *params) -> Fraction:
@@ -353,7 +344,7 @@ def verify_theorem(
     if tid == "t7" and r > n_max:
         raise RegimeViolation(f"t7 needs order_r <= n_max, got order_r={r}, n_max={n_max}")
 
-    family_name, in_hermite_basis, _ = _CATALOG[tid]
+    family_name, in_hermite_basis, build = _CATALOG[tid]
     lams: tuple[Fraction, ...] = ()
     if family_name == "frobenius_euler":
         base = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)
@@ -362,7 +353,6 @@ def verify_theorem(
         if not lams:
             raise ValueError("need at least one lambda sample")
     family = globals()[family_name]
-    _new_cell()
 
     hermite_polys = family_polys(hermite(), n_max)
     ns = range(r if tid == "t7" else 0, n_max + 1)
@@ -371,7 +361,7 @@ def verify_theorem(
         spec = family(r) if lam is None else family(r, lam)
         polys = family_polys(spec, n_max)
         lhs, basis = (polys, hermite_polys) if in_hermite_basis else (hermite_polys, polys)
-        failure = _first_mismatch(lhs, basis, _cell_rows(tid, spec, n_max), ns, lam)
+        failure = _first_mismatch(lhs, basis, build(spec, n_max), ns, lam)
         if failure is not None:
             break
 

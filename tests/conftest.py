@@ -20,7 +20,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 def corrupt_entry(monkeypatch):
     """corrupt_entry(tid, n, k): tid's row builder adds 1 to its entry (n, k) and to no other.
 
-    The rows a corrupted cell left in the memos are dropped when the test ends.
+    The corrupted rows a tN_coeff call left in the row memo are dropped when the test ends.
     """
     def corrupt(tid, n, k):
         family_name, in_hermite_basis, build = identities._CATALOG[tid]
@@ -34,4 +34,4 @@ def corrupt_entry(monkeypatch):
         monkeypatch.setitem(identities._CATALOG, tid, (family_name, in_hermite_basis, corrupted))
 
     yield corrupt
-    identities._new_cell()
+    identities._cell_rows.cache_clear()

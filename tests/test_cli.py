@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import umbra.identities as identities
-from umbra import as_rational
+from umbra import as_rational, verify_theorem
 from umbra.cli import (
     EXIT_IDENTITY_FAILURE,
     EXIT_INCONSISTENT,
@@ -206,6 +206,24 @@ def test_verify_reports_failure_with_exit_one(capsys, corrupt_entry):
     assert by_theorem["t1"]["first_failure"]["n"] == 2
     assert by_theorem["t1"]["first_failure"]["k"] == 0
     assert by_theorem["t2"]["status"] == "PASS"
+
+
+def test_fail_report_parses_back_to_the_in_memory_mismatch(capsys, corrupt_entry):
+    corrupt_entry("t1", 2, 0)
+    corrupt_entry("t8", 4, 1)
+    code, out, _ = run(
+        capsys, "verify", "--theorems", "t1,t8", "--max-n", "5", "--orders", "2",
+        "--lambdas=1/2,3")
+    assert code == EXIT_IDENTITY_FAILURE
+    parsed = {}
+    for report in parse_document(out)["reports"]:
+        f = report["first_failure"]
+        parsed[report["theorem"]] = identities.Mismatch(
+            f["n"], f["k"], f["expected"], f["got"], f["lambda"])
+    for tid, failure in parsed.items():
+        assert failure == verify_theorem(tid, 5, 2, lambdas=(F(1, 2), F(3))).first_failure
+        assert isinstance(failure.expected, F) and isinstance(failure.got, F)
+    assert parsed["t1"].lam is None and isinstance(parsed["t8"].lam, F)
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -77,7 +77,8 @@ def test_spec_validation():
                  lambda: euler(F(2)), lambda: frobenius_euler(1.0, 2),
                  lambda: family_polys(bernoulli(2.0), 3), lambda: t2_coeff(3, 1, 2.0),
                  lambda: verify_theorem("t2", 3, True), lambda: verify_theorem("t1", True, 0),
-                 lambda: family_poly(hermite(), True), lambda: family_polys(hermite(), 2.0)):
+                 lambda: family_poly(hermite(), True), lambda: family_polys(hermite(), 2.0),
+                 lambda: FamilySpec("hermite"), lambda: FamilySpec("euler", 1)):
         with pytest.raises(TypeError):
             make()
 

@@ -19,6 +19,7 @@ from umbra import (
     family_polys,
     frobenius_euler,
     hermite,
+    hermite_poly_via_operator,
     lambda_samples,
     remark_coeff,
     sheffer_pair_of,
@@ -511,11 +512,20 @@ def test_explicit_route_reads_no_sheffer_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("the explicit route read the Sheffer Hermite table")
 
-    identities._new_cell()  # nothing computed before the patch may answer
+    identities._cell_rows.cache_clear()  # nothing computed before the patch may answer
     monkeypatch.setattr(identities, "family_polys", refuse)
-    monkeypatch.setattr(identities, "_hermite_value", refuse)
+    monkeypatch.setattr(identities, "_sheffer_hermite", refuse)
     assert [t4_coeff(*c) for c in cells] == want_t4
     assert [remark_coeff(*c, F(1, 2)) for c in cells] == want_remark
+
+
+def test_hermite_coefficient_tables_agree_with_the_operator_route():
+    explicit, d_explicit = identities._explicit_hermite(40)
+    sheffer, d_sheffer = identities._sheffer_hermite(40)
+    for m in range(41):
+        want = list(hermite_poly_via_operator(m).coeffs)
+        assert [F(c, d_explicit) for c in explicit[m]] == want, m
+        assert [F(c, d_sheffer) for c in sheffer[m]] == want, m
 
 
 def test_report_invariant_enforced():

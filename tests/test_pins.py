@@ -20,7 +20,7 @@ SEED0_INPUTS = {
     "verify-grid": "verify --theorems all --max-n 10 --orders 0,1,2,3,4",
     "lambda-symbolic":
         "verify --theorems t3,t8,remark --max-n 10 --orders 0,2,4 --lambdas=-1,2,1/2 --symbolic-lambda",
-    # the closed-form memos are keyed by lambda, so pin a second sample base too
+    # the closed forms are built per lambda, so pin a second sample base too
     "lambda-symbolic-seed4":
         "verify --theorems t3,t8,remark --max-n 10 --orders 0,2,4 --lambdas=-1,1/2,-2 --symbolic-lambda",
     "connect-deep": "connect --from frobenius-euler:3:1/3 --to bernoulli:4 --max-n 60",
