@@ -477,6 +477,31 @@ def test_verify_reports_first_failure_in_every_row_shape(corrupt_entry, tid, n_m
     assert failure.got == failure.expected + 1
 
 
+@pytest.mark.parametrize("tid, r", [
+    ("t2", 3),  # a family in the Hermite basis
+    ("t7", 0),  # Hermite in the monomial basis, where entry (n, n) moves x^n alone
+])
+def test_an_entry_off_by_one_is_caught_at_its_place(monkeypatch, tid, r):
+    n_max = 8
+    family_name, in_hermite_basis, build = identities._CATALOG[tid]
+    spec = getattr(identities, family_name)(r)
+    rng = random.Random(20130222)
+    cases = [(n, rng.randint(0, n)) for n in rng.sample(range(n_max + 1), 4)]
+    for n, k in cases + [(n_max, n_max), (0, 0)]:
+        step = rng.choice([-3, -2, -1, 1, 2, 3])
+
+        def corrupted(spec, n_max, n=n, k=k, step=step):
+            rows = list(build(spec, n_max))
+            nums, d = rows[n]
+            rows[n] = ([x + step if i == k else x for i, x in enumerate(nums)], d)
+            return rows
+
+        monkeypatch.setitem(identities._CATALOG, tid, (family_name, in_hermite_basis, corrupted))
+        failure = verify_theorem(tid, n_max, r).first_failure
+        assert (failure.n, failure.k) == (n, k)
+        assert failure.got - failure.expected == F(step, build(spec, n_max)[n][1])
+
+
 # Replaces H_3 in the stored Hermite table by H_3 + 1, then verifies t5 at
 # n_max = 6, r = 2; "warm" verifies the same cell once before the swap.
 _SWAP_SCRIPT = """

@@ -1,4 +1,5 @@
-"""The CLI prints the bytes the benchmark pins for its seed-0 inputs and one more.
+"""The CLI prints the bytes the benchmark pins for its seed-0 inputs and one more,
+and the bytes pinned here for two wider grids.
 
 `bench/pins.json` maps each benchmark command line to the sha256 of its
 stdout; a change to any table route that alters output shows up here.
@@ -27,6 +28,27 @@ SEED0_INPUTS = {
     # a negative, non-unit denominator through every integer loop of the table routes
     "connect-deep-seed5": "connect --from frobenius-euler:3:-3/2 --to bernoulli:4 --max-n 60",
 }
+
+
+# command line -> sha256 of its stdout, for grids wider than the benchmark's: every
+# identity at N = 16, and the lambda identities at an order above N with a lambda of
+# height 10^6 (about 0.15 s and 0.3 s)
+WIDE_PINS = {
+    "verify --theorems all --max-n 16 --orders 0,2,5":
+        "31bf5024faac8d346a2052d53ee6c9036fb715e6bff2e830ff914984e756d3a9",
+    "verify --theorems t3,t8,remark --max-n 12 --orders 0,3,15"
+    " --lambdas=-1000001/999999,7/3,-5/2 --symbolic-lambda":
+        "562037645dcf8dc36190e2059e4e4ef6932fa7838d46799e1de1da0157427839",
+}
+
+
+@pytest.mark.parametrize("command", WIDE_PINS)
+def test_wide_grid_stdout_matches_its_digest(command):
+    done = subprocess.run(
+        [sys.executable, "-m", "umbra.cli", *command.split()], capture_output=True,
+        cwd=ROOT, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == WIDE_PINS[command]
 
 
 @pytest.mark.parametrize("workload", SEED0_INPUTS)
