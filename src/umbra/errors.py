@@ -26,7 +26,7 @@ class TruncationTooShort(UmbraError):
 
 
 class SingularBasis(UmbraError):
-    """A would-be Sheffer basis has a member of the wrong degree."""
+    """A would-be Sheffer basis, or a family expanded in one, has a member of the wrong degree."""
 
 
 class LambdaIsOne(UmbraError):

@@ -8,8 +8,13 @@ Each family is the Sheffer sequence of an explicit pair:
 * order-r Frobenius-Euler with parameter lam != 1:
   (((e^t - lam)/(1 - lam))^r, t), generated by ((1-lam)/(e^t-lam))^r e^{xt}.
 
-The order parameter is a nonnegative integer; at lam = -1 the
-Frobenius-Euler family coincides with the Euler family exactly.
+The order parameter is a nonnegative integer (Hermite takes none); at lam = -1
+the Frobenius-Euler family coincides with the Euler family exactly.
+
+Each family's members are stored in one form: integer coefficient rows over one
+denominator, as the Sheffer triangle gives them.  The verification engine reads
+those rows; `family_polys` and the other public readers build their Polys and
+Fractions from them on demand.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from math import factorial
 
 from .errors import LambdaIsOne
 from .polynomials import Poly
-from .series import TruncatedSeries, _as_count, as_rational
-from .umbral import ShefferPair, operator_apply, sheffer_polys
+from .series import TruncatedSeries, _as_count, _fractions, as_rational
+from .umbral import ShefferPair, _sheffer_table, operator_apply
 
 
 class FamilyKind(enum.Enum):
@@ -58,6 +63,8 @@ class FamilySpec:
             object.__setattr__(self, "lam", _as_lambda(self.lam))
         elif self.lam is not None:
             raise ValueError(f"{self.kind.value} family takes no lambda parameter")
+        if self.kind is FamilyKind.HERMITE and self.order_r:
+            raise ValueError(f"hermite family takes no order, got {self.order_r}")
 
 
 def hermite() -> FamilySpec:
@@ -105,40 +112,50 @@ def sheffer_pair_of(spec: FamilySpec, n_max: int) -> ShefferPair:
 
 #: Most families whose longest member table is kept; least recently used go first.
 MAX_STORED_SPECS = 128
-_store: dict[FamilySpec, tuple[Poly, ...]] = {}
+#: spec -> (rows, d), members 0..len(rows)-1 as integer rows: [x^k] S_n = rows[n][k] / d.
+_store: dict[FamilySpec, tuple[tuple[tuple[int, ...], ...], int]] = {}
 
 
-def family_polys(spec: FamilySpec, n_max: int) -> tuple[Poly, ...]:
-    """Members 0..n_max of the family, built from its Sheffer pair.
+def _family_rows(spec: FamilySpec, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Members 0..n_max of the family as integer coefficient rows over one denominator d.
 
     A spec is built once at the largest degree asked for so far; a smaller
     request is a slice of that table, equal to a fresh build because S_0..S_n
     read the pair's series only through degree n, and coefficient n of the
     compositional inverse depends on the delta series only through degree n.
+    A slice keeps the table's d, which need not be the least for the slice.
     """
     _as_count(n_max, "n_max")  # before the store is touched
-    table = _store.pop(spec, ())
-    if n_max >= len(table):
-        table = sheffer_polys(sheffer_pair_of(spec, n_max), n_max)
-    _store[spec] = table  # reinserted as the most recently used
+    rows, d = _store.pop(spec, ((), 1))
+    if n_max >= len(rows):
+        rows, d = _sheffer_table(sheffer_pair_of(spec, n_max), n_max)
+    _store[spec] = rows, d  # reinserted as the most recently used
     if len(_store) > MAX_STORED_SPECS:
         del _store[next(iter(_store))]
-    return table[: n_max + 1]
+    return rows[: n_max + 1], d
+
+
+def family_polys(spec: FamilySpec, n_max: int) -> tuple[Poly, ...]:
+    """Members 0..n_max of the family, built from its Sheffer pair."""
+    rows, d = _family_rows(spec, n_max)
+    return tuple(Poly(_fractions(row, d)) for row in rows)
 
 
 def family_poly(spec: FamilySpec, n: int) -> Poly:
     """The degree-n member of the family."""
-    return family_polys(spec, n)[n]
+    rows, d = _family_rows(spec, n)
+    return Poly(_fractions(rows[n], d))
 
 
 def family_numbers(spec: FamilySpec, n_max: int) -> tuple[Fraction, ...]:
     """The family's number sequence: constant terms of members 0..n_max."""
-    return tuple(p.coeff(0) for p in family_polys(spec, n_max))
+    rows, d = _family_rows(spec, n_max)
+    return tuple(Fraction(row[0], d) for row in rows)
 
 
 def family_number(spec: FamilySpec, n: int) -> Fraction:
     """The family's n-th number (the degree-n member evaluated at 0)."""
-    return family_poly(spec, n).coeff(0)
+    return family_numbers(spec, n)[n]
 
 
 def hermite_poly_via_operator(n: int) -> Poly:

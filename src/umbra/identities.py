@@ -17,8 +17,9 @@ Identity ids t1..t3 expand a family in the Hermite basis; t4..t8 and
 Each identity has one row builder.  It gives rows 0..n_max of the closed form
 as integer numerators over one denominator, from tables that do not depend on k:
 
-* t1..t3: n!/(k! 2^k) w(n-k), with w(m) the family's Hermite-basis sum, as
-  (n!/k!) 2^(n-k) W[n-k] over 2^n D, where w = W / D;
+* t1..t3: n!/(k! 2^k) w(m), m = n - k, with w(m) the family's Hermite-basis
+  sum, as C(n, k) 2^(m mod 2) W[m] over 2^n D, where w(m) = W[m] / (D m! 4^(m//2))
+  and D is the family table's denominator;
 * t4, t5, t8, remark: C(n, k) 2^k w(n-k), where for lam = p/q
   w(m) = sum_i [x^i]H_m M_i / (q-p)^r, on the integer moments
   M_i = sum_j C(r, j) (-p)^(r-j) q^j j^i.
@@ -31,10 +32,15 @@ as integer numerators over one denominator, from tables that do not depend on k:
   Both t7 branches and t6 share the row denominator (n+r)!.
 
 A verification cell builds its rows when it runs and keeps no table, so its
-verdict does not depend on the cells before it.  It compares the rows with the
-solved rows by cross-multiplying integers and builds a Fraction only for a
-mismatch.  The public tN_coeff read one entry of the same rows, which are
-memoized for them alone.  t4 and remark read the explicit Hermite coefficients
+verdict does not depend on the cells before it.  The basis family is triangular
+with a nonzero diagonal, so lhs_n = sum_k C_{n,k} basis_k holds exactly when row n
+is the solved one; a cell checks that equation by recombining the basis with each
+row on the integer family tables and cross-multiplying with member n, so a PASS
+builds no Fraction and solves nothing.  Only the first failing degree is solved
+in the basis, to name the wrong k and its expected value.  The public tN_coeff
+read one entry of the same rows, which are memoized for them alone.
+
+t4 and remark read the explicit Hermite coefficients
 [x^(m-2l)] H_m = (-1)^l m!/(l! (m-2l)!) 2^(m-2l), never the Sheffer Hermite
 table that t5..t8 read, so each pair checks two routes.  Verification
 compares coefficient vectors, never evaluations, so a PASS is an exact
@@ -49,21 +55,22 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, perm
+from operator import mul
 
-from .errors import RegimeViolation
+from .errors import RegimeViolation, SingularBasis
 from .families import (
     FamilySpec,
     _as_lambda,
+    _family_rows,
     bernoulli,
     euler,
-    family_numbers,
     family_polys,
     frobenius_euler,
     hermite,
 )
 from .polynomials import _stirling2_columns
-from .series import _as_count, _scale
+from .series import _as_count
 from .umbral import _solve_in_basis
 
 #: Default parameter samples for the lambda families (1 is never allowed).
@@ -89,11 +96,9 @@ def _explicit_hermite(n_max: int) -> tuple[list[list[int]], int]:
     return rows, 1
 
 
-def _sheffer_hermite(n_max: int) -> tuple[list[list[int]], int]:
-    """[x^i] H_m for m <= n_max from the Sheffer Hermite table, over one denominator."""
-    polys = family_polys(hermite(), n_max)
-    d = lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return [[c.numerator * (d // c.denominator) for c in p.coeffs] for p in polys], d
+def _sheffer_hermite(n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """[x^i] H_m for m <= n_max over one denominator: a slice of the stored Hermite table."""
+    return _family_rows(hermite(), n_max)
 
 
 # A row builder takes the family spec paired with Hermite and n_max and returns
@@ -101,14 +106,15 @@ def _sheffer_hermite(n_max: int) -> tuple[list[list[int]], int]:
 # coefficient at (n, k).
 
 def _basis_rows(spec: FamilySpec, n_max: int):
-    """t1-t3: n!/(k! 2^k) w(n-k) as (n!/k!) 2^(n-k) W[n-k] over 2^n D, where w = W / D."""
-    numbers = family_numbers(spec, n_max)
-    # w(m) = sum_i numbers[m-2i] / ((m-2i)! 4^i i!)
-    w, d = _scale([
-        sum(numbers[m - 2 * i] / (factorial(m - 2 * i) * 4 ** i * factorial(i))
-            for i in range(m // 2 + 1))
-        for m in range(n_max + 1)])
-    return [([perm(n, m) * w[m] << m for m in range(n, -1, -1)], d << n) for n in range(n_max + 1)]
+    """t1-t3: n!/(k! 2^k) w(n-k) as C(n, k) 2^(m mod 2) W[m] over 2^n D, m = n - k, where
+    w(m) = sum_i b(m-2i) / ((m-2i)! 4^i i!) = W[m] / (D m! 4^(m//2)) for the numbers b = N / D:
+    W[m] = sum_i N[m-2i] m!/((m-2i)! i!) 4^(m//2-i)."""
+    rows, d = _family_rows(spec, n_max)
+    w = [sum(rows[m - 2 * i][0] * (perm(m, 2 * i) // factorial(i)) << 2 * (m // 2 - i)
+             for i in range(m // 2 + 1))
+         for m in range(n_max + 1)]
+    return [([comb(n, k) * w[n - k] << ((n - k) & 1) for k in range(n + 1)], d << n)
+            for n in range(n_max + 1)]
 
 
 def _weighted_rows(hermite_coeffs, spec: FamilySpec, n_max: int):
@@ -117,7 +123,7 @@ def _weighted_rows(hermite_coeffs, spec: FamilySpec, n_max: int):
     [x^i]H_m = A[m][i] / dA."""
     coeffs, da = hermite_coeffs
     r = spec.order_r
-    lam = Fraction(-1) if spec.lam is None else spec.lam  # Euler is Frobenius-Euler at -1
+    lam = -1 if spec.lam is None else spec.lam  # Euler is Frobenius-Euler at -1
     p, q = lam.numerator, lam.denominator
     weights = [comb(r, j) * (-p) ** (r - j) * q ** j for j in range(r + 1)]
     moments = [sum(c * j ** i for j, c in enumerate(weights)) for i in range(n_max + 1)]
@@ -300,21 +306,39 @@ class IdentityReport:
         return self.status == "PASS"
 
 
-def _first_mismatch(lhs_polys, basis_polys, rows, ns, lam=None) -> Mismatch | None:
-    """First (n, k) where the closed-form rows differ from the solved coefficients.
+def _first_mismatch(lhs_spec, basis_spec, rows, ns, lam=None) -> Mismatch | None:
+    """First (n, k) where the closed-form rows differ from the connection coefficients.
 
-    Each lhs_polys[n] is solved in the graded basis (basis_polys[k] has degree k),
-    and lhs_n = sum_k c_k basis_k holds exactly when c is the solved row, so a PASS
-    is the same polynomial equation as recombining the right-hand side.  rows[n] is
-    (numerators, denominator); each entry is cross-multiplied with the solved
-    Fraction, and a Fraction is built only for the Mismatch.
+    The basis family is triangular with a nonzero diagonal, so lhs_n = sum_k c_k basis_k
+    holds exactly when c is the solved row.  Each degree n in ns is checked that way:
+    the closed-form row (numerators over d) recombines the basis table (integers over
+    db), and each coefficient x^0..x^n is cross-multiplied with member n of the lhs
+    table (integers over dl).  No Fraction is built and nothing is solved for a PASS;
+    only for the first failing n are the members 0..n solved in the basis, to name k
+    and the expected value.  A member of either table whose degree is not its index is
+    refused before anything is compared.
     """
-    solved = _solve_in_basis(lhs_polys, basis_polys)
+    n_max = ns[-1]
+    basis, db = _family_rows(basis_spec, n_max)
+    lhs, dl = _family_rows(lhs_spec, n_max)
+    for table, degrees, what in ((basis, range(n_max + 1), "basis"), (lhs, ns, "expanded")):
+        for n in degrees:
+            if len(table[n]) != n + 1 or not table[n][n]:
+                raise SingularBasis(f"{what} member {n} is not of degree {n}")
+    # cols[i][k - i] = [x^i] basis_k, so [x^i] sum_k c_k basis_k is a sum over one column
+    cols = [[row[i] for row in basis[i:]] for i in range(n_max + 1)]
     for n in ns:
         nums, d = rows[n]
-        for k, (want, got) in enumerate(zip(solved[n], nums, strict=True)):
-            if want.numerator * d != got * want.denominator:
-                return Mismatch(n, k, want, Fraction(got, d), lam)
+        if len(nums) != n + 1:
+            raise ValueError(f"row {n} has {len(nums)} entries, expected {n + 1}")
+        scale = d * db
+        if all(sum(map(mul, nums[i:], col)) * dl == x * scale
+               for i, (col, x) in enumerate(zip(cols, lhs[n]))):
+            continue
+        solved = _solve_in_basis(family_polys(lhs_spec, n), family_polys(basis_spec, n))[n]
+        k = next(k for k, want in enumerate(solved)
+                 if want.numerator * d != nums[k] * want.denominator)
+        return Mismatch(n, k, solved[k], Fraction(nums[k], d), lam)
     return None
 
 
@@ -354,13 +378,11 @@ def verify_theorem(
             raise ValueError("need at least one lambda sample")
     family = globals()[family_name]
 
-    hermite_polys = family_polys(hermite(), n_max)
     ns = range(r if tid == "t7" else 0, n_max + 1)
     failure: Mismatch | None = None
     for lam in lams or (None,):
         spec = family(r) if lam is None else family(r, lam)
-        polys = family_polys(spec, n_max)
-        lhs, basis = (polys, hermite_polys) if in_hermite_basis else (hermite_polys, polys)
+        lhs, basis = (spec, hermite()) if in_hermite_basis else (hermite(), spec)
         failure = _first_mismatch(lhs, basis, build(spec, n_max), ns, lam)
         if failure is not None:
             break

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, perm
+from itertools import chain
+from math import factorial, gcd, lcm, perm
 
 from .errors import NotInvertible, SingularBasis, TruncationTooShort
 from .polynomials import Poly
@@ -81,19 +82,32 @@ class ShefferPair:
         return self.g.trunc_order
 
 
-def _triangle(a: TruncatedSeries, b: TruncatedSeries, n_max: int) -> list[list[Fraction]]:
-    """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), k <= n; ``a`` is known through n_max."""
-    fact = [factorial(n) for n in range(n_max + 1)]
-    rows = [[] for _ in range(n_max + 1)]
-    # column k is a b^k = term / d on integers, read into the rows before the next one
+def _columns(a: TruncatedSeries, b: TruncatedSeries, n_max: int):
+    """Yield (term, d) for k = 0..n_max, with [t^n] (a b^k) = term[n] / d; each column
+    is read before the next one replaces it.  ``a`` is known through n_max."""
     term, d = _scale(a.coeffs[: n_max + 1])
     nb, db = _scale(b.coeffs[: n_max + 1])
     for k in range(n_max + 1):
         if k:
             term, d = _reduce(_int_convolve(term, nb, n_max), d * db)
+        yield term, d
+
+
+def _triangle(a: TruncatedSeries, b: TruncatedSeries, n_max: int) -> list[list[Fraction]]:
+    """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), k <= n; ``a`` is known through n_max."""
+    fact = [factorial(n) for n in range(n_max + 1)]
+    rows = [[] for _ in range(n_max + 1)]
+    for k, (term, d) in enumerate(_columns(a, b, n_max)):
         for n in range(k, n_max + 1):
             rows[n].append(Fraction(fact[n] // fact[k] * term[n], d))
     return rows
+
+
+def _sheffer_inputs(pair: ShefferPair, n_max: int):
+    """The (a, b) of the pair's triangle: A = 1/g(fbar) and B = fbar, through n_max."""
+    _require_known(pair.trunc_order, _as_count(n_max, "n_max"), "give a member of")
+    fbar = pair.fbar.truncate(n_max)
+    return pair.g.compose(fbar).reciprocal(), fbar
 
 
 def sheffer_polys(pair: ShefferPair, n_max: int) -> tuple[Poly, ...]:
@@ -102,10 +116,22 @@ def sheffer_polys(pair: ShefferPair, n_max: int) -> tuple[Poly, ...]:
     With A = 1/g(fbar) and B = fbar, coefficient k of S_n is
     (n!/k!) [t^n](A B^k); one sweep over k fills the whole triangle.
     """
-    _require_known(pair.trunc_order, _as_count(n_max, "n_max"), "give a member of")
-    fbar = pair.fbar.truncate(n_max)
-    a = pair.g.compose(fbar).reciprocal()
-    return tuple(Poly(row) for row in _triangle(a, fbar, n_max))
+    return tuple(Poly(row) for row in _triangle(*_sheffer_inputs(pair, n_max), n_max))
+
+
+def _sheffer_table(pair: ShefferPair, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """S_0..S_{n_max} as integer rows over one denominator: [x^k] S_n = rows[n][k] / d.
+
+    The same triangle as `sheffer_polys`, with no Fraction built: the columns are
+    brought to the lcm of their denominators, and one gcd makes that the least one.
+    """
+    fact = [factorial(n) for n in range(n_max + 1)]
+    cols = list(_columns(*_sheffer_inputs(pair, n_max), n_max))
+    d = lcm(*(dk for _, dk in cols))
+    rows = [[fact[n] // fact[k] * term[n] * (d // dk) for k, (term, dk) in enumerate(cols[: n + 1])]
+            for n in range(n_max + 1)]
+    g = gcd(d, *chain.from_iterable(rows))
+    return tuple(tuple(x // g for x in row) for row in rows), d // g
 
 
 def sheffer_poly(pair: ShefferPair, n: int) -> Poly:

@@ -72,6 +72,8 @@ def test_spec_validation():
         FamilySpec(FamilyKind.EULER, 1, F(2))
     with pytest.raises(ValueError):
         FamilySpec(FamilyKind.FROBENIUS_EULER, 1)
+    with pytest.raises(ValueError):
+        FamilySpec(FamilyKind.HERMITE, 3)  # Hermite has no order; hermite() is order 0
     family_polys(bernoulli(2), 3)  # a stored equal spec must not let a float order through
     for make in (lambda: FamilySpec(FamilyKind.BERNOULLI, 2.0), lambda: bernoulli(True),
                  lambda: euler(F(2)), lambda: frobenius_euler(1.0, 2),
@@ -226,7 +228,7 @@ def test_store_slices_equal_fresh_builds(pair_builds, spec, degrees, builds):
     for n in degrees:
         assert family_polys(spec, n) == sheffer_polys(sheffer_pair_of(spec, n), n)
     assert len(pair_builds) == builds
-    assert len(families._store[spec]) == 9
+    assert len(families._store[spec][0]) == 9  # rows 0..8 over one denominator
 
 
 def test_rejected_degree_keeps_the_stored_table(pair_builds):

@@ -7,10 +7,12 @@ from math import comb, factorial
 
 import pytest
 
+import umbra.families as families
 import umbra.identities as identities
 from umbra import (
     LambdaIsOne,
     RegimeViolation,
+    SingularBasis,
     bernoulli,
     connection_oracle,
     euler,
@@ -502,16 +504,52 @@ def test_an_entry_off_by_one_is_caught_at_its_place(monkeypatch, tid, r):
         assert failure.got - failure.expected == F(step, build(spec, n_max)[n][1])
 
 
+def test_a_passing_cell_solves_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a passing cell solved in the basis")
+
+    monkeypatch.setattr(identities, "_solve_in_basis", refuse)
+    for tid in identities.THEOREM_IDS:
+        assert verify_theorem(tid, 8, {"t6": 9, "t7": 3}.get(tid, 2)).passed, tid
+
+
+def with_member(table, n, row):
+    rows, d = table
+    return rows[:n] + (row,) + rows[n + 1:], d
+
+
+def test_a_member_of_the_wrong_degree_is_refused(monkeypatch):
+    rows, d = families._family_rows(hermite(), 6)
+    # H_3 + x^5 agrees with H_3 through x^3, which is all a basis solve of degree 3 reads
+    monkeypatch.setitem(families._store, hermite(), with_member((rows, d), 3, rows[3] + (0, d)))
+    with pytest.raises(SingularBasis, match="expanded member 3"):
+        verify_theorem("t4", 6, 2)  # Hermite expanded in the Euler basis
+    with pytest.raises(SingularBasis, match="basis member 3"):
+        verify_theorem("t1", 6, 2)  # Euler expanded in the Hermite basis
+    monkeypatch.setitem(families._store, hermite(), with_member((rows, d), 5, rows[5][:5] + (0,)))
+    with pytest.raises(SingularBasis, match="expanded member 5"):
+        verify_theorem("t5", 6, 2)
+
+
+def test_the_basis_is_checked_before_any_row(corrupt_entry, monkeypatch):
+    corrupt_entry("t2", 1, 0)
+    assert verify_theorem("t2", 6, 1).first_failure.n == 1
+    rows, d = families._family_rows(hermite(), 6)
+    monkeypatch.setitem(families._store, hermite(), with_member((rows, d), 6, rows[6] + (d,)))
+    with pytest.raises(SingularBasis, match="basis member 6"):
+        verify_theorem("t2", 6, 1)
+
+
 # Replaces H_3 in the stored Hermite table by H_3 + 1, then verifies t5 at
 # n_max = 6, r = 2; "warm" verifies the same cell once before the swap.
 _SWAP_SCRIPT = """
 import sys
-from umbra import Poly, families, family_polys, hermite, verify_theorem
+from umbra import families, hermite, verify_theorem
 if sys.argv[1] == "warm":
     verify_theorem("t5", 6, 2)
-good = family_polys(hermite(), 6)
+rows, d = families._family_rows(hermite(), 6)
 families._store[hermite()] = tuple(
-    p + Poly([1]) if n == 3 else p for n, p in enumerate(good))
+    (row[0] + d,) + row[1:] if n == 3 else row for n, row in enumerate(rows)), d
 report = verify_theorem("t5", 6, 2)
 print(report.status, report.first_failure)
 """
