@@ -513,20 +513,20 @@ def test_a_passing_cell_solves_nothing(monkeypatch):
         assert verify_theorem(tid, 8, {"t6": 9, "t7": 3}.get(tid, 2)).passed, tid
 
 
-def with_member(table, n, row):
-    rows, d = table
+def with_member(rows, d, n, row):
+    """A stored (rows, d) table with member n replaced by the integer row."""
     return rows[:n] + (row,) + rows[n + 1:], d
 
 
 def test_a_member_of_the_wrong_degree_is_refused(monkeypatch):
     rows, d = families._family_rows(hermite(), 6)
     # H_3 + x^5 agrees with H_3 through x^3, which is all a basis solve of degree 3 reads
-    monkeypatch.setitem(families._store, hermite(), with_member((rows, d), 3, rows[3] + (0, d)))
+    monkeypatch.setitem(families._store, hermite(), with_member(rows, d, 3, rows[3] + (0, d)))
     with pytest.raises(SingularBasis, match="expanded member 3"):
         verify_theorem("t4", 6, 2)  # Hermite expanded in the Euler basis
     with pytest.raises(SingularBasis, match="basis member 3"):
         verify_theorem("t1", 6, 2)  # Euler expanded in the Hermite basis
-    monkeypatch.setitem(families._store, hermite(), with_member((rows, d), 5, rows[5][:5] + (0,)))
+    monkeypatch.setitem(families._store, hermite(), with_member(rows, d, 5, rows[5][:5] + (0,)))
     with pytest.raises(SingularBasis, match="expanded member 5"):
         verify_theorem("t5", 6, 2)
 
@@ -535,7 +535,7 @@ def test_the_basis_is_checked_before_any_row(corrupt_entry, monkeypatch):
     corrupt_entry("t2", 1, 0)
     assert verify_theorem("t2", 6, 1).first_failure.n == 1
     rows, d = families._family_rows(hermite(), 6)
-    monkeypatch.setitem(families._store, hermite(), with_member((rows, d), 6, rows[6] + (d,)))
+    monkeypatch.setitem(families._store, hermite(), with_member(rows, d, 6, rows[6] + (d,)))
     with pytest.raises(SingularBasis, match="basis member 6"):
         verify_theorem("t2", 6, 1)
 
