@@ -155,7 +155,8 @@ def family_numbers(spec: FamilySpec, n_max: int) -> tuple[Fraction, ...]:
 
 def family_number(spec: FamilySpec, n: int) -> Fraction:
     """The family's n-th number (the degree-n member evaluated at 0)."""
-    return family_numbers(spec, n)[n]
+    rows, d = _family_rows(spec, n)
+    return Fraction(rows[n][0], d)
 
 
 def hermite_poly_via_operator(n: int) -> Poly:

@@ -25,7 +25,7 @@ from math import factorial, gcd, lcm, perm
 
 from .errors import NotInvertible, SingularBasis, TruncationTooShort
 from .polynomials import Poly
-from .series import TruncatedSeries, _as_count, _int_convolve, _reduce, _scale
+from .series import TruncatedSeries, _as_count, _fractions, _int_convolve, _reduce, _scale
 
 _ZERO = Fraction(0)
 
@@ -103,35 +103,28 @@ def _triangle(a: TruncatedSeries, b: TruncatedSeries, n_max: int) -> list[list[F
     return rows
 
 
-def _sheffer_inputs(pair: ShefferPair, n_max: int):
-    """The (a, b) of the pair's triangle: A = 1/g(fbar) and B = fbar, through n_max."""
+def _sheffer_table(pair: ShefferPair, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """S_0..S_{n_max} for the pair as integer rows over one denominator: [x^k] S_n = rows[n][k] / d.
+
+    With A = 1/g(fbar) and B = fbar, coefficient k of S_n is (n!/k!) [t^n](A B^k);
+    one sweep over k fills the whole triangle.  The columns are brought to the lcm
+    of their denominators, and one gcd makes that the least one.
+    """
     _require_known(pair.trunc_order, _as_count(n_max, "n_max"), "give a member of")
     fbar = pair.fbar.truncate(n_max)
-    return pair.g.compose(fbar).reciprocal(), fbar
-
-
-def sheffer_polys(pair: ShefferPair, n_max: int) -> tuple[Poly, ...]:
-    """S_0..S_{n_max} for the pair, from the generating identity.
-
-    With A = 1/g(fbar) and B = fbar, coefficient k of S_n is
-    (n!/k!) [t^n](A B^k); one sweep over k fills the whole triangle.
-    """
-    return tuple(Poly(row) for row in _triangle(*_sheffer_inputs(pair, n_max), n_max))
-
-
-def _sheffer_table(pair: ShefferPair, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """S_0..S_{n_max} as integer rows over one denominator: [x^k] S_n = rows[n][k] / d.
-
-    The same triangle as `sheffer_polys`, with no Fraction built: the columns are
-    brought to the lcm of their denominators, and one gcd makes that the least one.
-    """
     fact = [factorial(n) for n in range(n_max + 1)]
-    cols = list(_columns(*_sheffer_inputs(pair, n_max), n_max))
+    cols = list(_columns(pair.g.compose(fbar).reciprocal(), fbar, n_max))
     d = lcm(*(dk for _, dk in cols))
     rows = [[fact[n] // fact[k] * term[n] * (d // dk) for k, (term, dk) in enumerate(cols[: n + 1])]
             for n in range(n_max + 1)]
     g = gcd(d, *chain.from_iterable(rows))
     return tuple(tuple(x // g for x in row) for row in rows), d // g
+
+
+def sheffer_polys(pair: ShefferPair, n_max: int) -> tuple[Poly, ...]:
+    """S_0..S_{n_max} for the pair, from the generating identity (see `_sheffer_table`)."""
+    rows, d = _sheffer_table(pair, n_max)
+    return tuple(Poly(_fractions(row, d)) for row in rows)
 
 
 def sheffer_poly(pair: ShefferPair, n: int) -> Poly:

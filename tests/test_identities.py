@@ -577,6 +577,7 @@ def test_explicit_route_reads_no_sheffer_table(monkeypatch):
 
     identities._cell_rows.cache_clear()  # nothing computed before the patch may answer
     monkeypatch.setattr(identities, "family_polys", refuse)
+    monkeypatch.setattr(identities, "_family_rows", refuse)
     monkeypatch.setattr(identities, "_sheffer_hermite", refuse)
     assert [t4_coeff(*c) for c in cells] == want_t4
     assert [remark_coeff(*c, F(1, 2)) for c in cells] == want_remark
