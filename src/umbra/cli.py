@@ -6,10 +6,13 @@ diagnostics go to stderr.  Every scalar is an exact rational rendered as
 arguments always produce byte-identical output.
 
 Exit codes: 0 success (all identities pass), 1 an identity check failed,
-2 bad arguments or out-of-regime parameters, 3 internal error (the two
-connection-coefficient routes disagree, or an exception other than
+2 bad arguments or out-of-regime parameters, 3 internal error (the
+transfer-formula table fails its check, or an exception other than
 UmbraError and ValueError escaped; one "error:" line on stderr, nothing on
-stdout).  Argument errors in
+stdout).  connect checks the table by recombining the target family's
+Sheffer table with each row, so a passing connect solves nothing;
+`connection_oracle` is the solve kept for the API and the tests.
+Argument errors in
 sizes, orders, lambda and rational text come from the library's own checks:
 each raises ValueError or UmbraError before anything reaches stdout, and
 that is exit 2.
@@ -34,8 +37,8 @@ from . import __version__
 from .errors import UmbraError
 from .families import FamilyKind, FamilySpec, _as_lambda, family_polys, sheffer_pair_of
 from .identities import DEFAULT_LAMBDAS, THEOREM_IDS, IdentityReport, verify_theorem
-from .series import _as_count
-from .umbral import connection_coeffs, connection_oracle
+from .series import _as_count, _scale
+from .umbral import _first_failing_row, _sheffer_table, connection_coeffs
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -109,8 +112,10 @@ def connection_document(source: FamilySpec, target: FamilySpec, n_max: int) -> t
     src_pair = sheffer_pair_of(source, n_max)
     tgt_pair = sheffer_pair_of(target, n_max)
     direct = connection_coeffs(src_pair, tgt_pair, n_max)
-    solved = connection_oracle(src_pair, tgt_pair, n_max)
-    agree = direct == solved
+    # S_n = sum_k C_(n,k) R_k on the integer Sheffer tables; a passing table solves nothing
+    agree = _first_failing_row(
+        [_scale(row) for row in direct.rows], _sheffer_table(tgt_pair, n_max),
+        _sheffer_table(src_pair, n_max), range(n_max + 1)) is None
     doc = {
         "document": "connection-table",
         "tool": _TOOL,
@@ -204,7 +209,7 @@ def _cmd_connect(args, out) -> int:
     doc, agree = connection_document(source, target, args.max_n)
     if not agree:
         print(
-            "error: transfer-formula and triangular-solve routes disagree",
+            "error: the transfer-formula table and the recombined Sheffer tables disagree",
             file=sys.stderr)
         return EXIT_INCONSISTENT
     return _emit_table(doc, args.format, out)

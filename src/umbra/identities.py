@@ -36,8 +36,9 @@ verdict does not depend on the cells before it.  The basis family is triangular
 with a nonzero diagonal, so lhs_n = sum_k C_{n,k} basis_k holds exactly when row n
 is the solved one; a cell checks that equation by recombining the basis with each
 row on the integer family tables and cross-multiplying with member n, so a PASS
-builds no Fraction and solves nothing.  Only the first failing degree is solved
-in the basis, to name the wrong k and its expected value.  The public tN_coeff
+builds no Fraction and solves nothing (`umbral._first_failing_row`, which the
+CLI's connect runs too).  Only the first failing degree is solved in the basis,
+to name the wrong k and its expected value.  The public tN_coeff
 read one entry of the same rows, which are memoized for them alone.
 
 t4 and remark read the explicit Hermite coefficients
@@ -56,9 +57,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
-from operator import mul
 
-from .errors import RegimeViolation, SingularBasis
+from .errors import RegimeViolation
 from .families import (
     FamilySpec,
     _as_lambda,
@@ -71,7 +71,7 @@ from .families import (
 )
 from .polynomials import _stirling2_columns
 from .series import _as_count
-from .umbral import _solve_in_basis
+from .umbral import _first_failing_row, _solve_in_basis
 
 #: Default parameter samples for the lambda families (1 is never allowed).
 DEFAULT_LAMBDAS = (Fraction(-1), Fraction(2), Fraction(1, 2))
@@ -309,37 +309,21 @@ class IdentityReport:
 def _first_mismatch(lhs_spec, basis_spec, rows, ns, lam=None) -> Mismatch | None:
     """First (n, k) where the closed-form rows differ from the connection coefficients.
 
-    The basis family is triangular with a nonzero diagonal, so lhs_n = sum_k c_k basis_k
-    holds exactly when c is the solved row.  Each degree n in ns is checked that way:
-    the closed-form row (numerators over d) recombines the basis table (integers over
-    db), and each coefficient x^0..x^n is cross-multiplied with member n of the lhs
-    table (integers over dl).  No Fraction is built and nothing is solved for a PASS;
-    only for the first failing n are the members 0..n solved in the basis, to name k
-    and the expected value.  A member of either table whose degree is not its index is
-    refused before anything is compared.
+    Each degree n in ns is checked by recombining the basis table with row n
+    (`_first_failing_row`), so a PASS builds no Fraction and solves nothing; only
+    for the first failing n are the members 0..n solved in the basis, to name k and
+    the expected value.
     """
     n_max = ns[-1]
-    basis, db = _family_rows(basis_spec, n_max)
-    lhs, dl = _family_rows(lhs_spec, n_max)
-    for table, degrees, what in ((basis, range(n_max + 1), "basis"), (lhs, ns, "expanded")):
-        for n in degrees:
-            if len(table[n]) != n + 1 or not table[n][n]:
-                raise SingularBasis(f"{what} member {n} is not of degree {n}")
-    # cols[i][k - i] = [x^i] basis_k, so [x^i] sum_k c_k basis_k is a sum over one column
-    cols = [[row[i] for row in basis[i:]] for i in range(n_max + 1)]
-    for n in ns:
-        nums, d = rows[n]
-        if len(nums) != n + 1:
-            raise ValueError(f"row {n} has {len(nums)} entries, expected {n + 1}")
-        scale = d * db
-        if all(sum(map(mul, nums[i:], col)) * dl == x * scale
-               for i, (col, x) in enumerate(zip(cols, lhs[n]))):
-            continue
-        solved = _solve_in_basis(family_polys(lhs_spec, n), family_polys(basis_spec, n))[n]
-        k = next(k for k, want in enumerate(solved)
-                 if want.numerator * d != nums[k] * want.denominator)
-        return Mismatch(n, k, solved[k], Fraction(nums[k], d), lam)
-    return None
+    basis, lhs = _family_rows(basis_spec, n_max), _family_rows(lhs_spec, n_max)
+    n = _first_failing_row(rows, basis, lhs, ns)
+    if n is None:
+        return None
+    nums, d = rows[n]
+    solved = _solve_in_basis(family_polys(lhs_spec, n), family_polys(basis_spec, n))[n]
+    k = next(k for k, want in enumerate(solved)
+             if want.numerator * d != nums[k] * want.denominator)
+    return Mismatch(n, k, solved[k], Fraction(nums[k], d), lam)
 
 
 def verify_theorem(

@@ -13,7 +13,11 @@ polynomial sequence S_n with <g f^k | S_n> = n! delta_{n,k}, generated by
 Connection coefficients between two such sequences come either from the
 transfer formula (`connection_coeffs`) or from an explicit triangular
 solve against the constructed polynomials (`connection_oracle`); the two
-routes must agree exactly.
+routes must agree exactly.  The CLI's `connect` checks the transfer table
+without solving: `_first_failing_row` recombines the target's integer
+Sheffer table with each row and compares it with the source's member, the
+check that verification runs on its closed forms too.  `connection_oracle`
+is the solve kept for the API and the tests.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import factorial, gcd, lcm, perm
+from operator import mul
 
 from .errors import NotInvertible, SingularBasis, TruncationTooShort
 from .polynomials import Poly
@@ -94,7 +99,12 @@ def _columns(a: TruncatedSeries, b: TruncatedSeries, n_max: int):
 
 
 def _triangle(a: TruncatedSeries, b: TruncatedSeries, n_max: int) -> list[list[Fraction]]:
-    """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), k <= n; ``a`` is known through n_max."""
+    """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), k <= n; ``a`` is known through n_max.
+
+    Only connection tables come from here; `_sheffer_table` applies n!/k! on its own.
+    The recombination check compares S = C R with S and R from `_sheffer_table` and C
+    from here, so a scaling shared by both builders would cancel and a wrong one pass.
+    """
     fact = [factorial(n) for n in range(n_max + 1)]
     rows = [[] for _ in range(n_max + 1)]
     for k, (term, d) in enumerate(_columns(a, b, n_max)):
@@ -200,3 +210,32 @@ def _solve_in_basis(polys, basis):
                 nums, d = _reduce([x * lead - top * y for x, y in zip(nums, b)], d * lead)
         rows.append(row)
     return rows
+
+
+def _first_failing_row(rows, basis, expanded, ns) -> int | None:
+    """The first degree n in ns where sum_k C_(n,k) R_k differs from S_n, or None.
+
+    rows[n] is row n of C as (numerators, d); basis (R) and expanded (S) are integer
+    tables (rows, d) as `_sheffer_table` gives them.  R is triangular with a nonzero
+    diagonal, so S_n = sum_k C_(n,k) R_k holds exactly when row n is the solved one.
+    Each coefficient x^0..x^n of the recombined row is cross-multiplied with S_n, so
+    no Fraction is built and nothing is solved.  A member of either table whose
+    degree is not its index is refused before anything is compared.
+    """
+    n_max = ns[-1]
+    (basis, db), (expanded, de) = basis, expanded
+    for table, degrees, what in ((basis, range(n_max + 1), "basis"), (expanded, ns, "expanded")):
+        for n in degrees:
+            if len(table[n]) != n + 1 or not table[n][n]:
+                raise SingularBasis(f"{what} member {n} is not of degree {n}")
+    # cols[i][k - i] = [x^i] R_k, so [x^i] sum_k C_(n,k) R_k is a sum over one column
+    cols = [[row[i] for row in basis[i:]] for i in range(n_max + 1)]
+    for n in ns:
+        nums, d = rows[n]
+        if len(nums) != n + 1:
+            raise ValueError(f"row {n} has {len(nums)} entries, expected {n + 1}")
+        scale = d * db
+        if not all(sum(map(mul, nums[i:], col)) * de == x * scale
+                   for i, (col, x) in enumerate(zip(cols, expanded[n]))):
+            return n
+    return None

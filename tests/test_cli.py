@@ -1,10 +1,11 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import umbra.identities as identities
-from umbra import as_rational, verify_theorem
+from umbra import as_rational, connection_coeffs, verify_theorem
 from umbra.cli import (
     EXIT_IDENTITY_FAILURE,
     EXIT_INCONSISTENT,
@@ -266,11 +267,77 @@ def test_connect_exits_three_when_routes_disagree(capsys, monkeypatch):
         rows = [[F(7)] * (n + 1) for n in range(n_max + 1)]
         return ConnectionMatrix(rows)
 
-    monkeypatch.setattr(cli, "connection_oracle", corrupted)
+    monkeypatch.setattr(cli, "connection_coeffs", corrupted)
     code, out, err = run(capsys, "connect", "--from", "euler:1", "--to", "hermite", "--max-n", "3")
     assert code == 3
     assert out == ""
     assert "disagree" in err
+
+
+# The pairs of the kernel mutant sweep: Appell to Hermite, Hermite to Appell,
+# and two Appell pairs with orders and lambdas on both sides.
+MUTANT_PAIRS = [
+    ("euler:1", "hermite"),
+    ("hermite", "bernoulli:2"),
+    ("frobenius-euler:2:1/3", "euler:1"),
+    ("bernoulli:3", "frobenius-euler:1:2"),
+]
+
+
+def test_a_passing_connect_solves_nothing(capsys, monkeypatch):
+    import umbra.cli as cli
+    import umbra.umbral as umbral
+
+    def refuse(*args):
+        raise AssertionError("a passing connect built or solved the second route")
+
+    for name in ("_solve_in_basis", "sheffer_polys", "connection_oracle"):
+        monkeypatch.setattr(umbral, name, refuse)
+    monkeypatch.setattr(cli, "connection_oracle", refuse, raising=False)
+    for source, target in MUTANT_PAIRS:
+        code, out, err = run(capsys, "connect", "--from", source, "--to", target, "--max-n", "6")
+        assert (code, err) == (EXIT_OK, ""), (source, target)
+        assert parse_document(out)["routes_agree"] is True
+
+
+def test_connect_catches_a_triangle_without_its_factorials(capsys, monkeypatch):
+    import umbra.umbral as umbral
+
+    def unscaled(a, b, n_max):
+        rows = [[] for _ in range(n_max + 1)]
+        for k, (term, d) in enumerate(umbral._columns(a, b, n_max)):
+            for n in range(k, n_max + 1):
+                rows[n].append(F(term[n], d))
+        return rows
+
+    monkeypatch.setattr(umbral, "_triangle", unscaled)
+    for source, target in MUTANT_PAIRS:
+        code, out, _ = run(capsys, "connect", "--from", source, "--to", target, "--max-n", "2")
+        assert (code, out) == (EXIT_INCONSISTENT, ""), (source, target)
+
+
+def test_connect_catches_one_entry_moved_by_one_over_its_denominator(capsys, monkeypatch):
+    import umbra.cli as cli
+    from umbra import ConnectionMatrix
+    from umbra.series import _scale
+
+    n_max = 5
+    rng = random.Random(20130222)
+    for source, target in MUTANT_PAIRS:
+        places = [(0, 0), (n_max, n_max)] + [
+            (n, rng.randint(0, n)) for n in rng.sample(range(n_max + 1), 2)]
+        for n, k in places:
+            step = rng.choice([-1, 1])
+
+            def moved(src, tgt, n_max, n=n, k=k, step=step):
+                rows = [list(row) for row in connection_coeffs(src, tgt, n_max).rows]
+                rows[n][k] += F(step, _scale(rows[n])[1])
+                return ConnectionMatrix(rows)
+
+            monkeypatch.setattr(cli, "connection_coeffs", moved)
+            code, out, _ = run(
+                capsys, "connect", "--from", source, "--to", target, "--max-n", str(n_max))
+            assert (code, out) == (EXIT_INCONSISTENT, ""), (source, target, n, k)
 
 
 def test_bad_arguments_exit_two(capsys):

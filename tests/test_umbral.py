@@ -30,7 +30,14 @@ from umbra import (
     stirling1,
     stirling2,
 )
-from umbra.umbral import _require_known, _solve_in_basis, _triangle
+from umbra.series import _scale
+from umbra.umbral import (
+    _first_failing_row,
+    _require_known,
+    _sheffer_table,
+    _solve_in_basis,
+    _triangle,
+)
 
 from test_polynomials import stepwise_derivative, wide_poly
 from test_series import KERNEL_ORDERS, assert_canonical, naive_product, wide_coeffs, wide_unit
@@ -288,6 +295,27 @@ def test_connection_transitivity():
             for m in range(n + 1):
                 product = sum(ab.entry(n, k) * bc.entry(k, m) for k in range(m, n + 1))
                 assert product == ac.entry(n, m), (trial, n, m)
+
+
+def test_recombination_verdict_matches_the_solve_on_nontrivial_pairs():
+    # the check connect runs agrees with the triangular solve; one entry moved by 1/d
+    # must be caught at its row
+    n_max = N_DELTA
+    pairs = nontrivial_pairs(n_max)
+    rng = random.Random(1302)
+    for i, source in enumerate(pairs):
+        for j, target in enumerate(pairs):
+            direct = connection_coeffs(source, target, n_max)
+            solved = connection_oracle(source, target, n_max)
+            n = rng.randint(0, n_max)
+            rows = [list(row) for row in direct.rows]
+            rows[n][rng.randint(0, n)] += F(rng.choice([-1, 1]), _scale(rows[n])[1])
+            tables = _sheffer_table(target, n_max), _sheffer_table(source, n_max)
+            for table, want in ((direct, None), (ConnectionMatrix(rows), n)):
+                failing = _first_failing_row(
+                    [_scale(row) for row in table.rows], *tables, range(n_max + 1))
+                assert (failing is None) == (table == solved), (i, j)
+                assert failing == want, (i, j)
 
 
 def test_oracle_bernoulli2_row_in_monomials():
