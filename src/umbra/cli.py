@@ -19,8 +19,7 @@ that is exit 2.
 t6 needs an order above --max-n and t7 one at or below it; an explicit
 order outside that is exit 2, and orders the CLI picks itself (no --orders,
 or --theorems all) give t6 the order max-n + 1 and leave t7's orders above
-max-n out.  The environment variable UMBRA_THREADS is accepted but ignored;
-it must still be an integer.
+max-n out.
 """
 
 from __future__ import annotations
@@ -29,15 +28,14 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .errors import UmbraError
-from .families import FamilyKind, FamilySpec, _as_lambda, family_polys, sheffer_pair_of
+from .families import FamilyKind, FamilySpec, _as_lambda, _family_rows, sheffer_pair_of
 from .identities import DEFAULT_LAMBDAS, THEOREM_IDS, IdentityReport, verify_theorem
-from .series import _as_count, _scale
+from .series import _as_count, _fractions, _scale
 from .umbral import _first_failing_row, _sheffer_table, connection_coeffs
 
 EXIT_OK = 0
@@ -97,14 +95,14 @@ def _rows(table) -> list[dict]:
 
 
 def family_document(spec: FamilySpec, max_degree: int) -> dict:
-    polys = family_polys(spec, max_degree)
+    rows, d = _family_rows(spec, max_degree)
     return {
         "document": "family-table",
         "tool": _TOOL,
         "conventions": _CONVENTIONS,
         "family": _describe_spec(spec),
         "max_degree": max_degree,
-        "rows": _rows([p.coeff(i) for i in range(n + 1)] for n, p in enumerate(polys)),
+        "rows": _rows(_fractions(row, d) for row in rows),
     }
 
 
@@ -238,15 +236,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def _check_thread_env():
-    """UMBRA_THREADS selects nothing, but a non-integer value is still a usage error."""
-    raw = os.environ.get("UMBRA_THREADS", "1")
-    try:
-        int(raw)
-    except ValueError:
-        raise ValueError(f"UMBRA_THREADS must be an integer, got {raw!r}") from None
-
-
 def _cmd_verify(args, out) -> int:
     theorems, requested_all = _parse_theorems(args.theorems)
     orders = [0, 1, 2, 3] if args.orders is None else _parse_int_list(args.orders, "--orders")
@@ -271,7 +260,6 @@ def _cmd_verify(args, out) -> int:
             cells.extend(
                 (tid, r) for r in orders if not (tid == "t7" and auto and r > args.max_n >= 0))
 
-    _check_thread_env()
     reports = [
         verify_theorem(tid, args.max_n, r, lambdas=lambdas, symbolic_lambda=args.symbolic_lambda)
         for tid, r in cells]

@@ -12,9 +12,9 @@ The order parameter is a nonnegative integer (Hermite takes none); at lam = -1
 the Frobenius-Euler family coincides with the Euler family exactly.
 
 Each family's members are stored in one form: integer coefficient rows over one
-denominator, as the Sheffer triangle gives them.  The verification engine reads
-those rows; `family_polys` and the other public readers build their Polys and
-Fractions from them on demand.
+denominator, as the Sheffer triangle gives them.  The verification engine, its
+basis solve and the CLI's family tables read those rows; only the public readers
+(`family_polys` and the others) build Polys and Fractions from them, on demand.
 """
 
 from __future__ import annotations

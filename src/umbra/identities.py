@@ -38,8 +38,9 @@ is the solved one; a cell checks that equation by recombining the basis with eac
 row on the integer family tables and cross-multiplying with member n, so a PASS
 builds no Fraction and solves nothing (`umbral._first_failing_row`, which the
 CLI's connect runs too).  Only the first failing degree is solved in the basis,
-to name the wrong k and its expected value.  The public tN_coeff
-read one entry of the same rows, which are memoized for them alone.
+on the same integer tables, to name the wrong k and its expected value.  The
+public tN_coeff read one entry of the same rows, which are memoized for them
+alone.
 
 t4 and remark read the explicit Hermite coefficients
 [x^(m-2l)] H_m = (-1)^l m!/(l! (m-2l)!) 2^(m-2l), never the Sheffer Hermite
@@ -65,7 +66,6 @@ from .families import (
     _family_rows,
     bernoulli,
     euler,
-    family_polys,
     frobenius_euler,
     hermite,
 )
@@ -311,8 +311,8 @@ def _first_mismatch(lhs_spec, basis_spec, rows, ns, lam=None) -> Mismatch | None
 
     Each degree n in ns is checked by recombining the basis table with row n
     (`_first_failing_row`), so a PASS builds no Fraction and solves nothing; only
-    for the first failing n are the members 0..n solved in the basis, to name k and
-    the expected value.
+    the first failing member n is solved in the basis, on the same two tables, to
+    name k and the expected value.
     """
     n_max = ns[-1]
     basis, lhs = _family_rows(basis_spec, n_max), _family_rows(lhs_spec, n_max)
@@ -320,7 +320,7 @@ def _first_mismatch(lhs_spec, basis_spec, rows, ns, lam=None) -> Mismatch | None
     if n is None:
         return None
     nums, d = rows[n]
-    solved = _solve_in_basis(family_polys(lhs_spec, n), family_polys(basis_spec, n))[n]
+    [solved] = _solve_in_basis(lhs, basis, [n])
     k = next(k for k, want in enumerate(solved)
              if want.numerator * d != nums[k] * want.denominator)
     return Mismatch(n, k, solved[k], Fraction(nums[k], d), lam)

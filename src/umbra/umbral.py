@@ -12,7 +12,7 @@ polynomial sequence S_n with <g f^k | S_n> = n! delta_{n,k}, generated by
 (1/g(fbar)) e^{y fbar(t)} where fbar is the compositional inverse of f.
 Connection coefficients between two such sequences come either from the
 transfer formula (`connection_coeffs`) or from an explicit triangular
-solve against the constructed polynomials (`connection_oracle`); the two
+solve against the integer Sheffer tables (`connection_oracle`); the two
 routes must agree exactly.  The CLI's `connect` checks the transfer table
 without solving: `_first_failing_row` recombines the target's integer
 Sheffer table with each row and compares it with the source's member, the
@@ -139,7 +139,8 @@ def sheffer_polys(pair: ShefferPair, n_max: int) -> tuple[Poly, ...]:
 
 def sheffer_poly(pair: ShefferPair, n: int) -> Poly:
     """The degree-n member of the pair's Sheffer sequence."""
-    return sheffer_polys(pair, n)[n]
+    rows, d = _sheffer_table(pair, n)
+    return Poly(_fractions(rows[n], d))
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,28 +186,39 @@ def connection_coeffs(source: ShefferPair, target: ShefferPair, n_max: int) -> C
 
 
 def connection_oracle(source: ShefferPair, target: ShefferPair, n_max: int) -> ConnectionMatrix:
-    """Independent route: build both sequences and solve the triangular system."""
-    sources = sheffer_polys(source, n_max)
-    targets = sheffer_polys(target, n_max)
-    return ConnectionMatrix(_solve_in_basis(sources, targets))
+    """Independent route: build both integer Sheffer tables and solve the triangular system."""
+    return ConnectionMatrix(_solve_in_basis(
+        _sheffer_table(source, n_max), _sheffer_table(target, n_max), range(n_max + 1)))
 
 
-def _solve_in_basis(polys, basis):
-    """Express each polys[n] in the graded basis (basis[k] must have degree k)."""
-    for k, r in enumerate(basis):
-        if r.degree != k:
-            raise SingularBasis(f"basis member {k} has degree {r.degree}, expected {k}")
-    scaled = [_scale(r.coeffs) for r in basis]
+def _check_graded(table, degrees, what: str):
+    """Refuse a member of an integer table whose degree is not its index."""
+    for n in degrees:
+        if len(table[n]) != n + 1 or not table[n][n]:
+            raise SingularBasis(f"{what} member {n} is not of degree {n}")
+
+
+def _solve_in_basis(expanded, basis, ns) -> list[list[Fraction]]:
+    """Rows n in ns of C with S_n = sum_k C_(n,k) R_k, by back substitution.
+
+    expanded (S) and basis (R) are integer tables (rows, d) as `_sheffer_table` gives
+    them, and the basis must be graded.  Each basis row, and each member solved, is
+    first reduced to its own least denominator: the table's shared d would widen
+    every integer of the solve.
+    """
+    (expanded, de), (basis, db) = expanded, basis
+    _check_graded(basis, range(ns[-1] + 1), "basis")
+    scaled = [_reduce(row, db) for row in basis[: ns[-1] + 1]]
     rows = []
-    for n, p in enumerate(polys):
+    for n in ns:
         # fraction-free back substitution: the residual's x^i coefficient is nums[i] / d
-        nums, d = _scale([p.coeff(i) for i in range(n + 1)])
+        nums, d = _reduce(list(expanded[n]), de)
         row = [_ZERO] * (n + 1)
         for k in range(n, -1, -1):
-            b, db = scaled[k]
+            b, dk = scaled[k]
             lead, top = b[k], nums.pop()
             if top:
-                row[k] = Fraction(top * db, d * lead)
+                row[k] = Fraction(top * dk, d * lead)
                 nums, d = _reduce([x * lead - top * y for x, y in zip(nums, b)], d * lead)
         rows.append(row)
     return rows
@@ -224,10 +236,8 @@ def _first_failing_row(rows, basis, expanded, ns) -> int | None:
     """
     n_max = ns[-1]
     (basis, db), (expanded, de) = basis, expanded
-    for table, degrees, what in ((basis, range(n_max + 1), "basis"), (expanded, ns, "expanded")):
-        for n in degrees:
-            if len(table[n]) != n + 1 or not table[n][n]:
-                raise SingularBasis(f"{what} member {n} is not of degree {n}")
+    _check_graded(basis, range(n_max + 1), "basis")
+    _check_graded(expanded, ns, "expanded")
     # cols[i][k - i] = [x^i] R_k, so [x^i] sum_k C_(n,k) R_k is a sum over one column
     cols = [[row[i] for row in basis[i:]] for i in range(n_max + 1)]
     for n in ns:

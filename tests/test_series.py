@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -30,6 +30,15 @@ def rand_series(rng, order, lowest=0):
     if lowest <= order and not coeffs[lowest]:
         coeffs[lowest] = F(1)
     return S(coeffs)
+
+
+def int_table(polys):
+    """The polys as an integer table (rows, d): [x^i] polys[n] = rows[n][i] / d, row n
+    padded to n + 1 entries, the form the basis solve reads."""
+    d = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return tuple(
+        tuple(c.numerator * (d // c.denominator) for c in p.coeffs) + (0,) * (n - p.degree)
+        for n, p in enumerate(polys)), d
 
 
 def sparse_coeffs(rng, degree):
@@ -340,7 +349,8 @@ def test_scalars_stay_canonical():
         assert_canonical([c for row in _triangle(a, b, 12) for c in row])
         polys = [Poly(a.coeffs[: n + 1]) for n in range(13)]
         basis = [Poly(wide_coeffs(rng, n - 1) + [wide_unit(rng)]) for n in range(13)]
-        assert_canonical([c for row in _solve_in_basis(polys, basis) for c in row])
+        solved = _solve_in_basis(int_table(polys), int_table(basis), range(13))
+        assert_canonical([c for row in solved for c in row])
 
 
 def test_products_match_fraction_oracle_on_wide_inputs():

@@ -40,7 +40,8 @@ from umbra.umbral import (
 )
 
 from test_polynomials import stepwise_derivative, wide_poly
-from test_series import KERNEL_ORDERS, assert_canonical, naive_product, wide_coeffs, wide_unit
+from test_series import (
+    KERNEL_ORDERS, assert_canonical, int_table, naive_product, wide_coeffs, wide_unit)
 
 S = TruncatedSeries
 
@@ -353,7 +354,7 @@ def fraction_triangle(a, b, n_max):
 
 
 def assert_same_solve(polys, basis, where):
-    got = _solve_in_basis(polys, basis)
+    got = _solve_in_basis(int_table(polys), int_table(basis), range(len(polys)))
     assert got == poly_solve_oracle(polys, basis), where
     assert_canonical([c for row in got for c in row], where)
 
@@ -438,7 +439,7 @@ def test_solve_matches_poly_oracle_on_builtin_tables():
 def test_solver_rejects_malformed_basis():
     basis = [Poly([1]), Poly([3])]  # degree-1 slot holds a constant
     with pytest.raises(SingularBasis):
-        _solve_in_basis([Poly([1]), Poly([0, 1])], basis)
+        _solve_in_basis(int_table([Poly([1]), Poly([0, 1])]), int_table(basis), range(2))
 
 
 def test_connection_matrix_shape():
