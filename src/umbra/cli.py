@@ -9,10 +9,11 @@ Exit codes: 0 success (all identities pass), 1 an identity check failed,
 2 bad arguments or out-of-regime parameters, 3 internal error (the
 transfer-formula table fails its check, or an exception other than
 UmbraError and ValueError escaped; one "error:" line on stderr, nothing on
-stdout).  connect checks the table by recombining the target family's
-Sheffer table with each row, so a passing connect solves nothing;
-`connection_oracle` is the solve kept for the API and the tests.
-Argument errors in
+stdout), 141 stdout closed early (as a shell reports SIGPIPE; nothing on
+stderr).  connect checks the transfer table, which the series kernel builds,
+by recombining with each row the target family's stored table, which no series
+code builds, so a passing connect solves nothing; `connection_oracle` is the
+solve kept for the API and the tests.  Argument errors in
 sizes, orders, lambda and rational text come from the library's own checks:
 each raises ValueError or UmbraError before anything reaches stdout, and
 that is exit 2.
@@ -28,6 +29,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -36,12 +38,13 @@ from .errors import UmbraError
 from .families import FamilyKind, FamilySpec, _as_lambda, _family_rows, sheffer_pair_of
 from .identities import DEFAULT_LAMBDAS, THEOREM_IDS, IdentityReport, verify_theorem
 from .series import _as_count, _fractions, _scale
-from .umbral import _first_failing_row, _sheffer_table, connection_coeffs
+from .umbral import _first_failing_row, connection_coeffs
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a closed pipe
 
 _TOOL = {"name": "umbra", "version": __version__}
 _CONVENTIONS = {
@@ -107,13 +110,12 @@ def family_document(spec: FamilySpec, max_degree: int) -> dict:
 
 
 def connection_document(source: FamilySpec, target: FamilySpec, n_max: int) -> tuple[dict, bool]:
-    src_pair = sheffer_pair_of(source, n_max)
-    tgt_pair = sheffer_pair_of(target, n_max)
-    direct = connection_coeffs(src_pair, tgt_pair, n_max)
-    # S_n = sum_k C_(n,k) R_k on the integer Sheffer tables; a passing table solves nothing
+    direct = connection_coeffs(
+        sheffer_pair_of(source, n_max), sheffer_pair_of(target, n_max), n_max)
+    # S_n = sum_k C_(n,k) R_k on the stored family tables; a passing table solves nothing
     agree = _first_failing_row(
-        [_scale(row) for row in direct.rows], _sheffer_table(tgt_pair, n_max),
-        _sheffer_table(src_pair, n_max), range(n_max + 1)) is None
+        [_scale(row) for row in direct.rows], _family_rows(target, n_max),
+        _family_rows(source, n_max), range(n_max + 1)) is None
     doc = {
         "document": "connection-table",
         "tool": _TOOL,
@@ -344,7 +346,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.handler(args, sys.stdout)
+        code = args.handler(args, sys.stdout)
+        sys.stdout.flush()  # a reader that closed early shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader closed early (`umbra ... | head`): not a crash
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # exit flushes quietly
+        return EXIT_BROKEN_PIPE
     except (UmbraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

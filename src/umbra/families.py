@@ -12,9 +12,9 @@ The order parameter is a nonnegative integer (Hermite takes none); at lam = -1
 the Frobenius-Euler family coincides with the Euler family exactly.
 
 Each family's members are stored in one form: integer coefficient rows over one
-denominator, as the Sheffer triangle gives them.  The verification engine, its
-basis solve and the CLI's family tables read those rows; only the public readers
-(`family_polys` and the others) build Polys and Fractions from them, on demand.
+denominator, from finite integer sums that run no series code (`_build_rows`).
+Verification, connect's check and the CLI's family tables read those rows; only the
+public readers (`family_polys` and the others) build Polys and Fractions from them.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm, perm
 
 from .errors import LambdaIsOne
 from .polynomials import Poly
-from .series import TruncatedSeries, _as_count, _fractions, as_rational
-from .umbral import ShefferPair, _sheffer_table, operator_apply
+from .series import TruncatedSeries, _as_count, _fractions, _reduce, as_rational
+from .umbral import ShefferPair, operator_apply
 
 
 class FamilyKind(enum.Enum):
@@ -83,19 +83,6 @@ def frobenius_euler(order_r: int, lam) -> FamilySpec:
     return FamilySpec(FamilyKind.FROBENIUS_EULER, order_r, lam)
 
 
-def _exp_shifted_down(n_max: int) -> TruncatedSeries:
-    # (e^t - 1)/t built by index shift: coefficient k is 1/(k+1)!
-    return TruncatedSeries([Fraction(1, factorial(k + 1)) for k in range(n_max + 1)])
-
-
-def _frobenius_base(n_max: int, lam: Fraction) -> TruncatedSeries:
-    # (e^t - lam)/(1 - lam)
-    scale = 1 / (1 - lam)
-    coeffs = [scale / factorial(k) for k in range(n_max + 1)]
-    coeffs[0] = Fraction(1)
-    return TruncatedSeries(coeffs)
-
-
 def sheffer_pair_of(spec: FamilySpec, n_max: int) -> ShefferPair:
     """The family's Sheffer pair, truncated at n_max (at least 1: a delta
     series cannot be represented below order 1)."""
@@ -103,10 +90,11 @@ def sheffer_pair_of(spec: FamilySpec, n_max: int) -> ShefferPair:
     if spec.kind is FamilyKind.HERMITE:
         g = TruncatedSeries([0, 0, Fraction(1, 4)], order=n).exp()
         return ShefferPair(g, TruncatedSeries.t(n) / 2)
-    if spec.kind is FamilyKind.BERNOULLI:
-        base = _exp_shifted_down(n)
-    else:  # Euler is Frobenius-Euler at lam = -1
-        base = _frobenius_base(n, Fraction(-1) if spec.kind is FamilyKind.EULER else spec.lam)
+    if spec.kind is FamilyKind.BERNOULLI:  # (e^t - 1)/t: coefficient k is 1/(k+1)!
+        base = TruncatedSeries([Fraction(1, factorial(k + 1)) for k in range(n + 1)])
+    else:  # (e^t - lam)/(1 - lam); Euler is Frobenius-Euler at lam = -1
+        lam = Fraction(-1) if spec.kind is FamilyKind.EULER else spec.lam
+        base = TruncatedSeries([1] + [1 / ((1 - lam) * factorial(k)) for k in range(1, n + 1)])
     return ShefferPair(base ** spec.order_r, TruncatedSeries.t(n))
 
 
@@ -116,19 +104,58 @@ MAX_STORED_SPECS = 128
 _store: dict[FamilySpec, tuple[tuple[tuple[int, ...], ...], int]] = {}
 
 
+def _appell_egf(spec: FamilySpec, n_max: int) -> tuple[list[int], int]:
+    """g_i = i! [t^i] g = a[i] / b (b > 0) for i <= n_max, by finite sums over e^(jt):
+    Bernoulli sum_j C(r, j) (-1)^(r-j) j^(i+r) / (C(i+r, r) r!), Frobenius-Euler at p/q
+    (Euler at -1) sum_j C(r, j) (-p)^(r-j) q^j j^i / (q-p)^r.  The closed forms' weights
+    are written apart in `identities`, so that a wrong sum cannot cancel from a check."""
+    r = spec.order_r
+    if spec.kind is FamilyKind.BERNOULLI:
+        weights = [comb(r, j) * (-1) ** (r - j) for j in range(r + 1)]
+        dens = [perm(i + r, r) for i in range(n_max + 1)]
+        b = lcm(*dens)
+        return [sum(c * j ** (i + r) for j, c in enumerate(weights)) * (b // den)
+                for i, den in enumerate(dens)], b
+    lam = Fraction(-1) if spec.lam is None else spec.lam
+    p, q = lam.numerator, lam.denominator
+    sign = 1 if q > p else (-1) ** r  # the sign of (q-p)^r, moved to the numerators
+    weights = [sign * comb(r, j) * (-p) ** (r - j) * q ** j for j in range(r + 1)]
+    return [sum(c * j ** i for j, c in enumerate(weights))
+            for i in range(n_max + 1)], abs(q - p) ** r
+
+
+def _build_rows(spec: FamilySpec, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Members 0..n_max as integer rows over their least denominator, by no series code:
+    Hermite by H_(n+1) = 2x H_n - 2n H_(n-1), an Appell family (g, t) by [x^k] S_n =
+    C(n, k) s_(n-k) with sum_i C(n, i) g_i s_(n-i) = [n = 0] (Roman, 1984, ch. 2).  Row n
+    starts with s_n, so the gcd per step that keeps d least for s_0..s_n keeps it least."""
+    if spec.kind is FamilyKind.HERMITE:
+        rows = [(1,), (0, 2)][: n_max + 1]
+        for n in range(1, n_max):
+            rows.append(tuple(2 * u - 2 * n * v
+                              for u, v in zip((0, *rows[n]), (*rows[n - 1], 0, 0))))
+        return tuple(rows), 1
+    a, b = _appell_egf(spec, n_max)
+    nums, d = [1], 1  # s_m = nums[m] / d
+    for n in range(1, n_max + 1):
+        top = -sum(comb(n, i) * a[i] * nums[n - i] for i in range(1, n + 1))
+        nums, d = _reduce([x * b for x in nums] + [top], d * b)
+    return tuple(tuple(comb(n, k) * nums[n - k] for k in range(n + 1))
+                 for n in range(n_max + 1)), d
+
+
 def _family_rows(spec: FamilySpec, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Members 0..n_max of the family as integer coefficient rows over one denominator d.
 
     A spec is built once at the largest degree asked for so far; a smaller
-    request is a slice of that table, equal to a fresh build because S_0..S_n
-    read the pair's series only through degree n, and coefficient n of the
-    compositional inverse depends on the delta series only through degree n.
-    A slice keeps the table's d, which need not be the least for the slice.
+    request is a slice of that table, equal to a fresh build because member n
+    reads g only through degree n and earlier members only.  A slice keeps the
+    table's d, which need not be the least for the slice.
     """
     _as_count(n_max, "n_max")  # before the store is touched
     rows, d = _store.pop(spec, ((), 1))
     if n_max >= len(rows):
-        rows, d = _sheffer_table(sheffer_pair_of(spec, n_max), n_max)
+        rows, d = _build_rows(spec, n_max)
     _store[spec] = rows, d  # reinserted as the most recently used
     if len(_store) > MAX_STORED_SPECS:
         del _store[next(iter(_store))]
@@ -136,7 +163,7 @@ def _family_rows(spec: FamilySpec, n_max: int) -> tuple[tuple[tuple[int, ...], .
 
 
 def family_polys(spec: FamilySpec, n_max: int) -> tuple[Poly, ...]:
-    """Members 0..n_max of the family, built from its Sheffer pair."""
+    """Members 0..n_max of the family, from the stored table."""
     rows, d = _family_rows(spec, n_max)
     return tuple(Poly(_fractions(row, d)) for row in rows)
 

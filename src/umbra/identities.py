@@ -43,12 +43,13 @@ public tN_coeff read one entry of the same rows, which are memoized for them
 alone.
 
 t4 and remark read the explicit Hermite coefficients
-[x^(m-2l)] H_m = (-1)^l m!/(l! (m-2l)!) 2^(m-2l), never the Sheffer Hermite
-table that t5..t8 read, so each pair checks two routes.  Verification
-compares coefficient vectors, never evaluations, so a PASS is an exact
-identity at the checked parameters.  For the lambda families the identity is
-rational in lambda of bounded degree, so checking n_max + r + 1 distinct
-samples ("symbolic" mode) proves it for every lambda != 1.
+[x^(m-2l)] H_m = (-1)^l m!/(l! (m-2l)!) 2^(m-2l), never the stored Hermite
+table that t5..t8 read, which the family store builds by the three-term
+recurrence with no code in common, so each pair checks two routes.
+Verification compares coefficient vectors, never evaluations, so a PASS is an
+exact identity at the checked parameters.  For the lambda families the
+identity is rational in lambda of bounded degree, so checking n_max + r + 1
+distinct samples ("symbolic" mode) proves it for every lambda != 1.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _check_nkr(n: int, k: int, r: int):
 
 def _explicit_hermite(n_max: int) -> tuple[list[list[int]], int]:
     """[x^i] H_m for m <= n_max over the denominator 1, from
-    [x^(m-2l)] H_m = (-1)^l m!/(l! (m-2l)!) 2^(m-2l); never reads a Sheffer table."""
+    [x^(m-2l)] H_m = (-1)^l m!/(l! (m-2l)!) 2^(m-2l); never reads the stored table."""
     rows = [[0] * (m + 1) for m in range(n_max + 1)]
     for m, row in enumerate(rows):
         for l in range(m // 2 + 1):
@@ -97,7 +98,8 @@ def _explicit_hermite(n_max: int) -> tuple[list[list[int]], int]:
 
 
 def _sheffer_hermite(n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """[x^i] H_m for m <= n_max over one denominator: a slice of the stored Hermite table."""
+    """[x^i] H_m for m <= n_max over one denominator: a slice of the stored Hermite table,
+    which the family store builds by H_(m+1) = 2x H_m - 2m H_(m-1), not by a Sheffer pair."""
     return _family_rows(hermite(), n_max)
 
 
@@ -138,7 +140,7 @@ def _explicit_rows(spec: FamilySpec, n_max: int):
 
 
 def _sheffer_rows(spec: FamilySpec, n_max: int):
-    """t5 and t8: the weighted rows on the Sheffer Hermite coefficients."""
+    """t5 and t8: the weighted rows on the stored Hermite coefficients."""
     return _weighted_rows(_sheffer_hermite(n_max), spec, n_max)
 
 

@@ -14,10 +14,10 @@ Connection coefficients between two such sequences come either from the
 transfer formula (`connection_coeffs`) or from an explicit triangular
 solve against the integer Sheffer tables (`connection_oracle`); the two
 routes must agree exactly.  The CLI's `connect` checks the transfer table
-without solving: `_first_failing_row` recombines the target's integer
-Sheffer table with each row and compares it with the source's member, the
-check that verification runs on its closed forms too.  `connection_oracle`
-is the solve kept for the API and the tests.
+without solving: `_first_failing_row` recombines the target family's stored
+table, which no series code builds, with each row and compares it with the
+source's member, the check that verification runs on its closed forms too.
+`connection_oracle` is the solve kept for the API and the tests.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def _triangle(a: TruncatedSeries, b: TruncatedSeries, n_max: int) -> list[list[F
     """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), k <= n; ``a`` is known through n_max.
 
     Only connection tables come from here; `_sheffer_table` applies n!/k! on its own.
-    The recombination check compares S = C R with S and R from `_sheffer_table` and C
-    from here, so a scaling shared by both builders would cancel and a wrong one pass.
+    connect's recombination check compares S = C R with C from here and S and R from
+    the family store's finite sums, which share no code with this sweep.
     """
     fact = [factorial(n) for n in range(n_max + 1)]
     rows = [[] for _ in range(n_max + 1)]
@@ -228,7 +228,7 @@ def _first_failing_row(rows, basis, expanded, ns) -> int | None:
     """The first degree n in ns where sum_k C_(n,k) R_k differs from S_n, or None.
 
     rows[n] is row n of C as (numerators, d); basis (R) and expanded (S) are integer
-    tables (rows, d) as `_sheffer_table` gives them.  R is triangular with a nonzero
+    tables (rows, d) as the family store gives them.  R is triangular with a nonzero
     diagonal, so S_n = sum_k C_(n,k) R_k holds exactly when row n is the solved one.
     Each coefficient x^0..x^n of the recombined row is cross-multiplied with S_n, so
     no Fraction is built and nothing is solved.  A member of either table whose

@@ -1,13 +1,19 @@
 import hashlib
 import json
+import operator
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import umbra.families as families
 import umbra.identities as identities
-from umbra import as_rational, connection_coeffs, verify_theorem
+import umbra.umbral as umbral
+from umbra import TruncatedSeries, as_rational, connection_coeffs, verify_theorem
 from umbra.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_IDENTITY_FAILURE,
     EXIT_INCONSISTENT,
     EXIT_OK,
@@ -289,9 +295,9 @@ def test_a_passing_connect_solves_nothing(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a passing connect built or solved the second route")
 
-    for name in ("_solve_in_basis", "sheffer_polys", "connection_oracle"):
+    for name in ("_solve_in_basis", "sheffer_polys", "connection_oracle", "_sheffer_table"):
         monkeypatch.setattr(umbral, name, refuse)
-    monkeypatch.setattr(cli, "connection_oracle", refuse, raising=False)
+        monkeypatch.setattr(cli, name, refuse, raising=False)
     for source, target in MUTANT_PAIRS:
         code, out, err = run(capsys, "connect", "--from", source, "--to", target, "--max-n", "6")
         assert (code, err) == (EXIT_OK, ""), (source, target)
@@ -332,6 +338,97 @@ def test_no_cli_path_builds_a_poly(capsys, monkeypatch, corrupt_entry):
     for source, target in MUTANT_PAIRS:
         src, tgt = (sheffer_pair_of(parse_family_descriptor(d), 6) for d in (source, target))
         assert connection_oracle(src, tgt, 6) == connection_coeffs(src, tgt, 6), (source, target)
+
+
+def test_verify_runs_no_series_code(capsys, monkeypatch):
+    # the stored tables come from finite integer sums, so no kernel mistake can
+    # cancel from both sides of a verify cell
+    argv = ("verify", "--theorems", "all", "--max-n", "8", "--orders", "0,1,2,3,4")
+    monkeypatch.setattr(families, "_store", {})
+    want = run(capsys, *argv)
+
+    def refuse(*args):
+        raise AssertionError("verify ran series code")
+
+    for name in ("__init__", "compose", "reciprocal", "comp_inverse", "exp"):
+        monkeypatch.setattr(TruncatedSeries, name, refuse)
+    monkeypatch.setattr(families, "sheffer_pair_of", refuse)
+    monkeypatch.setattr(umbral, "_sheffer_table", refuse)
+    families._store.clear()
+    assert run(capsys, *argv) == want
+
+
+def _result_changed(method, k, change):
+    """method, with coefficient k of the series it returns replaced by change(coefficient)."""
+    def mutated(self, *args):
+        coeffs = list(method(self, *args).coeffs)
+        if k < len(coeffs):
+            coeffs[k] = change(coeffs[k])
+        return TruncatedSeries(coeffs)
+    return mutated
+
+
+@pytest.mark.parametrize("name, k, change", [
+    ("exp", 4, operator.neg), ("reciprocal", 3, lambda c: 2 * c)])
+def test_connect_catches_a_kernel_mutant(capsys, monkeypatch, name, k, change):
+    # the transfer table runs the kernel and the tables it is checked against do not
+    monkeypatch.setattr(families, "_store", {})
+    mutant = _result_changed(getattr(TruncatedSeries, name), k, change)
+    monkeypatch.setattr(TruncatedSeries, name, mutant)
+    codes = [run(capsys, "connect", "--from", source, "--to", target, "--max-n", "6")[0]
+             for source, target in MUTANT_PAIRS]
+    assert EXIT_INCONSISTENT in codes, codes
+
+
+def _g3_doubled(kind):
+    def wrap(build):
+        def doubled(spec, n_max):
+            a, b = build(spec, n_max)
+            if spec.kind is kind and n_max >= 3:
+                a[3] *= 2
+            return a, b
+        return doubled
+    return "_appell_egf", wrap
+
+
+def _hermite_entry_moved(step):
+    def wrap(build):
+        def moved(spec, n_max):
+            rows, d = build(spec, n_max)
+            if spec.kind is FamilyKind.HERMITE and n_max >= 3:
+                rows = rows[:3] + ((rows[3][0], rows[3][1] + step * d, *rows[3][2:]),) + rows[4:]
+            return rows, d
+        return moved
+    return "_build_rows", wrap
+
+
+@pytest.mark.parametrize("mutant", [
+    _g3_doubled(FamilyKind.BERNOULLI), _g3_doubled(FamilyKind.EULER),
+    _g3_doubled(FamilyKind.FROBENIUS_EULER), _hermite_entry_moved(1), _hermite_entry_moved(-1)],
+    ids=["bernoulli-g3", "euler-g3", "frobenius-euler-g3", "hermite+1", "hermite-1"])
+def test_a_wrong_store_table_fails_verify_and_connect(capsys, monkeypatch, mutant):
+    name, wrap = mutant
+    monkeypatch.setattr(families, "_store", {})
+    monkeypatch.setattr(families, name, wrap(getattr(families, name)))
+    code, out, _ = run(capsys, "verify", "--theorems", "all", "--max-n", "6", "--orders", "2")
+    assert code == EXIT_IDENTITY_FAILURE
+    assert "FAIL" in {report["status"] for report in parse_document(out)["reports"]}
+    codes = [run(capsys, "connect", "--from", source, "--to", target, "--max-n", "6")[0]
+             for source, target in MUTANT_PAIRS]
+    assert EXIT_INCONSISTENT in codes, codes
+
+
+def test_a_closed_stdout_exits_141_quietly():
+    # about 1.2 MB of CSV, more than a pipe holds, so the writer meets the closed end
+    argv = "family --name hermite --max-degree 200 --format csv".split()
+    with subprocess.Popen([sys.executable, "-m", "umbra.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first.startswith(b"n,c0,")
+    assert (code, err) == (EXIT_BROKEN_PIPE, b"") and code == 141
 
 
 def test_connect_catches_a_triangle_without_its_factorials(capsys, monkeypatch):

@@ -32,6 +32,9 @@ from umbra import (
     verify_theorem,
 )
 from umbra import families
+from umbra import identities
+from umbra.series import _fractions
+from umbra.umbral import _sheffer_table
 
 S = TruncatedSeries
 
@@ -208,47 +211,48 @@ def test_generating_series_matches_polynomial_rows():
 
 
 @pytest.fixture
-def pair_builds(monkeypatch):
-    """Start from an empty family store and count the pairs it builds."""
+def table_builds(monkeypatch):
+    """Start from an empty family store and count the tables it builds."""
     monkeypatch.setattr(families, "_store", {})
     built = []
+    build = families._build_rows
 
     def counting(spec, n_max):
         built.append((spec, n_max))
-        return sheffer_pair_of(spec, n_max)
+        return build(spec, n_max)
 
-    monkeypatch.setattr(families, "sheffer_pair_of", counting)
+    monkeypatch.setattr(families, "_build_rows", counting)
     return built
 
 
 @pytest.mark.parametrize("spec", [
     hermite(), bernoulli(2), euler(3), frobenius_euler(2, F(1, 3)), frobenius_euler(2, -3)])
 @pytest.mark.parametrize("degrees, builds", [((8, 3), 1), ((3, 8), 2)])
-def test_store_slices_equal_fresh_builds(pair_builds, spec, degrees, builds):
+def test_store_slices_equal_fresh_builds(table_builds, spec, degrees, builds):
     for n in degrees:
         assert family_polys(spec, n) == sheffer_polys(sheffer_pair_of(spec, n), n)
-    assert len(pair_builds) == builds
+    assert len(table_builds) == builds
     assert len(families._store[spec][0]) == 9  # rows 0..8 over one denominator
 
 
-def test_rejected_degree_keeps_the_stored_table(pair_builds):
+def test_rejected_degree_keeps_the_stored_table(table_builds):
     spec = bernoulli(2)
     table = family_polys(spec, 6)
     with pytest.raises(ValueError):
         family_polys(spec, -1)
     assert family_polys(spec, 6) == table
-    assert len(pair_builds) == 1
+    assert len(table_builds) == 1
 
 
-def test_store_builds_each_spec_once(pair_builds):
+def test_store_builds_each_spec_once(table_builds):
     report = verify_theorem("t3", 6, 1, lambdas=[2, "1/2"])
     assert report.passed
-    assert len(pair_builds) == 3
-    assert {spec for spec, _ in pair_builds} == {
+    assert len(table_builds) == 3
+    assert {spec for spec, _ in table_builds} == {
         hermite(), frobenius_euler(1, 2), frobenius_euler(1, F(1, 2))}
 
 
-def test_store_evicts_least_recently_used(pair_builds, monkeypatch):
+def test_store_evicts_least_recently_used(table_builds, monkeypatch):
     monkeypatch.setattr(families, "MAX_STORED_SPECS", 2)
     a, b, c = bernoulli(1), euler(1), hermite()
     first_b = family_polys(b, 5)
@@ -256,9 +260,54 @@ def test_store_evicts_least_recently_used(pair_builds, monkeypatch):
     family_polys(b, 2)  # a slice, which makes a the least recently used
     family_polys(c, 5)
     assert list(families._store) == [b, c]
-    assert len(pair_builds) == 3
+    assert len(table_builds) == 3
     assert family_polys(a, 5) == first_a == sheffer_polys(sheffer_pair_of(a, 5), 5)
-    assert len(pair_builds) == 4
+    assert len(table_builds) == 4
     assert list(families._store) == [c, a]
     assert family_polys(b, 5) == first_b
-    assert len(pair_builds) == 5
+    assert len(table_builds) == 5
+
+
+@pytest.mark.parametrize("spec", [hermite()] + [
+    make(r) for make in (bernoulli, euler) for r in range(5)] + [
+    frobenius_euler(r, lam) for r in range(5) for lam in (F(1, 3), F(-2, 7), 2, F(-3, 2), 5, -1)])
+def test_store_table_is_the_sheffer_table(monkeypatch, spec):
+    # the finite sums against the series route, the least denominator included
+    monkeypatch.setattr(families, "_store", {})
+    for n_max in (0, 1, 5, 12, 40):
+        families._store.clear()  # a fresh build, not a slice of a longer table
+        assert families._family_rows(spec, n_max) == _sheffer_table(
+            sheffer_pair_of(spec, n_max), n_max), n_max
+
+
+def test_stored_hermite_table_is_built_apart_from_the_explicit_route(monkeypatch):
+    # t4 / remark read the explicit route and t5 / t8 the stored table, so that
+    # each pair checks two routes
+    explicit = identities._explicit_hermite(20)
+
+    def refuse(*args):
+        raise AssertionError("the store read the explicit Hermite route")
+
+    monkeypatch.setattr(families, "_store", {})
+    monkeypatch.setattr(identities, "_explicit_hermite", refuse)
+    rows, d = families._family_rows(hermite(), 20)
+    assert ([list(row) for row in rows], d) == explicit
+    for n in range(21):
+        assert Poly(_fractions(rows[n], d)) == hermite_poly_via_operator(n)
+
+
+def test_the_store_shares_no_moment_code_with_the_closed_forms(monkeypatch):
+    # g_3 + 1 in the store's Frobenius-Euler table alone must fail t8; had the closed
+    # form's moments come from the same code, the error would cancel and t8 pass
+    build = families._appell_egf
+
+    def plus_one(spec, n_max):
+        a, b = build(spec, n_max)
+        if spec.kind is FamilyKind.FROBENIUS_EULER:
+            a[3] += b
+        return a, b
+
+    monkeypatch.setattr(families, "_store", {})
+    monkeypatch.setattr(families, "_appell_egf", plus_one)
+    report = verify_theorem("t8", 8, 2, lambdas=[F(1, 3)])
+    assert report.status == "FAIL" and report.first_failure.n == 3

@@ -1,5 +1,5 @@
-"""The CLI prints the bytes the benchmark pins for its seed-0 inputs and one more,
-and the bytes pinned here for two wider grids.
+"""The CLI prints the bytes the benchmark pins for each of its inputs, and the bytes
+pinned here for two wider grids.
 
 `bench/pins.json` maps each benchmark command line to the sha256 of its
 stdout; a change to any table route that alters output shows up here.
@@ -51,17 +51,18 @@ def test_wide_grid_stdout_matches_its_digest(command):
     assert hashlib.sha256(done.stdout).hexdigest() == WIDE_PINS[command]
 
 
-@pytest.mark.parametrize("workload", SEED0_INPUTS)
-def test_stdout_matches_pinned_digest(workload):
-    command = SEED0_INPUTS[workload]
-    if not PINS.exists():
-        pytest.skip("no pinned digests in this tree")
-    pins = json.loads(PINS.read_text())
+# every command line pinned, each named by its workload where SEED0_INPUTS names it
+PINNED = json.loads(PINS.read_text()) if PINS.exists() else {}
+_NAMES = {command: workload for workload, command in SEED0_INPUTS.items()}
+
+
+@pytest.mark.parametrize("command", PINNED, ids=lambda command: _NAMES.get(command, command))
+def test_stdout_matches_pinned_digest(command):
     done = subprocess.run(
         [sys.executable, "-m", "umbra.cli", *command.split()], capture_output=True,
         cwd=ROOT, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
-    assert hashlib.sha256(done.stdout).hexdigest() == pins[command]
+    assert hashlib.sha256(done.stdout).hexdigest() == PINNED[command]
 
 
 def test_traced_run_prints_the_untraced_bytes():
