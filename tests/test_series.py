@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from math import factorial, gcd, lcm
@@ -9,13 +11,19 @@ from umbra import (
     CompositionOrder,
     ConnectionMatrix,
     ExpConstantTerm,
+    FamilyKind,
+    FamilySpec,
+    IdentityReport,
+    Mismatch,
     NotDelta,
     NotInvertible,
     Poly,
     ShefferPair,
     TruncatedSeries,
     as_rational,
+    bernoulli,
     frobenius_euler,
+    hermite,
 )
 from umbra.umbral import _solve_in_basis, _triangle
 
@@ -422,10 +430,17 @@ def test_values_are_immutable():
         f._coeffs = ()
     assert isinstance(f.coeffs, tuple)
     pair = ShefferPair(S.one(2), S.t(2))
-    for value, attr in ((Poly([1, 2]), "_coeffs"), (pair, "g"), (pair, "f"), (pair, "fbar"),
-                        (ConnectionMatrix([[1]]), "rows")):
+    report = IdentityReport("t1", 3, 0)
+    for value, attr in ((f, "_coeffs"), (Poly([1, 2]), "_coeffs"), (pair, "g"), (pair, "f"),
+                        (pair, "fbar"), (ConnectionMatrix([[1]]), "rows"),
+                        (hermite(), "kind"), (bernoulli(2), "order_r"),
+                        (frobenius_euler(1, 2), "lam"), (Mismatch(1, 0, F(1), F(2)), "got"),
+                        (Mismatch(1, 0, F(1), F(2)), "lam"), (report, "status"),
+                        (report, "first_failure")):
         with pytest.raises(AttributeError):
             setattr(value, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(value, attr)
 
 
 def test_value_reprs():
@@ -434,19 +449,42 @@ def test_value_reprs():
     assert repr(ShefferPair(S.one(1), S.t(2))) == \
         "ShefferPair(g=TruncatedSeries(['1', '0']), f=TruncatedSeries(['0', '1']))"
     assert repr(ConnectionMatrix([[1], [0, 2]])) == "ConnectionMatrix(n_max=1)"
+    assert repr(hermite()) == \
+        "FamilySpec(kind=<FamilyKind.HERMITE: 'hermite'>, order_r=0, lam=None)"
+    assert repr(frobenius_euler(2, "1/2")) == (
+        "FamilySpec(kind=<FamilyKind.FROBENIUS_EULER: 'frobenius-euler'>, order_r=2, "
+        "lam=Fraction(1, 2))")
+    failure = Mismatch(3, 2, F(-1, 2), F(5), F(2))
+    assert repr(failure) == \
+        "Mismatch(n=3, k=2, expected=Fraction(-1, 2), got=Fraction(5, 1), lam=Fraction(2, 1))"
+    assert repr(IdentityReport("t1", 3, 0)) == (
+        "IdentityReport(theorem_id='t1', n_max=3, order_r=0, lambdas=(), status='PASS', "
+        "first_failure=None)")
+    assert repr(IdentityReport("t3", 3, 1, (F(2),), "FAIL", failure)) == (
+        "IdentityReport(theorem_id='t3', n_max=3, order_r=1, lambdas=(Fraction(2, 1),), "
+        f"status='FAIL', first_failure={failure!r})")
 
 
 def test_equal_values_hash_equal():
+    failure = Mismatch(1, 0, F(1), F(2))
     pairs = [
         (S([1, 2, 0]), S([1, 2], order=2)),
         (Poly([1, 2, 0]), Poly([F(2, 2), 2])),
         (ShefferPair(S.one(5), S.t(3)), ShefferPair(S.one(3), S.t(4))),
         (ConnectionMatrix([[1], [0, 2]]), ConnectionMatrix(((F(1),), (F(0), F(2))))),
+        (frobenius_euler(2, "1/2"), FamilySpec(FamilyKind.FROBENIUS_EULER, 2, F(2, 4))),
+        (hermite(), FamilySpec(FamilyKind.HERMITE)),
+        (failure, Mismatch(1, 0, 1, F(4, 2), None)),
+        (IdentityReport("t1", 3, 0, status="FAIL", first_failure=failure),
+         IdentityReport("t1", 3, 0, (), "FAIL", Mismatch(1, 0, F(1), F(2)))),
     ]
     for a, b in pairs:
         assert a == b
         assert hash(a) == hash(b)
     assert len({a for a, _ in pairs} | {b for _, b in pairs}) == len(pairs)
+    assert frobenius_euler(2, 2) != frobenius_euler(2, 3) != frobenius_euler(1, 3)
+    assert Mismatch(1, 0, F(1), F(2)) != Mismatch(1, 0, F(1), F(2), F(2))
+    assert IdentityReport("t1", 3, 0) != IdentityReport("t1", 3, 1)
 
 
 def test_values_of_different_types_differ():
@@ -454,6 +492,42 @@ def test_values_of_different_types_differ():
     assert S([1, 2]) != Poly([1, 2])
     assert S([1]) != F(1)
     assert ConnectionMatrix([[1]]) != ((F(1),),)
+    values = {hermite(): (FamilyKind.HERMITE, 0, None),
+              Mismatch(1, 0, F(1), F(2)): (1, 0, F(1), F(2), None),
+              IdentityReport("t1", 3, 0): ("t1", 3, 0, (), "PASS", None)}
+    for value, fields in values.items():
+        assert value != fields and fields != value
+        assert all(other != value for other in values if other is not value)
+
+
+def test_value_fields_keep_their_order_and_defaults():
+    spec = FamilySpec(FamilyKind.BERNOULLI)
+    assert (spec.kind, spec.order_r, spec.lam) == (FamilyKind.BERNOULLI, 0, None)
+    spec = FamilySpec(FamilyKind.FROBENIUS_EULER, 3, "-1/2")
+    assert (spec.kind, spec.order_r, spec.lam) == (FamilyKind.FROBENIUS_EULER, 3, F(-1, 2))
+    failure = Mismatch(4, 2, F(1, 3), F(2, 3))
+    assert (failure.n, failure.k, failure.expected, failure.got, failure.lam) == \
+        (4, 2, F(1, 3), F(2, 3), None)
+    assert Mismatch(4, 2, F(1, 3), F(2, 3), F(5)).lam == F(5)
+    report = IdentityReport("t8", 6, 2)
+    assert (report.theorem_id, report.n_max, report.order_r, report.lambdas, report.status,
+            report.first_failure) == ("t8", 6, 2, (), "PASS", None)
+    assert report.passed
+    report = IdentityReport("t8", 6, 2, (F(2),), "FAIL", failure)
+    assert (report.lambdas, report.status, report.first_failure) == ((F(2),), "FAIL", failure)
+    assert not report.passed
+
+
+def test_values_survive_pickle_and_copy():
+    values = [S([1, F(1, 2)], order=3), Poly([0, F(-2, 3)]), ShefferPair(S.one(3), S.t(3) / 2),
+              ConnectionMatrix([[1], [0, 2]]), frobenius_euler(2, "1/2"), hermite(),
+              Mismatch(1, 0, F(1), F(2), F(3)),
+              IdentityReport("t3", 3, 1, (F(3),), "FAIL", Mismatch(1, 0, F(1), F(2), F(3)))]
+    for value in values:
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+    pair = pickle.loads(pickle.dumps(values[2]))
+    assert pair.fbar == S([0, 2], order=3)
 
 
 def test_sheffer_pair_equality_reads_g_and_f_only():
