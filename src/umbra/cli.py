@@ -26,7 +26,6 @@ max-n out.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -172,6 +171,8 @@ def parse_document(text: str) -> dict:
 
 def parse_table_csv(text: str) -> list[list[Fraction]]:
     """Parse an emitted CSV table's coefficient rows (blank cells are padding)."""
+    import csv  # only where a CSV is read or written: a JSON run need not import it
+
     reader = csv.reader(io.StringIO(text))
     next(reader)  # header
     return [[Fraction(c) for c in row[1:] if c != ""] for row in reader]
@@ -187,6 +188,8 @@ def _emit_table(doc: dict, fmt: str, out) -> int:
     if fmt != "csv":
         _emit_json(doc, out)
         return EXIT_OK
+    import csv
+
     rows = doc["rows"]
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["n"] + [f"c{i}" for i in range(len(rows))])

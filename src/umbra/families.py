@@ -20,13 +20,12 @@ public readers (`family_polys` and the others) build Polys and Fractions from th
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, perm
 
 from .errors import LambdaIsOne
 from .polynomials import Poly
-from .series import TruncatedSeries, _as_count, _fractions, _reduce, as_rational
+from .series import TruncatedSeries, _Value, _as_count, _fractions, _reduce, as_rational
 from .umbral import ShefferPair, operator_apply
 
 
@@ -45,26 +44,24 @@ def _as_lambda(value) -> Fraction:
     return lam
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Value):
     """Which family, at which order, with which parameter."""
 
-    kind: FamilyKind
-    order_r: int = 0
-    lam: Fraction | None = None
+    __slots__ = _fields = ("kind", "order_r", "lam")
 
-    def __post_init__(self):
-        if not isinstance(self.kind, FamilyKind):
-            raise TypeError(f"family kind must be a FamilyKind, got {self.kind!r}")
-        _as_count(self.order_r, "family order")
-        if self.kind is FamilyKind.FROBENIUS_EULER:
-            if self.lam is None:
+    def __init__(self, kind: FamilyKind, order_r: int = 0, lam: Fraction | None = None):
+        if not isinstance(kind, FamilyKind):
+            raise TypeError(f"family kind must be a FamilyKind, got {kind!r}")
+        _as_count(order_r, "family order")
+        if kind is FamilyKind.FROBENIUS_EULER:
+            if lam is None:
                 raise ValueError("Frobenius-Euler family needs a lambda parameter")
-            object.__setattr__(self, "lam", _as_lambda(self.lam))
-        elif self.lam is not None:
-            raise ValueError(f"{self.kind.value} family takes no lambda parameter")
-        if self.kind is FamilyKind.HERMITE and self.order_r:
-            raise ValueError(f"hermite family takes no order, got {self.order_r}")
+            lam = _as_lambda(lam)
+        elif lam is not None:
+            raise ValueError(f"{kind.value} family takes no lambda parameter")
+        if kind is FamilyKind.HERMITE and order_r:
+            raise ValueError(f"hermite family takes no order, got {order_r}")
+        self._set(kind, order_r, lam)
 
 
 def hermite() -> FamilySpec:

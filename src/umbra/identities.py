@@ -55,7 +55,6 @@ distinct samples ("symbolic" mode) proves it for every lambda != 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
@@ -71,7 +70,7 @@ from .families import (
     hermite,
 )
 from .polynomials import _stirling2_columns
-from .series import _as_count
+from .series import _Value, _as_count
 from .umbral import _first_failing_row, _solve_in_basis
 
 #: Default parameter samples for the lambda families (1 is never allowed).
@@ -103,11 +102,12 @@ def _sheffer_hermite(n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return _family_rows(hermite(), n_max)
 
 
-# A row builder takes the family spec paired with Hermite and n_max and returns
+# A row builder takes the family spec paired with Hermite, n_max and the Hermite
+# coefficient table its rows read (None for t1-t3, which read none), and returns
 # rows 0..n_max as (numerators, denominator), entry k of row n being the
 # coefficient at (n, k).
 
-def _basis_rows(spec: FamilySpec, n_max: int):
+def _basis_rows(spec: FamilySpec, n_max: int, _hermite):
     """t1-t3: n!/(k! 2^k) w(n-k) as C(n, k) 2^(m mod 2) W[m] over 2^n D, m = n - k, where
     w(m) = sum_i b(m-2i) / ((m-2i)! 4^i i!) = W[m] / (D m! 4^(m//2)) for the numbers b = N / D:
     W[m] = sum_i N[m-2i] m!/((m-2i)! i!) 4^(m//2-i)."""
@@ -119,10 +119,10 @@ def _basis_rows(spec: FamilySpec, n_max: int):
             for n in range(n_max + 1)]
 
 
-def _weighted_rows(hermite_coeffs, spec: FamilySpec, n_max: int):
+def _weighted_rows(spec: FamilySpec, n_max: int, hermite_coeffs):
     """t4, t5, t8, remark: C(n, k) 2^k w(n-k) over one denominator, where for lam = p/q
     w(m) = sum_i [x^i]H_m M_i / (q-p)^r, M_i = sum_j C(r, j) (-p)^(r-j) q^j j^i, and
-    [x^i]H_m = A[m][i] / dA."""
+    [x^i]H_m = A[m][i] / dA, explicit for t4 and remark and stored for t5 and t8."""
     coeffs, da = hermite_coeffs
     r = spec.order_r
     lam = -1 if spec.lam is None else spec.lam  # Euler is Frobenius-Euler at -1
@@ -134,20 +134,10 @@ def _weighted_rows(hermite_coeffs, spec: FamilySpec, n_max: int):
     return [([comb(n, k) * w[n - k] << k for k in range(n + 1)], d) for n in range(n_max + 1)]
 
 
-def _explicit_rows(spec: FamilySpec, n_max: int):
-    """t4 and remark: the weighted rows on the explicit Hermite coefficients."""
-    return _weighted_rows(_explicit_hermite(n_max), spec, n_max)
-
-
-def _sheffer_rows(spec: FamilySpec, n_max: int):
-    """t5 and t8: the weighted rows on the stored Hermite coefficients."""
-    return _weighted_rows(_sheffer_hermite(n_max), spec, n_max)
-
-
-def _stirling_rows(spec: FamilySpec, n_max: int):
+def _stirling_rows(spec: FamilySpec, n_max: int, hermite_coeffs):
     """t6 and t7 over (n+r)! dA, since k! (n+r-k)! divides (n+r)! by C(n+r, k)."""
     r = spec.order_r
-    coeffs, da = _sheffer_hermite(n_max)
+    coeffs, da = hermite_coeffs
     cols = [col[:] for col in _stirling2_columns(r, n_max + 1)]  # cols[j][l] = S(j+l, j)
     # diffs[m][k] = D^k H_m(0) dA = k! sum_i [x^i]H_m S(i, k) dA, for k <= min(m, r)
     diffs = [[factorial(k) * sum(c * s for c, s in zip(row[k:], cols[k]))
@@ -168,29 +158,36 @@ def _stirling_rows(spec: FamilySpec, n_max: int):
 
 
 # id -> (family paired with Hermite, whether that family is expanded in the
-# Hermite basis rather than Hermite in the family's basis, row builder).  Family
-# constructors are looked up by name, so a replaced one is used.  verify_theorem
-# calls the builder found here each time a cell runs; the public tN_coeff read
-# its rows through the _cell_rows memo.
+# Hermite basis rather than Hermite in the family's basis, the Hermite table the
+# rows read, row builder).  Family constructors and Hermite tables are looked up
+# by name, so a replaced one is used.  Each time a cell runs, verify_theorem
+# builds its Hermite table once and calls the builder found here for each lambda
+# sample; the public tN_coeff read its rows through the _cell_rows memo.
 _CATALOG = {
-    "t1": ("euler", True, _basis_rows),
-    "t2": ("bernoulli", True, _basis_rows),
-    "t3": ("frobenius_euler", True, _basis_rows),
-    "t4": ("euler", False, _explicit_rows),
-    "t5": ("euler", False, _sheffer_rows),
-    "t6": ("bernoulli", False, _stirling_rows),
-    "t7": ("bernoulli", False, _stirling_rows),
-    "t8": ("frobenius_euler", False, _sheffer_rows),
-    "remark": ("frobenius_euler", False, _explicit_rows),
+    "t1": ("euler", True, None, _basis_rows),
+    "t2": ("bernoulli", True, None, _basis_rows),
+    "t3": ("frobenius_euler", True, None, _basis_rows),
+    "t4": ("euler", False, "_explicit_hermite", _weighted_rows),
+    "t5": ("euler", False, "_sheffer_hermite", _weighted_rows),
+    "t6": ("bernoulli", False, "_sheffer_hermite", _stirling_rows),
+    "t7": ("bernoulli", False, "_sheffer_hermite", _stirling_rows),
+    "t8": ("frobenius_euler", False, "_sheffer_hermite", _weighted_rows),
+    "remark": ("frobenius_euler", False, "_explicit_hermite", _weighted_rows),
 }
 
 THEOREM_IDS = tuple(_CATALOG)
 
 
+def _hermite_table(tid: str, n_max: int):
+    """The Hermite coefficients through degree n_max that tid's rows read, or None."""
+    name = _CATALOG[tid][2]
+    return name and globals()[name](n_max)
+
+
 @lru_cache(maxsize=256)
 def _cell_rows(tid: str, spec: FamilySpec, n_max: int):
     """Rows 0..n_max of identity tid for the family spec, kept for the public tN_coeff."""
-    return _CATALOG[tid][2](spec, n_max)
+    return _CATALOG[tid][3](spec, n_max, _hermite_table(tid, n_max))
 
 
 def _entry(tid: str, n: int, k: int, *params) -> Fraction:
@@ -277,31 +274,30 @@ def lambda_samples(count: int, base=()) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(_Value):
     """First failing coefficient of a verification run."""
 
-    n: int
-    k: int
-    expected: Fraction
-    got: Fraction
-    lam: Fraction | None = None
+    __slots__ = _fields = ("n", "k", "expected", "got", "lam")
+
+    def __init__(self, n: int, k: int, expected: Fraction, got: Fraction,
+                 lam: Fraction | None = None):
+        self._set(n, k, expected, got, lam)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Value):
     """Outcome of verifying one identity over one parameter cell."""
 
-    theorem_id: str
-    n_max: int
-    order_r: int
-    lambdas: tuple[Fraction, ...] = ()
-    status: str = "PASS"
-    first_failure: Mismatch | None = None
+    __slots__ = _fields = (
+        "theorem_id", "n_max", "order_r", "lambdas", "status", "first_failure")
 
-    def __post_init__(self):
-        if (self.status == "PASS") != (self.first_failure is None):
+    def __init__(self, theorem_id: str, n_max: int, order_r: int,
+                 lambdas: tuple[Fraction, ...] = (), status: str = "PASS",
+                 first_failure: Mismatch | None = None):
+        if status not in ("PASS", "FAIL"):
+            raise ValueError(f"status must be PASS or FAIL, got {status!r}")
+        if (status == "PASS") != (first_failure is None):
             raise ValueError("status must be PASS exactly when there is no failure")
+        self._set(theorem_id, n_max, order_r, lambdas, status, first_failure)
 
     @property
     def passed(self) -> bool:
@@ -354,7 +350,7 @@ def verify_theorem(
     if tid == "t7" and r > n_max:
         raise RegimeViolation(f"t7 needs order_r <= n_max, got order_r={r}, n_max={n_max}")
 
-    family_name, in_hermite_basis, build = _CATALOG[tid]
+    family_name, in_hermite_basis, _, build = _CATALOG[tid]
     lams: tuple[Fraction, ...] = ()
     if family_name == "frobenius_euler":
         base = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)
@@ -365,11 +361,12 @@ def verify_theorem(
     family = globals()[family_name]
 
     ns = range(r if tid == "t7" else 0, n_max + 1)
+    table = _hermite_table(tid, n_max)  # once for all the cell's lambda samples
     failure: Mismatch | None = None
     for lam in lams or (None,):
         spec = family(r) if lam is None else family(r, lam)
         lhs, basis = (spec, hermite()) if in_hermite_basis else (hermite(), spec)
-        failure = _first_mismatch(lhs, basis, build(spec, n_max), ns, lam)
+        failure = _first_mismatch(lhs, basis, build(spec, n_max, table), ns, lam)
         if failure is not None:
             break
 

@@ -2,30 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import perm
 
-from .series import _as_count, _convolve, _format_terms, _power, as_rational
+from .series import _Value, _as_count, _convolve, _format_terms, _power, as_rational
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True, slots=True)
-class Poly:
+class Poly(_Value):
     """Univariate polynomial over exact rationals, trailing zeros trimmed.
 
     The zero polynomial is the empty coefficient tuple with degree -1;
     eval and derivative handle it like any other value.
     """
 
-    _coeffs: tuple[Fraction, ...]
+    __slots__ = _fields = ("_coeffs",)
 
     def __init__(self, coeffs=()):
         coeffs = [as_rational(c) for c in coeffs]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
-        object.__setattr__(self, "_coeffs", tuple(coeffs))
+        self._set(tuple(coeffs))
 
     @classmethod
     def zero(cls) -> "Poly":

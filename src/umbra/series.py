@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CompositionOrder, ExpConstantTerm, NotDelta, NotInvertible
@@ -137,11 +136,51 @@ def _power(base, k: int, one):
     return result
 
 
-@dataclass(frozen=True, slots=True)
-class TruncatedSeries:
+class _Value:
+    """Base of the immutable value types: slotted, compared, hashed and printed by field.
+
+    A subclass lists its slots, and in ``_fields`` the ones that make its value, in the
+    order its ``__init__`` takes them; that ``__init__`` validates its arguments and
+    stores them once with `_set`.  Values of different classes never compare equal.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        """Store the slots, in their order; only ``__init__`` calls this."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # every subclass's __init__ takes its fields positionally, in order
+        return type(self), self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable value")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable value")
+
+
+class TruncatedSeries(_Value):
     """A formal power series known through degree ``trunc_order``."""
 
-    _coeffs: tuple[Fraction, ...]
+    __slots__ = _fields = ("_coeffs",)
 
     def __init__(self, coeffs, order: int | None = None):
         coeffs = [as_rational(c) for c in coeffs]
@@ -153,7 +192,7 @@ class TruncatedSeries:
             _as_count(order, "truncation order")
         if len(coeffs) < order + 1:
             coeffs.extend([_ZERO] * (order + 1 - len(coeffs)))
-        object.__setattr__(self, "_coeffs", tuple(coeffs[: order + 1]))
+        self._set(tuple(coeffs[: order + 1]))
 
     # -- constructors ------------------------------------------------------
 

@@ -22,7 +22,6 @@ source's member, the check that verification runs on its closed forms too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import factorial, gcd, lcm, perm
@@ -30,7 +29,7 @@ from operator import mul
 
 from .errors import NotInvertible, SingularBasis, TruncationTooShort
 from .polynomials import Poly
-from .series import TruncatedSeries, _as_count, _fractions, _int_convolve, _reduce, _scale
+from .series import TruncatedSeries, _Value, _as_count, _fractions, _int_convolve, _reduce, _scale
 
 _ZERO = Fraction(0)
 
@@ -62,25 +61,23 @@ def eval_functional(y, order: int) -> TruncatedSeries:
     return TruncatedSeries([0, y], order=order).exp()
 
 
-@dataclass(frozen=True, slots=True)
-class ShefferPair:
+class ShefferPair(_Value):
     """An invertible series g and a delta series f, with f's inverse cached.
 
     Both series are held at a common truncation order; the compositional
-    inverse is computed once at construction.
+    inverse is computed once at construction.  The pair is (g, f): fbar is
+    neither compared, hashed nor printed.
     """
 
-    g: TruncatedSeries
-    f: TruncatedSeries
-    fbar: TruncatedSeries = field(init=False, repr=False, compare=False)
+    __slots__ = ("g", "f", "fbar")
+    _fields = ("g", "f")
 
-    def __post_init__(self):
-        n = min(self.g.trunc_order, self.f.trunc_order)
-        object.__setattr__(self, "g", self.g.truncate(n))
-        object.__setattr__(self, "f", self.f.truncate(n))
-        if self.g.order != 0:
+    def __init__(self, g: TruncatedSeries, f: TruncatedSeries):
+        n = min(g.trunc_order, f.trunc_order)
+        g, f = g.truncate(n), f.truncate(n)
+        if g.order != 0:
             raise NotInvertible("g of a Sheffer pair must be an invertible series")
-        object.__setattr__(self, "fbar", self.f.comp_inverse())
+        self._set(g, f, f.comp_inverse())
 
     @property
     def trunc_order(self) -> int:
@@ -143,18 +140,17 @@ def sheffer_poly(pair: ShefferPair, n: int) -> Poly:
     return Poly(_fractions(rows[n], d))
 
 
-@dataclass(frozen=True, slots=True)
-class ConnectionMatrix:
+class ConnectionMatrix(_Value):
     """Lower-triangular table C_{n,k} expressing one sequence in another's basis."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
+    def __init__(self, rows):
+        rows = tuple(tuple(r) for r in rows)
         for n, row in enumerate(rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")
-        object.__setattr__(self, "rows", rows)
+        self._set(rows)
 
     @property
     def n_max(self) -> int:

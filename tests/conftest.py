@@ -23,15 +23,15 @@ def corrupt_entry(monkeypatch):
     The corrupted rows a tN_coeff call left in the row memo are dropped when the test ends.
     """
     def corrupt(tid, n, k):
-        family_name, in_hermite_basis, build = identities._CATALOG[tid]
+        *entry, build = identities._CATALOG[tid]
 
-        def corrupted(spec, n_max):
-            rows = list(build(spec, n_max))
+        def corrupted(*args):
+            rows = list(build(*args))
             nums, d = rows[n]
             rows[n] = ([x + d if i == k else x for i, x in enumerate(nums)], d)
             return rows
 
-        monkeypatch.setitem(identities._CATALOG, tid, (family_name, in_hermite_basis, corrupted))
+        monkeypatch.setitem(identities._CATALOG, tid, (*entry, corrupted))
 
     yield corrupt
     identities._cell_rows.cache_clear()

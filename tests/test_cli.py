@@ -130,6 +130,21 @@ def test_connect_csv(capsys):
     assert len(rows[3]) == 4
 
 
+def loaded_modules(code):
+    """The modules in sys.modules after a fresh interpreter runs code."""
+    script = f"{code}\nimport sys\nprint(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120, check=True).stdout
+    return set(out.split())
+
+
+def test_cli_import_loads_no_dataclasses_or_csv():
+    # against a bare interpreter in the same environment, so site hooks do not count
+    added = loaded_modules("import umbra.cli") - loaded_modules("pass")
+    assert "umbra.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}, added
+
+
 def test_verify_small_grid_passes(capsys):
     code, out, _ = run(
         capsys, "verify", "--theorems", "all", "--max-n", "5", "--orders", "0,1,2")

@@ -238,13 +238,13 @@ def test_lambda_forms_match_oracles_at_wide_lambdas(seed):
 @pytest.mark.parametrize("tid", identities.THEOREM_IDS)
 def test_builder_row_is_the_solved_row_and_the_public_row(tid):
     n_max, r = 8, {"t6": 9, "t7": 3}.get(tid, 2)
-    family_name, in_hermite_basis, build = identities._CATALOG[tid]
+    family_name, in_hermite_basis, _, build = identities._CATALOG[tid]
     lam = (F(-7, 3),) if family_name == "frobenius_euler" else ()
     spec = getattr(identities, family_name)(r, *lam)
     hermites, polys = family_polys(hermite(), n_max), family_polys(spec, n_max)
     lhs, basis = (polys, hermites) if in_hermite_basis else (hermites, polys)
     solved = _solve_in_basis(int_table(lhs), int_table(basis), range(n_max + 1))[n_max]
-    nums, d = build(spec, n_max)[n_max]
+    nums, d = build(spec, n_max, identities._hermite_table(tid, n_max))[n_max]
     assert [F(x, d) for x in nums] == solved
     coeff = getattr(identities, f"{tid}_coeff")
     assert [coeff(n_max, k, r, *lam) for k in range(n_max + 1)] == solved
@@ -485,23 +485,24 @@ def test_verify_reports_first_failure_in_every_row_shape(corrupt_entry, tid, n_m
 ])
 def test_an_entry_off_by_one_is_caught_at_its_place(monkeypatch, tid, r):
     n_max = 8
-    family_name, in_hermite_basis, build = identities._CATALOG[tid]
-    spec = getattr(identities, family_name)(r)
+    *entry, build = identities._CATALOG[tid]
+    spec = getattr(identities, entry[0])(r)
+    clean = build(spec, n_max, identities._hermite_table(tid, n_max))
     rng = random.Random(20130222)
     cases = [(n, rng.randint(0, n)) for n in rng.sample(range(n_max + 1), 4)]
     for n, k in cases + [(n_max, n_max), (0, 0)]:
         step = rng.choice([-3, -2, -1, 1, 2, 3])
 
-        def corrupted(spec, n_max, n=n, k=k, step=step):
-            rows = list(build(spec, n_max))
+        def corrupted(*args, n=n, k=k, step=step):
+            rows = list(build(*args))
             nums, d = rows[n]
             rows[n] = ([x + step if i == k else x for i, x in enumerate(nums)], d)
             return rows
 
-        monkeypatch.setitem(identities._CATALOG, tid, (family_name, in_hermite_basis, corrupted))
+        monkeypatch.setitem(identities._CATALOG, tid, (*entry, corrupted))
         failure = verify_theorem(tid, n_max, r).first_failure
         assert (failure.n, failure.k) == (n, k)
-        assert failure.got - failure.expected == F(step, build(spec, n_max)[n][1])
+        assert failure.got - failure.expected == F(step, clean[n][1])
 
 
 def test_a_passing_cell_solves_nothing(monkeypatch):
@@ -594,3 +595,25 @@ def test_hermite_coefficient_tables_agree_with_the_operator_route():
 def test_report_invariant_enforced():
     with pytest.raises(ValueError):
         identities.IdentityReport("t1", 3, 0, status="FAIL", first_failure=None)
+    failure = identities.Mismatch(1, 0, F(1), F(2))
+    for status in ("pass", "fail", "Fail", "", None):
+        with pytest.raises(ValueError, match="PASS or FAIL"):
+            identities.IdentityReport("t1", 3, 0, status=status, first_failure=failure)
+        with pytest.raises(ValueError, match="PASS or FAIL"):
+            identities.IdentityReport("t1", 3, 0, status=status)
+
+
+def test_a_cell_builds_the_explicit_hermite_table_once(monkeypatch):
+    builds = []
+
+    def counting(n_max):
+        builds.append(n_max)
+        return explicit_hermite(n_max)
+
+    explicit_hermite = identities._explicit_hermite
+    monkeypatch.setattr(identities, "_explicit_hermite", counting)
+    report = verify_theorem("remark", 6, 2, symbolic_lambda=True)
+    assert report.passed and len(report.lambdas) == 9
+    assert builds == [6]
+    assert verify_theorem("t4", 5, 1).passed
+    assert builds == [6, 5]  # each cell builds its own
