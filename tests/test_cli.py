@@ -302,6 +302,22 @@ MUTANT_PAIRS = [
     ("bernoulli:3", "frobenius-euler:1:2"),
 ]
 
+# connect's stderr when the transfer table fails its check; a crash also exits 3,
+# with an "error: unexpected" line instead, and must not count as a catch
+DISAGREE = "error: the transfer-formula table and the recombined Sheffer tables disagree\n"
+
+
+def _connect_codes(capsys, n_max):
+    """connect's exit code on each of MUTANT_PAIRS; every exit 3 must be the disagree line."""
+    codes = []
+    for source, target in MUTANT_PAIRS:
+        code, out, err = run(
+            capsys, "connect", "--from", source, "--to", target, "--max-n", str(n_max))
+        if code == EXIT_INCONSISTENT:
+            assert (out, err) == ("", DISAGREE), (source, target)
+        codes.append(code)
+    return codes
+
 
 def test_a_passing_connect_solves_nothing(capsys, monkeypatch):
     import umbra.cli as cli
@@ -390,8 +406,7 @@ def test_connect_catches_a_kernel_mutant(capsys, monkeypatch, name, k, change):
     monkeypatch.setattr(families, "_store", {})
     mutant = _result_changed(getattr(TruncatedSeries, name), k, change)
     monkeypatch.setattr(TruncatedSeries, name, mutant)
-    codes = [run(capsys, "connect", "--from", source, "--to", target, "--max-n", "6")[0]
-             for source, target in MUTANT_PAIRS]
+    codes = _connect_codes(capsys, 6)
     assert EXIT_INCONSISTENT in codes, codes
 
 
@@ -428,8 +443,7 @@ def test_a_wrong_store_table_fails_verify_and_connect(capsys, monkeypatch, mutan
     code, out, _ = run(capsys, "verify", "--theorems", "all", "--max-n", "6", "--orders", "2")
     assert code == EXIT_IDENTITY_FAILURE
     assert "FAIL" in {report["status"] for report in parse_document(out)["reports"]}
-    codes = [run(capsys, "connect", "--from", source, "--to", target, "--max-n", "6")[0]
-             for source, target in MUTANT_PAIRS]
+    codes = _connect_codes(capsys, 6)
     assert EXIT_INCONSISTENT in codes, codes
 
 
@@ -457,9 +471,7 @@ def test_connect_catches_a_triangle_without_its_factorials(capsys, monkeypatch):
         return rows
 
     monkeypatch.setattr(umbral, "_triangle", unscaled)
-    for source, target in MUTANT_PAIRS:
-        code, out, _ = run(capsys, "connect", "--from", source, "--to", target, "--max-n", "2")
-        assert (code, out) == (EXIT_INCONSISTENT, ""), (source, target)
+    assert _connect_codes(capsys, 2) == [EXIT_INCONSISTENT] * len(MUTANT_PAIRS)
 
 
 def test_connect_catches_one_entry_moved_by_one_over_its_denominator(capsys, monkeypatch):
@@ -481,9 +493,9 @@ def test_connect_catches_one_entry_moved_by_one_over_its_denominator(capsys, mon
                 return ConnectionMatrix(rows)
 
             monkeypatch.setattr(cli, "connection_coeffs", moved)
-            code, out, _ = run(
+            code, out, err = run(
                 capsys, "connect", "--from", source, "--to", target, "--max-n", str(n_max))
-            assert (code, out) == (EXIT_INCONSISTENT, ""), (source, target, n, k)
+            assert (code, out, err) == (EXIT_INCONSISTENT, "", DISAGREE), (source, target, n, k)
 
 
 def test_bad_arguments_exit_two(capsys):
