@@ -36,8 +36,8 @@ from . import __version__
 from .errors import UmbraError
 from .families import FamilyKind, FamilySpec, _as_lambda, _family_rows, sheffer_pair_of
 from .identities import DEFAULT_LAMBDAS, THEOREM_IDS, IdentityReport, verify_theorem
-from .series import _as_count, _fractions, _scale
-from .umbral import _first_failing_row, connection_coeffs
+from .series import _as_count, _fractions
+from .umbral import _connection_table, _first_failing_row
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -109,11 +109,11 @@ def family_document(spec: FamilySpec, max_degree: int) -> dict:
 
 
 def connection_document(source: FamilySpec, target: FamilySpec, n_max: int) -> tuple[dict, bool]:
-    direct = connection_coeffs(
+    rows, d = _connection_table(
         sheffer_pair_of(source, n_max), sheffer_pair_of(target, n_max), n_max)
     # S_n = sum_k C_(n,k) R_k on the stored family tables; a passing table solves nothing
     agree = _first_failing_row(
-        [_scale(row) for row in direct.rows], _family_rows(target, n_max),
+        [(row, d) for row in rows], _family_rows(target, n_max),
         _family_rows(source, n_max), range(n_max + 1)) is None
     doc = {
         "document": "connection-table",
@@ -123,7 +123,7 @@ def connection_document(source: FamilySpec, target: FamilySpec, n_max: int) -> t
         "target": _describe_spec(target),
         "max_n": n_max,
         "routes_agree": agree,
-        "rows": _rows(direct.rows),
+        "rows": _rows(_fractions(row, d) for row in rows),
     }
     return doc, agree
 

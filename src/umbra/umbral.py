@@ -13,7 +13,8 @@ polynomial sequence S_n with <g f^k | S_n> = n! delta_{n,k}, generated by
 Connection coefficients between two such sequences come either from the
 transfer formula (`connection_coeffs`) or from an explicit triangular
 solve against the integer Sheffer tables (`connection_oracle`); the two
-routes must agree exactly.  The CLI's `connect` checks the transfer table
+routes must agree exactly, though both build their tables with `_triangle`.
+The CLI's `connect` checks the integer transfer table `_connection_table`
 without solving: `_first_failing_row` recombines the target family's stored
 table, which no series code builds, with each row and compares it with the
 source's member, the check that verification runs on its closed forms too.
@@ -84,48 +85,35 @@ class ShefferPair(_Value):
         return self.g.trunc_order
 
 
-def _columns(a: TruncatedSeries, b: TruncatedSeries, n_max: int):
-    """Yield (term, d) for k = 0..n_max, with [t^n] (a b^k) = term[n] / d; each column
-    is read before the next one replaces it.  ``a`` is known through n_max."""
-    term, d = _scale(a.coeffs[: n_max + 1])
+def _triangle(a, b, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), k <= n: entry (n, k) is rows[n][k] / d.
+
+    Sheffer tables (a = 1/g(fbar), b = fbar) and transfer tables (a = h(fbar)/g(fbar),
+    b = l(fbar)) both come from here; ``a`` is known through n_max.  One sweep over k
+    gives each column a b^k over its own denominator; the rows are brought to the lcm
+    of those, and one gcd makes that the least one.
+    """
+    fact = [factorial(n) for n in range(n_max + 1)]
     nb, db = _scale(b.coeffs[: n_max + 1])
-    for k in range(n_max + 1):
-        if k:
-            term, d = _reduce(_int_convolve(term, nb, n_max), d * db)
-        yield term, d
-
-
-def _triangle(a: TruncatedSeries, b: TruncatedSeries, n_max: int) -> list[list[Fraction]]:
-    """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), k <= n; ``a`` is known through n_max.
-
-    Only connection tables come from here; `_sheffer_table` applies n!/k! on its own.
-    connect's recombination check compares S = C R with C from here and S and R from
-    the family store's finite sums, which share no code with this sweep.
-    """
-    fact = [factorial(n) for n in range(n_max + 1)]
-    rows = [[] for _ in range(n_max + 1)]
-    for k, (term, d) in enumerate(_columns(a, b, n_max)):
-        for n in range(k, n_max + 1):
-            rows[n].append(Fraction(fact[n] // fact[k] * term[n], d))
-    return rows
-
-
-def _sheffer_table(pair: ShefferPair, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """S_0..S_{n_max} for the pair as integer rows over one denominator: [x^k] S_n = rows[n][k] / d.
-
-    With A = 1/g(fbar) and B = fbar, coefficient k of S_n is (n!/k!) [t^n](A B^k);
-    one sweep over k fills the whole triangle.  The columns are brought to the lcm
-    of their denominators, and one gcd makes that the least one.
-    """
-    _require_known(pair.trunc_order, _as_count(n_max, "n_max"), "give a member of")
-    fbar = pair.fbar.truncate(n_max)
-    fact = [factorial(n) for n in range(n_max + 1)]
-    cols = list(_columns(pair.g.compose(fbar).reciprocal(), fbar, n_max))
+    cols = [_scale(a.coeffs[: n_max + 1])]
+    for _ in range(n_max):
+        term, dk = cols[-1]
+        cols.append(_reduce(_int_convolve(term, nb, n_max), dk * db))
     d = lcm(*(dk for _, dk in cols))
     rows = [[fact[n] // fact[k] * term[n] * (d // dk) for k, (term, dk) in enumerate(cols[: n + 1])]
             for n in range(n_max + 1)]
     g = gcd(d, *chain.from_iterable(rows))
     return tuple(tuple(x // g for x in row) for row in rows), d // g
+
+
+def _sheffer_table(pair: ShefferPair, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """S_0..S_{n_max} for the pair as integer rows over one denominator: [x^k] S_n = rows[n][k] / d.
+
+    With A = 1/g(fbar) and B = fbar, coefficient k of S_n is (n!/k!) [t^n](A B^k).
+    """
+    _require_known(pair.trunc_order, _as_count(n_max, "n_max"), "give a member of")
+    fbar = pair.fbar.truncate(n_max)
+    return _triangle(pair.g.compose(fbar).reciprocal(), fbar, n_max)
 
 
 def sheffer_polys(pair: ShefferPair, n_max: int) -> tuple[Poly, ...]:
@@ -165,12 +153,8 @@ class ConnectionMatrix(_Value):
         return f"ConnectionMatrix(n_max={self.n_max})"
 
 
-def connection_coeffs(source: ShefferPair, target: ShefferPair, n_max: int) -> ConnectionMatrix:
-    """Transfer-formula route: C_{n,k} = (n!/k!) [t^n] (h(fbar)/g(fbar) * l(fbar)^k).
-
-    Here source ~ (g, f) and target ~ (h, l); fbar is the inverse of the
-    source's delta series.  Satisfies S_n = sum_k C_{n,k} r_k exactly.
-    """
+def _connection_table(source: ShefferPair, target: ShefferPair, n_max: int):
+    """The transfer-formula table of `connection_coeffs` as integer rows over one denominator."""
     _require_known(
         min(source.trunc_order, target.trunc_order), _as_count(n_max, "n_max"),
         "give connection coefficients of")
@@ -178,11 +162,25 @@ def connection_coeffs(source: ShefferPair, target: ShefferPair, n_max: int) -> C
     h_at = target.g.compose(fbar)
     g_at = source.g.compose(fbar)
     l_at = target.f.compose(fbar)
-    return ConnectionMatrix(_triangle(h_at * g_at.reciprocal(), l_at, n_max))
+    return _triangle(h_at * g_at.reciprocal(), l_at, n_max)
+
+
+def connection_coeffs(source: ShefferPair, target: ShefferPair, n_max: int) -> ConnectionMatrix:
+    """Transfer-formula route: C_{n,k} = (n!/k!) [t^n] (h(fbar)/g(fbar) * l(fbar)^k).
+
+    Here source ~ (g, f) and target ~ (h, l); fbar is the inverse of the
+    source's delta series.  Satisfies S_n = sum_k C_{n,k} r_k exactly.
+    """
+    rows, d = _connection_table(source, target, n_max)
+    return ConnectionMatrix(_fractions(row, d) for row in rows)
 
 
 def connection_oracle(source: ShefferPair, target: ShefferPair, n_max: int) -> ConnectionMatrix:
-    """Independent route: build both integer Sheffer tables and solve the triangular system."""
+    """Solve route: build both integer Sheffer tables and solve the triangular system.
+
+    It shares `_triangle` with `connection_coeffs`, so a fault that scales every table
+    alike (a lost n!/k!) cancels; the family store's finite sums catch that.
+    """
     return ConnectionMatrix(_solve_in_basis(
         _sheffer_table(source, n_max), _sheffer_table(target, n_max), range(n_max + 1)))
 

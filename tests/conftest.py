@@ -2,15 +2,19 @@
 
 ``pythonpath`` in pyproject.toml covers imports inside the pytest process only.
 The ``corrupt_entry`` fixture makes one closed-form coefficient wrong, for the
-tests of FAIL reports.
+tests of FAIL reports; ``triangle_without_factorials`` drops the n!/k! of every
+table the series kernel builds, for the tests of what catches that.
 """
 
 import os
+from itertools import chain
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
 
 import umbra.identities as identities
+import umbra.umbral as umbral
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
@@ -35,3 +39,19 @@ def corrupt_entry(monkeypatch):
 
     yield corrupt
     identities._cell_rows.cache_clear()
+
+
+@pytest.fixture
+def triangle_without_factorials(monkeypatch):
+    """`umbral._triangle` gives [t^n] (a b^k) itself, without its n!/k!, over the least d."""
+    build = umbral._triangle
+
+    def unscaled(a, b, n_max):
+        rows, d = build(a, b, n_max)
+        top = factorial(n_max)  # entry (n, k) times k!/n! is x k! (top/n!) / (d top)
+        nums = [[x * factorial(k) * (top // factorial(n)) for k, x in enumerate(row)]
+                for n, row in enumerate(rows)]
+        g = gcd(d * top, *chain.from_iterable(nums))
+        return tuple(tuple(x // g for x in row) for row in nums), d * top // g
+
+    monkeypatch.setattr(umbral, "_triangle", unscaled)

@@ -280,13 +280,11 @@ def test_json_round_trip_equals_in_memory_values(capsys):
 
 def test_connect_exits_three_when_routes_disagree(capsys, monkeypatch):
     import umbra.cli as cli
-    from umbra import ConnectionMatrix
 
     def corrupted(source, target, n_max):
-        rows = [[F(7)] * (n + 1) for n in range(n_max + 1)]
-        return ConnectionMatrix(rows)
+        return tuple((7,) * (n + 1) for n in range(n_max + 1)), 1
 
-    monkeypatch.setattr(cli, "connection_coeffs", corrupted)
+    monkeypatch.setattr(cli, "_connection_table", corrupted)
     code, out, err = run(capsys, "connect", "--from", "euler:1", "--to", "hermite", "--max-n", "3")
     assert code == 3
     assert out == ""
@@ -326,7 +324,8 @@ def test_a_passing_connect_solves_nothing(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a passing connect built or solved the second route")
 
-    for name in ("_solve_in_basis", "sheffer_polys", "connection_oracle", "_sheffer_table"):
+    for name in ("_solve_in_basis", "sheffer_polys", "connection_oracle", "_sheffer_table",
+                 "connection_coeffs", "ConnectionMatrix"):
         monkeypatch.setattr(umbral, name, refuse)
         monkeypatch.setattr(cli, name, refuse, raising=False)
     for source, target in MUTANT_PAIRS:
@@ -460,24 +459,12 @@ def test_a_closed_stdout_exits_141_quietly():
     assert (code, err) == (EXIT_BROKEN_PIPE, b"") and code == 141
 
 
-def test_connect_catches_a_triangle_without_its_factorials(capsys, monkeypatch):
-    import umbra.umbral as umbral
-
-    def unscaled(a, b, n_max):
-        rows = [[] for _ in range(n_max + 1)]
-        for k, (term, d) in enumerate(umbral._columns(a, b, n_max)):
-            for n in range(k, n_max + 1):
-                rows[n].append(F(term[n], d))
-        return rows
-
-    monkeypatch.setattr(umbral, "_triangle", unscaled)
+def test_connect_catches_a_triangle_without_its_factorials(capsys, triangle_without_factorials):
     assert _connect_codes(capsys, 2) == [EXIT_INCONSISTENT] * len(MUTANT_PAIRS)
 
 
 def test_connect_catches_one_entry_moved_by_one_over_its_denominator(capsys, monkeypatch):
     import umbra.cli as cli
-    from umbra import ConnectionMatrix
-    from umbra.series import _scale
 
     n_max = 5
     rng = random.Random(20130222)
@@ -488,11 +475,12 @@ def test_connect_catches_one_entry_moved_by_one_over_its_denominator(capsys, mon
             step = rng.choice([-1, 1])
 
             def moved(src, tgt, n_max, n=n, k=k, step=step):
-                rows = [list(row) for row in connection_coeffs(src, tgt, n_max).rows]
-                rows[n][k] += F(step, _scale(rows[n])[1])
-                return ConnectionMatrix(rows)
+                rows, d = umbral._connection_table(src, tgt, n_max)
+                rows = [list(row) for row in rows]
+                rows[n][k] += step  # by 1/d, no more than 1 over row n's own denominator
+                return rows, d
 
-            monkeypatch.setattr(cli, "connection_coeffs", moved)
+            monkeypatch.setattr(cli, "_connection_table", moved)
             code, out, err = run(
                 capsys, "connect", "--from", source, "--to", target, "--max-n", str(n_max))
             assert (code, out, err) == (EXIT_INCONSISTENT, "", DISAGREE), (source, target, n, k)

@@ -68,10 +68,11 @@ def test_stdout_matches_pinned_digest(command):
 def test_traced_run_prints_the_untraced_bytes():
     # bench/traced.py wraps the public callables in every umbra namespace, so code
     # that compares one of them by identity would change course under the trace
-    command = "verify --theorems all --max-n 5 --orders 0,2".split()
-    plain, traced = (
-        subprocess.run([sys.executable, *prefix, *command], capture_output=True, cwd=ROOT,
-                       timeout=120)
-        for prefix in (["-m", "umbra.cli"], [str(ROOT / "bench" / "traced.py")]))
-    assert plain.returncode == traced.returncode == 0, traced.stderr.decode()
-    assert traced.stdout == plain.stdout
+    for command in ("verify --theorems all --max-n 5 --orders 0,2",
+                    "connect --from frobenius-euler:2:-3/2 --to bernoulli:3 --max-n 12"):
+        plain, traced = (
+            subprocess.run([sys.executable, *prefix, *command.split()], capture_output=True,
+                           cwd=ROOT, timeout=120)
+            for prefix in (["-m", "umbra.cli"], [str(ROOT / "bench" / "traced.py")]))
+        assert plain.returncode == traced.returncode == 0, (command, traced.stderr.decode())
+        assert traced.stdout == plain.stdout, command
