@@ -109,12 +109,13 @@ def family_document(spec: FamilySpec, max_degree: int) -> dict:
 
 
 def connection_document(source: FamilySpec, target: FamilySpec, n_max: int) -> tuple[dict, bool]:
-    rows, d = _connection_table(
+    table = _connection_table(
         sheffer_pair_of(source, n_max), sheffer_pair_of(target, n_max), n_max)
     # S_n = sum_k C_(n,k) R_k on the stored family tables; a passing table solves nothing
     agree = _first_failing_row(
-        [(row, d) for row in rows], _family_rows(target, n_max),
-        _family_rows(source, n_max), range(n_max + 1)) is None
+        table, _family_rows(target, n_max), _family_rows(source, n_max),
+        range(n_max + 1)) is None
+    rows, d = table
     doc = {
         "document": "connection-table",
         "tool": _TOOL,

@@ -14,12 +14,14 @@ Identity ids t1..t3 expand a family in the Hermite basis; t4..t8 and
 * t8 / remark: Hermite members in the order-r Frobenius-Euler basis
   (Hermite-values and double-sum forms).
 
-Each identity has one row builder.  It gives rows 0..n_max of the closed form
-as integer numerators over one denominator, from tables that do not depend on k:
+Each identity has one row builder.  It gives rows 0..N (N = n_max) of the closed
+form as one table (rows, d), integer numerators over one denominator, as the family
+store's tables are, from tables that do not depend on k:
 
 * t1..t3: n!/(k! 2^k) w(m), m = n - k, with w(m) the family's Hermite-basis
   sum, as C(n, k) 2^(m mod 2) W[m] over 2^n D, where w(m) = W[m] / (D m! 4^(m//2))
-  and D is the family table's denominator;
+  and D is the family table's denominator; row n is shifted left N - n more bits
+  to the table's 2^N D;
 * t4, t5, t8, remark: C(n, k) 2^k w(n-k), where for lam = p/q
   w(m) = sum_i [x^i]H_m M_i / (q-p)^r, on the integer moments
   M_i = sum_j C(r, j) (-p)^(r-j) q^j j^i.
@@ -29,7 +31,8 @@ as integer numerators over one denominator, from tables that do not depend on k:
   difference at 0 is D^k H_m(0) = k! sum_i [x^i]H_m S(i, k), and the Stirling
   columns S(j+l, j) are built once per row set;
 * t7 at and above k = r: 2^(k-r) n! D^r H_(n-k+r)(0) / (k! (n-k+r)!).
-  Both t7 branches and t6 share the row denominator (n+r)!.
+  Both t7 branches and t6 share the row denominator (n+r)!; row n is multiplied
+  by (N+r)!/(n+r)! to the table's (N+r)!.
 
 A verification cell builds its rows when it runs and keeps no table, so its
 verdict does not depend on the cells before it.  The basis family is triangular
@@ -60,15 +63,7 @@ from functools import lru_cache
 from math import comb, factorial, perm
 
 from .errors import RegimeViolation
-from .families import (
-    FamilySpec,
-    _as_lambda,
-    _family_rows,
-    bernoulli,
-    euler,
-    frobenius_euler,
-    hermite,
-)
+from .families import FamilyKind, FamilySpec, _as_lambda, _family_rows, hermite
 from .polynomials import _stirling2_columns
 from .series import _Value, _as_count
 from .umbral import _first_failing_row, _solve_in_basis
@@ -77,12 +72,6 @@ from .umbral import _first_failing_row, _solve_in_basis
 DEFAULT_LAMBDAS = (Fraction(-1), Fraction(2), Fraction(1, 2))
 
 _LAMBDA_SEED = DEFAULT_LAMBDAS + (Fraction(3), Fraction(-2), Fraction(5))
-
-
-def _check_nkr(n: int, k: int, r: int):
-    if _as_count(k, "k") > _as_count(n, "n"):
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    _as_count(r, "r")
 
 
 def _explicit_hermite(n_max: int) -> tuple[list[list[int]], int]:
@@ -96,7 +85,7 @@ def _explicit_hermite(n_max: int) -> tuple[list[list[int]], int]:
     return rows, 1
 
 
-def _sheffer_hermite(n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+def _stored_hermite(n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """[x^i] H_m for m <= n_max over one denominator: a slice of the stored Hermite table,
     which the family store builds by H_(m+1) = 2x H_m - 2m H_(m-1), not by a Sheffer pair."""
     return _family_rows(hermite(), n_max)
@@ -104,19 +93,18 @@ def _sheffer_hermite(n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 # A row builder takes the family spec paired with Hermite, n_max and the Hermite
 # coefficient table its rows read (None for t1-t3, which read none), and returns
-# rows 0..n_max as (numerators, denominator), entry k of row n being the
-# coefficient at (n, k).
+# rows 0..n_max as one table (rows, d), the coefficient at (n, k) being rows[n][k] / d.
 
 def _basis_rows(spec: FamilySpec, n_max: int, _hermite):
     """t1-t3: n!/(k! 2^k) w(n-k) as C(n, k) 2^(m mod 2) W[m] over 2^n D, m = n - k, where
     w(m) = sum_i b(m-2i) / ((m-2i)! 4^i i!) = W[m] / (D m! 4^(m//2)) for the numbers b = N / D:
-    W[m] = sum_i N[m-2i] m!/((m-2i)! i!) 4^(m//2-i)."""
-    rows, d = _family_rows(spec, n_max)
-    w = [sum(rows[m - 2 * i][0] * (perm(m, 2 * i) // factorial(i)) << 2 * (m // 2 - i)
+    W[m] = sum_i N[m-2i] m!/((m-2i)! i!) 4^(m//2-i).  Row n is lifted to 2^n_max D."""
+    numbers, d = _family_rows(spec, n_max)
+    w = [sum(numbers[m - 2 * i][0] * (perm(m, 2 * i) // factorial(i)) << 2 * (m // 2 - i)
              for i in range(m // 2 + 1))
          for m in range(n_max + 1)]
-    return [([comb(n, k) * w[n - k] << ((n - k) & 1) for k in range(n + 1)], d << n)
-            for n in range(n_max + 1)]
+    return [[comb(n, k) * w[n - k] << ((n - k) & 1) + n_max - n for k in range(n + 1)]
+            for n in range(n_max + 1)], d << n_max
 
 
 def _weighted_rows(spec: FamilySpec, n_max: int, hermite_coeffs):
@@ -131,11 +119,12 @@ def _weighted_rows(spec: FamilySpec, n_max: int, hermite_coeffs):
     moments = [sum(c * j ** i for j, c in enumerate(weights)) for i in range(n_max + 1)]
     w = [sum(c * mo for c, mo in zip(row, moments)) for row in coeffs]
     d = da * (q - p) ** r
-    return [([comb(n, k) * w[n - k] << k for k in range(n + 1)], d) for n in range(n_max + 1)]
+    return [[comb(n, k) * w[n - k] << k for k in range(n + 1)] for n in range(n_max + 1)], d
 
 
 def _stirling_rows(spec: FamilySpec, n_max: int, hermite_coeffs):
-    """t6 and t7 over (n+r)! dA, since k! (n+r-k)! divides (n+r)! by C(n+r, k)."""
+    """t6 and t7 over (n+r)! dA, since k! (n+r-k)! divides (n+r)! by C(n+r, k); row n is
+    lifted to the table's (n_max+r)! dA by (n_max+r)!/(n+r)!."""
     r = spec.order_r
     coeffs, da = hermite_coeffs
     cols = [col[:] for col in _stirling2_columns(r, n_max + 1)]  # cols[j][l] = S(j+l, j)
@@ -144,38 +133,49 @@ def _stirling_rows(spec: FamilySpec, n_max: int, hermite_coeffs):
               for k in range(min(m, r) + 1)] for m, row in enumerate(coeffs)]
     rows = []
     for n in range(n_max + 1):
+        lift = factorial(n) * perm(n_max + r, n_max - n)
         row = []
         for k in range(n + 1):
             if k < r:
                 j = r - k
                 tot = sum(diffs[n - l][k] * cols[j][l] * comb(n + j, n - l) << l
                           for l in range(n - k + 1))
-                row.append(factorial(n) * factorial(j) * comb(n + r, k) * tot)
+                row.append(lift * factorial(j) * comb(n + r, k) * tot)
             else:
-                row.append(factorial(n) * comb(n + r, k) * diffs[n - k + r][r] << (k - r))
-        rows.append((row, factorial(n + r) * da))
-    return rows
+                row.append(lift * comb(n + r, k) * diffs[n - k + r][r] << (k - r))
+        rows.append(row)
+    return rows, factorial(n_max + r) * da
 
 
-# id -> (family paired with Hermite, whether that family is expanded in the
-# Hermite basis rather than Hermite in the family's basis, the Hermite table the
-# rows read, row builder).  Family constructors and Hermite tables are looked up
-# by name, so a replaced one is used.  Each time a cell runs, verify_theorem
-# builds its Hermite table once and calls the builder found here for each lambda
-# sample; the public tN_coeff read its rows through the _cell_rows memo.
+# id -> (kind of the family paired with Hermite, whether that family is expanded
+# in the Hermite basis rather than Hermite in the family's basis, the Hermite table
+# the rows read, row builder).  Hermite tables are looked up by name, so a replaced
+# one is used.  Each time a cell runs, verify_theorem builds its Hermite table once
+# and calls the builder found here for each lambda sample; the public tN_coeff read
+# its rows through the _cell_rows memo.
 _CATALOG = {
-    "t1": ("euler", True, None, _basis_rows),
-    "t2": ("bernoulli", True, None, _basis_rows),
-    "t3": ("frobenius_euler", True, None, _basis_rows),
-    "t4": ("euler", False, "_explicit_hermite", _weighted_rows),
-    "t5": ("euler", False, "_sheffer_hermite", _weighted_rows),
-    "t6": ("bernoulli", False, "_sheffer_hermite", _stirling_rows),
-    "t7": ("bernoulli", False, "_sheffer_hermite", _stirling_rows),
-    "t8": ("frobenius_euler", False, "_sheffer_hermite", _weighted_rows),
-    "remark": ("frobenius_euler", False, "_explicit_hermite", _weighted_rows),
+    "t1": (FamilyKind.EULER, True, None, _basis_rows),
+    "t2": (FamilyKind.BERNOULLI, True, None, _basis_rows),
+    "t3": (FamilyKind.FROBENIUS_EULER, True, None, _basis_rows),
+    "t4": (FamilyKind.EULER, False, "_explicit_hermite", _weighted_rows),
+    "t5": (FamilyKind.EULER, False, "_stored_hermite", _weighted_rows),
+    "t6": (FamilyKind.BERNOULLI, False, "_stored_hermite", _stirling_rows),
+    "t7": (FamilyKind.BERNOULLI, False, "_stored_hermite", _stirling_rows),
+    "t8": (FamilyKind.FROBENIUS_EULER, False, "_stored_hermite", _weighted_rows),
+    "remark": (FamilyKind.FROBENIUS_EULER, False, "_explicit_hermite", _weighted_rows),
 }
 
 THEOREM_IDS = tuple(_CATALOG)
+
+
+def _degrees(tid: str, n_max: int, r: int) -> range:
+    """The degrees a cell of tid checks at order r: t6 holds for r > n, and t7 for n >= r,
+    so t6 refuses r <= n_max and t7 refuses r > n_max, where it would check no degree."""
+    if tid == "t6" and r <= n_max:
+        raise RegimeViolation(f"t6 needs order_r > n_max, got order_r={r}, n_max={n_max}")
+    if tid == "t7" and r > n_max:
+        raise RegimeViolation(f"t7 needs order_r <= n_max, got order_r={r}, n_max={n_max}")
+    return range(r if tid == "t7" else 0, n_max + 1)
 
 
 def _hermite_table(tid: str, n_max: int):
@@ -190,47 +190,42 @@ def _cell_rows(tid: str, spec: FamilySpec, n_max: int):
     return _CATALOG[tid][3](spec, n_max, _hermite_table(tid, n_max))
 
 
-def _entry(tid: str, n: int, k: int, *params) -> Fraction:
-    """Entry (n, k) of tid's rows for the family made from params (the order, and lambda)."""
-    nums, d = _cell_rows(tid, globals()[_CATALOG[tid][0]](*params), n)[n]
-    return Fraction(nums[k], d)
+def _entry(tid: str, n: int, k: int, r: int, *lam) -> Fraction:
+    """Entry (n, k) of tid's rows for the order-r family (at lam for t3, t8 and remark)."""
+    if _as_count(k, "k") > _as_count(n, "n"):
+        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    _degrees(tid, n, _as_count(r, "r"))
+    rows, d = _cell_rows(tid, FamilySpec(_CATALOG[tid][0], r, *lam), n)
+    return Fraction(rows[n][k], d)
 
 
 def t1_coeff(n: int, k: int, r: int) -> Fraction:
     """Hermite-basis coefficient of the degree-n order-r Euler member."""
-    _check_nkr(n, k, r)
     return _entry("t1", n, k, r)
 
 
 def t2_coeff(n: int, k: int, r: int) -> Fraction:
     """Hermite-basis coefficient of the degree-n order-r Bernoulli member."""
-    _check_nkr(n, k, r)
     return _entry("t2", n, k, r)
 
 
 def t3_coeff(n: int, k: int, r: int, lam) -> Fraction:
     """Hermite-basis coefficient of the degree-n order-r Frobenius-Euler member."""
-    _check_nkr(n, k, r)
-    return _entry("t3", n, k, r, _as_lambda(lam))
+    return _entry("t3", n, k, r, lam)
 
 
 def t4_coeff(n: int, k: int, r: int) -> Fraction:
     """Order-r Euler-basis coefficient of the degree-n Hermite member (double sum)."""
-    _check_nkr(n, k, r)
     return _entry("t4", n, k, r)
 
 
 def t5_coeff(n: int, k: int, r: int) -> Fraction:
     """Same coefficient as t4, through Hermite values at integer points."""
-    _check_nkr(n, k, r)
     return _entry("t5", n, k, r)
 
 
 def t6_coeff(n: int, k: int, r: int) -> Fraction:
     """Order-r Bernoulli-basis coefficient of the degree-n Hermite member, r > n."""
-    _check_nkr(n, k, r)
-    if r <= n:
-        raise RegimeViolation(f"this form needs r > n, got r={r}, n={n}")
     return _entry("t6", n, k, r)
 
 
@@ -240,22 +235,17 @@ def t7_coeff(n: int, k: int, r: int) -> Fraction:
     Splits at k = r: below it the Stirling-route shape of t6 applies, at and
     above it a single r-th forward difference.
     """
-    _check_nkr(n, k, r)
-    if n < r:
-        raise RegimeViolation(f"this form needs n >= r, got n={n}, r={r}")
     return _entry("t7", n, k, r)
 
 
 def t8_coeff(n: int, k: int, r: int, lam) -> Fraction:
     """Order-r Frobenius-Euler-basis coefficient of the degree-n Hermite member."""
-    _check_nkr(n, k, r)
-    return _entry("t8", n, k, r, _as_lambda(lam))
+    return _entry("t8", n, k, r, lam)
 
 
 def remark_coeff(n: int, k: int, r: int, lam) -> Fraction:
     """Double-sum form of the t8 coefficient; identical values."""
-    _check_nkr(n, k, r)
-    return _entry("remark", n, k, r, _as_lambda(lam))
+    return _entry("remark", n, k, r, lam)
 
 
 def lambda_samples(count: int, base=()) -> tuple[Fraction, ...]:
@@ -304,7 +294,7 @@ class IdentityReport(_Value):
         return self.status == "PASS"
 
 
-def _first_mismatch(lhs_spec, basis_spec, rows, ns, lam=None) -> Mismatch | None:
+def _first_mismatch(lhs_spec, basis_spec, table, ns, lam=None) -> Mismatch | None:
     """First (n, k) where the closed-form rows differ from the connection coefficients.
 
     Each degree n in ns is checked by recombining the basis table with row n
@@ -314,14 +304,14 @@ def _first_mismatch(lhs_spec, basis_spec, rows, ns, lam=None) -> Mismatch | None
     """
     n_max = ns[-1]
     basis, lhs = _family_rows(basis_spec, n_max), _family_rows(lhs_spec, n_max)
-    n = _first_failing_row(rows, basis, lhs, ns)
+    n = _first_failing_row(table, basis, lhs, ns)
     if n is None:
         return None
-    nums, d = rows[n]
+    rows, d = table
     [solved] = _solve_in_basis(lhs, basis, [n])
     k = next(k for k, want in enumerate(solved)
-             if want.numerator * d != nums[k] * want.denominator)
-    return Mismatch(n, k, solved[k], Fraction(nums[k], d), lam)
+             if want.numerator * d != rows[n][k] * want.denominator)
+    return Mismatch(n, k, solved[k], Fraction(rows[n][k], d), lam)
 
 
 def verify_theorem(
@@ -345,26 +335,21 @@ def verify_theorem(
         raise ValueError(f"unknown identity id {theorem_id!r}")
     _as_count(n_max, "n_max")
     r = _as_count(order_r, "order_r")
-    if tid == "t6" and r <= n_max:
-        raise RegimeViolation(f"t6 needs order_r > n_max, got order_r={r}, n_max={n_max}")
-    if tid == "t7" and r > n_max:
-        raise RegimeViolation(f"t7 needs order_r <= n_max, got order_r={r}, n_max={n_max}")
+    ns = _degrees(tid, n_max, r)
 
-    family_name, in_hermite_basis, _, build = _CATALOG[tid]
+    kind, in_hermite_basis, _, build = _CATALOG[tid]
     lams: tuple[Fraction, ...] = ()
-    if family_name == "frobenius_euler":
+    if kind is FamilyKind.FROBENIUS_EULER:
         base = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)
         count = n_max + r + 1 if symbolic_lambda else len(base)
         lams = lambda_samples(count, base)
         if not lams:
             raise ValueError("need at least one lambda sample")
-    family = globals()[family_name]
 
-    ns = range(r if tid == "t7" else 0, n_max + 1)
     table = _hermite_table(tid, n_max)  # once for all the cell's lambda samples
     failure: Mismatch | None = None
     for lam in lams or (None,):
-        spec = family(r) if lam is None else family(r, lam)
+        spec = FamilySpec(kind, r, lam)
         lhs, basis = (spec, hermite()) if in_hermite_basis else (hermite(), spec)
         failure = _first_mismatch(lhs, basis, build(spec, n_max, table), ns, lam)
         if failure is not None:

@@ -218,27 +218,27 @@ def _solve_in_basis(expanded, basis, ns) -> list[list[Fraction]]:
     return rows
 
 
-def _first_failing_row(rows, basis, expanded, ns) -> int | None:
+def _first_failing_row(table, basis, expanded, ns) -> int | None:
     """The first degree n in ns where sum_k C_(n,k) R_k differs from S_n, or None.
 
-    rows[n] is row n of C as (numerators, d); basis (R) and expanded (S) are integer
-    tables (rows, d) as the family store gives them.  R is triangular with a nonzero
-    diagonal, so S_n = sum_k C_(n,k) R_k holds exactly when row n is the solved one.
-    Each coefficient x^0..x^n of the recombined row is cross-multiplied with S_n, so
-    no Fraction is built and nothing is solved.  A member of either table whose
-    degree is not its index is refused before anything is compared.
+    C (table), R (basis) and S (expanded) are integer tables (rows, d): entry (n, k) of
+    C is rows[n][k] / d, and R and S are as the family store gives them.  R is
+    triangular with a nonzero diagonal, so S_n = sum_k C_(n,k) R_k holds exactly when
+    row n is the solved one.  Each coefficient x^0..x^n of the recombined row is
+    cross-multiplied with S_n, so no Fraction is built and nothing is solved.  A member
+    of R or S whose degree is not its index is refused before anything is compared.
     """
     n_max = ns[-1]
-    (basis, db), (expanded, de) = basis, expanded
+    (rows, d), (basis, db), (expanded, de) = table, basis, expanded
     _check_graded(basis, range(n_max + 1), "basis")
     _check_graded(expanded, ns, "expanded")
     # cols[i][k - i] = [x^i] R_k, so [x^i] sum_k C_(n,k) R_k is a sum over one column
     cols = [[row[i] for row in basis[i:]] for i in range(n_max + 1)]
+    scale = d * db
     for n in ns:
-        nums, d = rows[n]
+        nums = rows[n]
         if len(nums) != n + 1:
             raise ValueError(f"row {n} has {len(nums)} entries, expected {n + 1}")
-        scale = d * db
         if not all(sum(map(mul, nums[i:], col)) * de == x * scale
                    for i, (col, x) in enumerate(zip(cols, expanded[n]))):
             return n

@@ -30,10 +30,10 @@ def corrupt_entry(monkeypatch):
         *entry, build = identities._CATALOG[tid]
 
         def corrupted(*args):
-            rows = list(build(*args))
-            nums, d = rows[n]
-            rows[n] = ([x + d if i == k else x for i, x in enumerate(nums)], d)
-            return rows
+            rows, d = build(*args)
+            rows = list(rows)
+            rows[n] = [x + d if i == k else x for i, x in enumerate(rows[n])]
+            return rows, d
 
         monkeypatch.setitem(identities._CATALOG, tid, (*entry, corrupted))
 

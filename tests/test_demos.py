@@ -1,5 +1,7 @@
-"""Every demo script runs to completion and prints the bytes pinned for it."""
+"""Every demo script runs to completion and prints the bytes pinned for it, and
+README's library example gives the result written beside each of its lines."""
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -28,3 +30,21 @@ def test_demo_runs(script):
         [sys.executable, str(script)], capture_output=True, env=env, cwd=ROOT, timeout=60)
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == STDOUT_SHA256[script.name]
+
+
+def test_readme_library_example_gives_its_commented_results():
+    # each "# result" comment in "Library in one minute" is what its expression gives,
+    # as print shows it (a Poly) or as the REPL does (the rest)
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library in one minute")[1].split("```python\n")[1].split("```")[0]
+    lines, scope, checked = block.splitlines(), {}, []
+    for stmt in ast.parse(block).body:
+        source = ast.get_source_segment(block, stmt)
+        if not isinstance(stmt, ast.Expr):
+            exec(source, scope)
+            continue
+        got = eval(source, scope)
+        want = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+        assert want in (str(got), repr(got)), (source, got)
+        checked.append(want)
+    assert checked == ["12 - 48*x^2 + 16*x^4", "1/6 - x + x^2", "Fraction(1, 2)", "'PASS'"]

@@ -10,6 +10,8 @@ import pytest
 import umbra.families as families
 import umbra.identities as identities
 from umbra import (
+    FamilyKind,
+    FamilySpec,
     LambdaIsOne,
     RegimeViolation,
     SingularBasis,
@@ -238,16 +240,18 @@ def test_lambda_forms_match_oracles_at_wide_lambdas(seed):
 @pytest.mark.parametrize("tid", identities.THEOREM_IDS)
 def test_builder_row_is_the_solved_row_and_the_public_row(tid):
     n_max, r = 8, {"t6": 9, "t7": 3}.get(tid, 2)
-    family_name, in_hermite_basis, _, build = identities._CATALOG[tid]
-    lam = (F(-7, 3),) if family_name == "frobenius_euler" else ()
-    spec = getattr(identities, family_name)(r, *lam)
+    kind, in_hermite_basis, _, build = identities._CATALOG[tid]
+    lam = (F(-7, 3),) if kind is FamilyKind.FROBENIUS_EULER else ()
+    spec = FamilySpec(kind, r, *lam)
     hermites, polys = family_polys(hermite(), n_max), family_polys(spec, n_max)
     lhs, basis = (polys, hermites) if in_hermite_basis else (hermites, polys)
-    solved = _solve_in_basis(int_table(lhs), int_table(basis), range(n_max + 1))[n_max]
-    nums, d = build(spec, n_max, identities._hermite_table(tid, n_max))[n_max]
-    assert [F(x, d) for x in nums] == solved
+    solved = _solve_in_basis(int_table(lhs), int_table(basis), range(n_max + 1))
+    rows, d = build(spec, n_max, identities._hermite_table(tid, n_max))
+    # every row, not only row n_max, whose lift to the table's d is 1
+    assert [[F(x, d) for x in row] for row in rows] == solved
     coeff = getattr(identities, f"{tid}_coeff")
-    assert [coeff(n_max, k, r, *lam) for k in range(n_max + 1)] == solved
+    for n in identities._degrees(tid, n_max, r):  # tN_coeff builds its rows through n
+        assert [coeff(n, k, r, *lam) for k in range(n + 1)] == solved[n], n
 
 
 def test_t1_spot_values():
@@ -486,7 +490,7 @@ def test_verify_reports_first_failure_in_every_row_shape(corrupt_entry, tid, n_m
 def test_an_entry_off_by_one_is_caught_at_its_place(monkeypatch, tid, r):
     n_max = 8
     *entry, build = identities._CATALOG[tid]
-    spec = getattr(identities, entry[0])(r)
+    spec = FamilySpec(entry[0], r)
     clean = build(spec, n_max, identities._hermite_table(tid, n_max))
     rng = random.Random(20130222)
     cases = [(n, rng.randint(0, n)) for n in rng.sample(range(n_max + 1), 4)]
@@ -494,15 +498,15 @@ def test_an_entry_off_by_one_is_caught_at_its_place(monkeypatch, tid, r):
         step = rng.choice([-3, -2, -1, 1, 2, 3])
 
         def corrupted(*args, n=n, k=k, step=step):
-            rows = list(build(*args))
-            nums, d = rows[n]
-            rows[n] = ([x + step if i == k else x for i, x in enumerate(nums)], d)
-            return rows
+            rows, d = build(*args)
+            rows = list(rows)
+            rows[n] = [x + step if i == k else x for i, x in enumerate(rows[n])]
+            return rows, d
 
         monkeypatch.setitem(identities._CATALOG, tid, (*entry, corrupted))
         failure = verify_theorem(tid, n_max, r).first_failure
         assert (failure.n, failure.k) == (n, k)
-        assert failure.got - failure.expected == F(step, clean[n][1])
+        assert failure.got - failure.expected == F(step, clean[1])
 
 
 def test_a_passing_cell_solves_nothing(monkeypatch):
@@ -574,22 +578,22 @@ def test_explicit_route_reads_no_sheffer_table(monkeypatch):
     want_remark = [double_sum_oracle(n, k, r, F(1, 2)) for n, k, r in cells]
 
     def refuse(*args):
-        raise AssertionError("the explicit route read the Sheffer Hermite table")
+        raise AssertionError("the explicit route read the stored Hermite table")
 
     identities._cell_rows.cache_clear()  # nothing computed before the patch may answer
     monkeypatch.setattr(identities, "_family_rows", refuse)
-    monkeypatch.setattr(identities, "_sheffer_hermite", refuse)
+    monkeypatch.setattr(identities, "_stored_hermite", refuse)
     assert [t4_coeff(*c) for c in cells] == want_t4
     assert [remark_coeff(*c, F(1, 2)) for c in cells] == want_remark
 
 
 def test_hermite_coefficient_tables_agree_with_the_operator_route():
     explicit, d_explicit = identities._explicit_hermite(40)
-    sheffer, d_sheffer = identities._sheffer_hermite(40)
+    stored, d_stored = identities._stored_hermite(40)
     for m in range(41):
         want = list(hermite_poly_via_operator(m).coeffs)
         assert [F(c, d_explicit) for c in explicit[m]] == want, m
-        assert [F(c, d_sheffer) for c in sheffer[m]] == want, m
+        assert [F(c, d_stored) for c in stored[m]] == want, m
 
 
 def test_report_invariant_enforced():

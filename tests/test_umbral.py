@@ -315,8 +315,7 @@ def test_recombination_verdict_matches_the_solve_on_nontrivial_pairs():
             rows[n][rng.randint(0, n)] += rng.choice([-1, 1])
             tables = _sheffer_table(target, n_max), _sheffer_table(source, n_max)
             for table, want in ((direct, None), (rows, n)):
-                failing = _first_failing_row(
-                    [(row, d) for row in table], *tables, range(n_max + 1))
+                failing = _first_failing_row((table, d), *tables, range(n_max + 1))
                 matrix = ConnectionMatrix(_fractions(row, d) for row in table)
                 assert (failing is None) == (matrix == solved), (i, j)
                 assert failing == want, (i, j)
