@@ -10,6 +10,7 @@ import pytest
 
 import umbra.families as families
 import umbra.identities as identities
+import umbra.series as series
 import umbra.umbral as umbral
 from umbra import TruncatedSeries, as_rational, connection_coeffs, verify_theorem
 from umbra.cli import (
@@ -398,13 +399,34 @@ def _result_changed(method, k, change):
     return mutated
 
 
+def _entry_moved(convolve):
+    """The integer convolution, with entry 2 of each product it returns moved by one."""
+    def mutated(a, b, n):
+        out = convolve(a, b, n)
+        if n >= 2:
+            out[2] += 1
+        return out
+    return mutated
+
+
 @pytest.mark.parametrize("name, k, change", [
-    ("exp", 4, operator.neg), ("reciprocal", 3, lambda c: 2 * c)])
+    ("exp", 4, operator.neg), ("reciprocal", 3, lambda c: 2 * c), ("compose", 3, lambda c: c + 1)])
 def test_connect_catches_a_kernel_mutant(capsys, monkeypatch, name, k, change):
     # the transfer table runs the kernel and the tables it is checked against do not
     monkeypatch.setattr(families, "_store", {})
     mutant = _result_changed(getattr(TruncatedSeries, name), k, change)
     monkeypatch.setattr(TruncatedSeries, name, mutant)
+    codes = _connect_codes(capsys, 6)
+    assert EXIT_INCONSISTENT in codes, codes
+
+
+def test_connect_catches_a_convolution_mutant(capsys, monkeypatch):
+    # the integer convolution under every product, column sweep and running power
+    monkeypatch.setattr(families, "_store", {})
+    original = series._int_convolve
+    for module in (series, umbral):
+        if getattr(module, "_int_convolve", None) is original:
+            monkeypatch.setattr(module, "_int_convolve", _entry_moved(original))
     codes = _connect_codes(capsys, 6)
     assert EXIT_INCONSISTENT in codes, codes
 
