@@ -31,12 +31,13 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import __version__
 from .errors import UmbraError
 from .families import FamilyKind, FamilySpec, _as_lambda, _family_rows, sheffer_pair_of
 from .identities import DEFAULT_LAMBDAS, THEOREM_IDS, IdentityReport, verify_theorem
-from .series import _as_count, _fractions
+from .series import _as_count
 from .umbral import _connection_table, _first_failing_row
 
 EXIT_OK = 0
@@ -92,19 +93,23 @@ def _describe_spec(spec: FamilySpec) -> dict:
 # -- documents ---------------------------------------------------------------
 
 def _rows(table) -> list[dict]:
-    """Row n of a lower-triangular table as {"n": n, "coefficients": its n + 1 entries as text}."""
-    return [{"n": n, "coefficients": [str(c) for c in row]} for n, row in enumerate(table)]
+    """Row n of an integer table (rows, d), d > 0, as {"n": n, "coefficients": [text]}.
+
+    Each x / d is written as str(Fraction(x, d)) would write it, after one gcd."""
+    rows, d = table
+    return [{"n": n, "coefficients": [
+        str(x // g) if (g := gcd(x, d)) == d else f"{x // g}/{d // g}" for x in row]}
+        for n, row in enumerate(rows)]
 
 
 def family_document(spec: FamilySpec, max_degree: int) -> dict:
-    rows, d = _family_rows(spec, max_degree)
     return {
         "document": "family-table",
         "tool": _TOOL,
         "conventions": _CONVENTIONS,
         "family": _describe_spec(spec),
         "max_degree": max_degree,
-        "rows": _rows(_fractions(row, d) for row in rows),
+        "rows": _rows(_family_rows(spec, max_degree)),
     }
 
 
@@ -115,7 +120,6 @@ def connection_document(source: FamilySpec, target: FamilySpec, n_max: int) -> t
     agree = _first_failing_row(
         table, _family_rows(target, n_max), _family_rows(source, n_max),
         range(n_max + 1)) is None
-    rows, d = table
     doc = {
         "document": "connection-table",
         "tool": _TOOL,
@@ -124,7 +128,7 @@ def connection_document(source: FamilySpec, target: FamilySpec, n_max: int) -> t
         "target": _describe_spec(target),
         "max_n": n_max,
         "routes_agree": agree,
-        "rows": _rows(_fractions(row, d) for row in rows),
+        "rows": _rows(table),
     }
     return doc, agree
 

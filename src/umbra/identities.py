@@ -251,7 +251,7 @@ def remark_coeff(n: int, k: int, r: int, lam) -> Fraction:
 def lambda_samples(count: int, base=()) -> tuple[Fraction, ...]:
     """At least ``count`` distinct rational parameter samples, never 1.
 
-    Samples from ``base`` come first (a value 1 there is an error); the
+    Samples from ``base`` come first (a value 1 there is an error), each once; the
     default pool and then fresh integers fill up the remainder.
     """
     _as_count(count, "count")
@@ -341,8 +341,8 @@ def verify_theorem(
     lams: tuple[Fraction, ...] = ()
     if kind is FamilyKind.FROBENIUS_EULER:
         base = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)
-        count = n_max + r + 1 if symbolic_lambda else len(base)
-        lams = lambda_samples(count, base)
+        # the distinct values given, filled up only for the symbolic sample count
+        lams = lambda_samples(n_max + r + 1 if symbolic_lambda else 0, base)
         if not lams:
             raise ValueError("need at least one lambda sample")
 

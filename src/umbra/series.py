@@ -7,10 +7,11 @@ visible in the result's order.  Every coefficient a caller sees is a
 canonical `fractions.Fraction`; values are immutable and all operations
 return new series, which makes them safe to share between threads.
 
-The kernel loops (products, `reciprocal`, `compose`, the running power in
-`comp_inverse`, and umbral's triangle, basis solve and operator action) run
-on integer numerators over one common denominator and cancel by one gcd per
-step; a `Fraction` is built only when a loop returns.
+The kernel loops (`_int_convolve` under every product, `_reciprocal`, `_compose`, the
+running power in `comp_inverse`, and umbral's triangle, basis solve and operator action)
+run on integer vectors (nums, d), numerators over one denominator, with one gcd per step.
+A method `_scale`s its operands in and builds `Fraction`s (`_fractions`) only on return;
+umbral's Sheffer and transfer tables run the integer functions end to end and build none.
 """
 
 from __future__ import annotations
@@ -110,6 +111,42 @@ def _reduce(nums: list[int], d: int) -> tuple[list[int], int]:
     if g == 1:
         return nums, d
     return [x // g for x in nums], d // g
+
+
+def _reciprocal(series) -> tuple[list[int], int]:
+    """h = 1 / (c / dc) through the degree of the vector c / dc, as (nums, d > 0).
+
+    Solves the triangular system c_0 h_k = dc delta_{k,0} - sum_{i>=1} c_i h_{k-i}.
+    """
+    c, dc = series
+    if not c[0]:
+        raise NotInvertible("series has zero constant term")
+    # h = nums / d; each step puts one more factor c_0 under every h_j
+    nums, d = [dc], c[0]
+    for k in range(1, len(c)):
+        acc = sum(c[i] * nums[k - i] for i in range(1, k + 1) if c[i])
+        nums, d = _reduce([x * c[0] for x in nums] + [-acc], d * c[0])
+    return (nums, d) if d > 0 else ([-x for x in nums], -d)
+
+
+def _compose(outer, inner) -> tuple[list[int], int]:
+    """outer(inner(t)) through the lower of the two degrees, on vectors (nums, d > 0).
+
+    Horner's rule over powers of the inner series, which must have zero constant
+    term.  The running sum leaves the outer's denominator out until the end, so
+    each step is one convolution, one scaling of the next outer numerator and one gcd.
+    """
+    (c, dc), (g, dg) = outer, inner
+    if g[0]:
+        raise CompositionOrder("inner series of a composition must have zero constant term")
+    n = min(len(c), len(g)) - 1
+    # sum_(j >= k) c_j inner^(j - k) = nums / d
+    nums, d = [c[n]] + [0] * n, 1
+    for k in range(n - 1, -1, -1):
+        nums, d = _int_convolve(nums, g, n), d * dg
+        nums[0] += c[k] * d
+        nums, d = _reduce(nums, d)
+    return _reduce(nums, d * dc)
 
 
 def _fractions(nums, d: int) -> list[Fraction]:
@@ -291,41 +328,14 @@ class TruncatedSeries(_Value):
         return _power(self, k, TruncatedSeries.one(self.trunc_order))
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse h with self*h = 1 through the truncation order.
-
-        Solves the triangular system c_0 h_k = delta_{k,0} - sum_{i>=1} c_i h_{k-i}.
-        """
-        if not self._coeffs[0]:
-            raise NotInvertible("series has zero constant term")
-        c, dc = _scale(self._coeffs)
-        # h = nums / d; each step puts one more factor c_0 under every h_j
-        nums, d = [dc], c[0]
-        for k in range(1, len(c)):
-            acc = sum(c[i] * nums[k - i] for i in range(1, k + 1) if c[i])
-            nums, d = _reduce([x * c[0] for x in nums] + [-acc], d * c[0])
-        return TruncatedSeries(_fractions(nums, d))
+        """Multiplicative inverse h, self*h = 1 through the truncation order; see `_reciprocal`."""
+        return TruncatedSeries(_fractions(*_reciprocal(_scale(self._coeffs))))
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(t)) through degree min of the two truncation orders.
-
-        Horner accumulation over powers of the inner series; the inner
-        series must have zero constant term so the result stays polynomial
-        in each degree.
-        """
-        if inner._coeffs[0]:
-            raise CompositionOrder("inner series of a composition must have zero constant term")
+        """self(inner(t)) through the lower of the two truncation orders; see `_compose`."""
         n = min(self.trunc_order, inner.trunc_order)
-        g, dg = _scale(inner._coeffs[: n + 1])
-        c, dc = _scale(self._coeffs[: n + 1])
-        # result = nums / d; a reduction can drop factors of dc from d, so re-take the lcm
-        nums, d = [c[n]] + [0] * n, dc
-        for k in range(n - 1, -1, -1):
-            nums, d = _int_convolve(nums, g, n), d * dg
-            m = math.lcm(d, dc)
-            nums = [x * (m // d) for x in nums]
-            nums[0] += c[k] * (m // dc)
-            nums, d = _reduce(nums, m)
-        return TruncatedSeries(_fractions(nums, d))
+        return TruncatedSeries(_fractions(*_compose(
+            _scale(self._coeffs[: n + 1]), _scale(inner._coeffs[: n + 1]))))
 
     def comp_inverse(self) -> "TruncatedSeries":
         """Compositional inverse of a delta series, by Lagrange inversion.
@@ -336,10 +346,9 @@ class TruncatedSeries(_Value):
         """
         if self.order != 1:
             raise NotDelta("compositional inverse needs order exactly 1")
-        q, dq = _scale(TruncatedSeries(self._coeffs[1:]).reciprocal()._coeffs)
-        h = [_ZERO, Fraction(q[0], dq)]
-        power, d = q, dq
-        for n in range(2, len(self._coeffs)):
+        q, dq = _reciprocal(_scale(self._coeffs[1:]))
+        h, power, d = [_ZERO], [1], 1
+        for n in range(1, len(self._coeffs)):
             power, d = _reduce(_int_convolve(power, q, len(q) - 1), d * dq)
             h.append(Fraction(power[n - 1], d * n))
         return TruncatedSeries(h)

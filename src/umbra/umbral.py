@@ -28,9 +28,10 @@ from itertools import chain
 from math import factorial, gcd, lcm, perm
 from operator import mul
 
-from .errors import NotInvertible, SingularBasis, TruncationTooShort
+from .errors import NotDelta, NotInvertible, SingularBasis, TruncationTooShort
 from .polynomials import Poly
 from .series import TruncatedSeries, _Value, _as_count, _fractions, _int_convolve, _reduce, _scale
+from .series import _compose, _reciprocal
 
 _ZERO = Fraction(0)
 
@@ -63,14 +64,14 @@ def eval_functional(y, order: int) -> TruncatedSeries:
 
 
 class ShefferPair(_Value):
-    """An invertible series g and a delta series f, with f's inverse cached.
+    """An invertible series g and a delta series f, with f's inverse fbar.
 
-    Both series are held at a common truncation order; the compositional
-    inverse is computed once at construction.  The pair is (g, f): fbar is
-    neither compared, hashed nor printed.
+    Both series are held at a common truncation order.  fbar is computed when
+    first read and kept, so a pair whose inverse nobody reads (connect's target)
+    never inverts f.  The pair is (g, f): fbar is neither compared, hashed nor printed.
     """
 
-    __slots__ = ("g", "f", "fbar")
+    __slots__ = ("g", "f", "_fbar")
     _fields = ("g", "f")
 
     def __init__(self, g: TruncatedSeries, f: TruncatedSeries):
@@ -78,7 +79,16 @@ class ShefferPair(_Value):
         g, f = g.truncate(n), f.truncate(n)
         if g.order != 0:
             raise NotInvertible("g of a Sheffer pair must be an invertible series")
-        self._set(g, f, f.comp_inverse())
+        if f.order != 1:
+            raise NotDelta("f of a Sheffer pair must be a delta series (order exactly 1)")
+        self._set(g, f, None)
+
+    @property
+    def fbar(self) -> TruncatedSeries:
+        """The compositional inverse of f, computed on first read."""
+        if self._fbar is None:
+            object.__setattr__(self, "_fbar", self.f.comp_inverse())
+        return self._fbar
 
     @property
     def trunc_order(self) -> int:
@@ -89,13 +99,13 @@ def _triangle(a, b, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), k <= n: entry (n, k) is rows[n][k] / d.
 
     Sheffer tables (a = 1/g(fbar), b = fbar) and transfer tables (a = h(fbar)/g(fbar),
-    b = l(fbar)) both come from here; ``a`` is known through n_max.  One sweep over k
-    gives each column a b^k over its own denominator; the rows are brought to the lcm
-    of those, and one gcd makes that the least one.
+    b = l(fbar)) come from here, a and b integer vectors (nums, d), a known through n_max.
+    One sweep over k gives each column a b^k over its own denominator; the rows are brought
+    to the lcm of those, and one gcd makes that the least one.
     """
     fact = [factorial(n) for n in range(n_max + 1)]
-    nb, db = _scale(b.coeffs[: n_max + 1])
-    cols = [_scale(a.coeffs[: n_max + 1])]
+    nb, db = b
+    cols = [a]
     for _ in range(n_max):
         term, dk = cols[-1]
         cols.append(_reduce(_int_convolve(term, nb, n_max), dk * db))
@@ -112,8 +122,8 @@ def _sheffer_table(pair: ShefferPair, n_max: int) -> tuple[tuple[tuple[int, ...]
     With A = 1/g(fbar) and B = fbar, coefficient k of S_n is (n!/k!) [t^n](A B^k).
     """
     _require_known(pair.trunc_order, _as_count(n_max, "n_max"), "give a member of")
-    fbar = pair.fbar.truncate(n_max)
-    return _triangle(pair.g.compose(fbar).reciprocal(), fbar, n_max)
+    fbar, g = (_scale(s.coeffs[: n_max + 1]) for s in (pair.fbar, pair.g))
+    return _triangle(_reciprocal(_compose(g, fbar)), fbar, n_max)
 
 
 def sheffer_polys(pair: ShefferPair, n_max: int) -> tuple[Poly, ...]:
@@ -154,15 +164,16 @@ class ConnectionMatrix(_Value):
 
 
 def _connection_table(source: ShefferPair, target: ShefferPair, n_max: int):
-    """The transfer-formula table of `connection_coeffs` as integer rows over one denominator."""
+    """The transfer-formula table of `connection_coeffs` as integer rows over one denominator;
+    each series is `_scale`d once, and from there on no Fraction is built."""
     _require_known(
         min(source.trunc_order, target.trunc_order), _as_count(n_max, "n_max"),
         "give connection coefficients of")
-    fbar = source.fbar.truncate(n_max)
-    h_at = target.g.compose(fbar)
-    g_at = source.g.compose(fbar)
-    l_at = target.f.compose(fbar)
-    return _triangle(h_at * g_at.reciprocal(), l_at, n_max)
+    fbar, g, h, l = (
+        _scale(s.coeffs[: n_max + 1]) for s in (source.fbar, source.g, target.g, target.f))
+    (h_at, dh), (over_g, dg) = _compose(h, fbar), _reciprocal(_compose(g, fbar))
+    a = _reduce(_int_convolve(h_at, over_g, n_max), dh * dg)
+    return _triangle(a, _compose(l, fbar), n_max)
 
 
 def connection_coeffs(source: ShefferPair, target: ShefferPair, n_max: int) -> ConnectionMatrix:

@@ -203,6 +203,14 @@ def test_verify_lambda_one_rejected(capsys):
     assert parse_document(out)["grid"]["lambdas"] == ["3"]
 
 
+def test_verify_checks_a_repeated_lambda_once(capsys):
+    code, out, _ = run(capsys, "verify", "--theorems", "t3", "--max-n", "2", "--lambdas=2,2")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["grid"]["lambdas"] == ["2", "2"]  # the grid echoes the list as given
+    assert [report["lambdas"] for report in doc["reports"]] == [["2"]] * 4
+
+
 def test_verify_symbolic_lambda_counts(capsys):
     code, out, _ = run(
         capsys, "verify", "--theorems", "t3", "--max-n", "4", "--orders", "1,2",
@@ -318,6 +326,20 @@ def _connect_codes(capsys, n_max):
     return codes
 
 
+def test_connect_inverts_the_source_delta_series_only(capsys, monkeypatch):
+    inverted = []
+    invert = TruncatedSeries.comp_inverse
+
+    def counted(self):
+        inverted.append(self)
+        return invert(self)
+
+    monkeypatch.setattr(TruncatedSeries, "comp_inverse", counted)
+    code, _, err = run(capsys, "connect", "--from", "hermite", "--to", "bernoulli:2", "--max-n", "6")
+    assert (code, err) == (EXIT_OK, "")
+    assert inverted == [TruncatedSeries.t(6) / 2]  # Hermite's f; Bernoulli's is t
+
+
 def test_a_passing_connect_solves_nothing(capsys, monkeypatch):
     import umbra.cli as cli
     import umbra.umbral as umbral
@@ -399,6 +421,25 @@ def _result_changed(method, k, change):
     return mutated
 
 
+def _patch_kernel(monkeypatch, name, mutant):
+    """Bind mutant in place of series.<name> in each module that imports that function."""
+    original = getattr(series, name)
+    for module in (series, umbral):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, mutant)
+
+
+def _numerator_changed(fn, k, change):
+    """fn, with numerator k of the integer vector (nums, d) it returns replaced by change(x, d)."""
+    def mutated(*args):
+        nums, d = fn(*args)
+        nums = list(nums)
+        if k < len(nums):
+            nums[k] = change(nums[k], d)
+        return nums, d
+    return mutated
+
+
 def _entry_moved(convolve):
     """The integer convolution, with entry 2 of each product it returns moved by one."""
     def mutated(a, b, n):
@@ -409,13 +450,21 @@ def _entry_moved(convolve):
     return mutated
 
 
-@pytest.mark.parametrize("name, k, change", [
-    ("exp", 4, operator.neg), ("reciprocal", 3, lambda c: 2 * c), ("compose", 3, lambda c: c + 1)])
-def test_connect_catches_a_kernel_mutant(capsys, monkeypatch, name, k, change):
-    # the transfer table runs the kernel and the tables it is checked against do not
+def test_connect_catches_a_kernel_mutant(capsys, monkeypatch):
+    # the transfer table runs the kernel and the tables it is checked against do not;
+    # exp builds Hermite's g in the pair
     monkeypatch.setattr(families, "_store", {})
-    mutant = _result_changed(getattr(TruncatedSeries, name), k, change)
-    monkeypatch.setattr(TruncatedSeries, name, mutant)
+    monkeypatch.setattr(TruncatedSeries, "exp", _result_changed(TruncatedSeries.exp, 4, operator.neg))
+    codes = _connect_codes(capsys, 6)
+    assert EXIT_INCONSISTENT in codes, codes
+
+
+@pytest.mark.parametrize("name, k, change", [
+    ("_reciprocal", 3, lambda x, d: 2 * x), ("_compose", 3, lambda x, d: x + d)])
+def test_connect_catches_an_integer_kernel_mutant(capsys, monkeypatch, name, k, change):
+    # the integer functions that the transfer table runs end to end
+    monkeypatch.setattr(families, "_store", {})
+    _patch_kernel(monkeypatch, name, _numerator_changed(getattr(series, name), k, change))
     codes = _connect_codes(capsys, 6)
     assert EXIT_INCONSISTENT in codes, codes
 
@@ -423,10 +472,7 @@ def test_connect_catches_a_kernel_mutant(capsys, monkeypatch, name, k, change):
 def test_connect_catches_a_convolution_mutant(capsys, monkeypatch):
     # the integer convolution under every product, column sweep and running power
     monkeypatch.setattr(families, "_store", {})
-    original = series._int_convolve
-    for module in (series, umbral):
-        if getattr(module, "_int_convolve", None) is original:
-            monkeypatch.setattr(module, "_int_convolve", _entry_moved(original))
+    _patch_kernel(monkeypatch, "_int_convolve", _entry_moved(series._int_convolve))
     codes = _connect_codes(capsys, 6)
     assert EXIT_INCONSISTENT in codes, codes
 

@@ -437,6 +437,13 @@ def test_verify_lambda_theorems():
     assert report.lambdas == (F(3), F(-5))
 
 
+def test_verify_checks_a_repeated_lambda_once():
+    # a repeated value pulls in no sample that was not given
+    assert verify_theorem("t3", 2, 1, lambdas=[2, 2]).lambdas == (F(2),)
+    assert verify_theorem("t8", 3, 1, lambdas=["1/2", 3, F(1, 2)]).lambdas == (F(1, 2), F(3))
+    assert len(verify_theorem("t3", 2, 1, lambdas=[2, 2], symbolic_lambda=True).lambdas) == 4
+
+
 def test_verify_symbolic_lambda_sample_count():
     report = verify_theorem("remark", 5, 2, symbolic_lambda=True)
     assert report.passed

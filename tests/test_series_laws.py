@@ -1,4 +1,4 @@
-"""Ring laws of the series kernel on random exact inputs."""
+"""Ring laws of the series kernel, and the tables of general Sheffer pairs, on random exact inputs."""
 
 from fractions import Fraction as F
 
@@ -8,9 +8,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from umbra import ShefferPair, connection_coeffs, connection_oracle  # noqa: E402
 from umbra import TruncatedSeries as S  # noqa: E402
+from umbra.series import _fractions  # noqa: E402
+from umbra.umbral import _connection_table, _sheffer_table  # noqa: E402
 
-from test_series import horner_compose  # noqa: E402
+from test_series import fraction_reciprocal, horner_compose, naive_product  # noqa: E402
+from test_umbral import fraction_triangle  # noqa: E402
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 series = st.lists(rationals, min_size=1, max_size=8).map(S)
@@ -66,6 +70,40 @@ def test_product_distributes_over_sum(a, b, c):
 def test_compose_matches_horner_oracle(outer, tail):
     inner = S([0] + tail)
     assert outer.compose(inner) == horner_compose(outer, inner)
+
+
+@st.composite
+def sheffer_pairs(draw, n):
+    """A pair (g, f) at order n >= 2, wide entries: g invertible, f delta, a_1 not 1 or 1/2, a_2 != 0.
+
+    Every built-in family's f is t or t/2, so only such pairs reach the general
+    `compose` and `comp_inverse` paths.
+    """
+    g = [draw(wide.filter(bool))] + draw(st.lists(wide, min_size=n, max_size=n))
+    a1 = draw(wide.filter(lambda c: c not in (0, 1, F(1, 2))))
+    f = [0, a1, draw(wide.filter(bool))] + draw(st.lists(wide, min_size=n - 2, max_size=n - 2))
+    return ShefferPair(S(g), S(f))
+
+
+general_pairs = st.integers(2, 8).flatmap(
+    lambda n: st.tuples(st.just(n), sheffer_pairs(n), sheffer_pairs(n)))
+
+
+@laws
+@given(general_pairs)
+def test_tables_of_general_pairs_match_fraction_oracles(case):
+    n, source, target = case
+    fbar = source.fbar
+    assert horner_compose(source.f, fbar) == S.t(n)
+    # 1/g(fbar), h(fbar)/g(fbar) and l(fbar) from Fraction loops that share no kernel code
+    over_g = fraction_reciprocal(horner_compose(source.g, fbar))
+    a = S(naive_product(horner_compose(target.g, fbar).coeffs, over_g.coeffs, n))
+    for (rows, d), want in (
+            (_sheffer_table(source, n), fraction_triangle(over_g, fbar, n)),
+            (_connection_table(source, target, n),
+             fraction_triangle(a, horner_compose(target.f, fbar), n))):
+        assert [_fractions(row, d) for row in rows] == want
+    assert connection_coeffs(source, target, n) == connection_oracle(source, target, n)
 
 
 @laws

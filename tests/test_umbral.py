@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from math import comb, factorial, gcd
@@ -6,6 +8,7 @@ import pytest
 
 from umbra import (
     ConnectionMatrix,
+    NotDelta,
     NotInvertible,
     Poly,
     ShefferPair,
@@ -31,7 +34,7 @@ from umbra import (
     stirling2,
 )
 from umbra.families import _family_rows
-from umbra.series import _fractions
+from umbra.series import _fractions, _scale
 from umbra.umbral import (
     _connection_table,
     _first_failing_row,
@@ -215,6 +218,23 @@ def test_sheffer_pair_validation():
     assert pair.f.compose(pair.fbar) == S.t(6)
 
 
+def test_a_pair_refuses_a_non_delta_f_at_construction():
+    # the inverse is computed when first read, but f is checked at once
+    with pytest.raises(NotDelta):
+        ShefferPair(S.one(3), S([0, 0, 1]))
+    with pytest.raises(NotDelta):
+        ShefferPair(S.one(3), S([1, 1]))
+
+
+def test_an_inverse_read_late_survives_pickle_and_copy():
+    for read_first in (False, True):
+        pair = falling_pair(6)
+        if read_first:
+            assert pair.fbar == log_one_plus(6)
+        for twin in (pickle.loads(pickle.dumps(pair)), copy.copy(pair), copy.deepcopy(pair)):
+            assert twin == pair and twin.fbar == pair.fbar == log_one_plus(6), read_first
+
+
 def test_sheffer_poly_identity_pair():
     pair = ShefferPair(S.one(6), S.t(6))
     for n in range(7):
@@ -387,7 +407,7 @@ def table_inputs(pair, n_max):
 
 
 def assert_same_triangle(a, b, n_max, where):
-    rows, d = _triangle(a, b, n_max)
+    rows, d = _triangle(_scale(a.coeffs[: n_max + 1]), _scale(b.coeffs[: n_max + 1]), n_max)
     assert [_fractions(row, d) for row in rows] == fraction_triangle(a, b, n_max), where
     assert d > 0 and gcd(d, *(x for row in rows for x in row)) == 1, where
 
