@@ -429,15 +429,17 @@ def _patch_kernel(monkeypatch, name, mutant):
             monkeypatch.setattr(module, name, mutant)
 
 
-def _numerator_changed(fn, k, change):
-    """fn, with numerator k of the integer vector (nums, d) it returns replaced by change(x, d)."""
-    def mutated(*args):
-        nums, d = fn(*args)
-        nums = list(nums)
-        if k < len(nums):
-            nums[k] = change(nums[k], d)
-        return nums, d
-    return mutated
+def _numerator_changed(k, change):
+    """Wrap a function returning an integer vector (nums, d): numerator k becomes change(x, d)."""
+    def wrap(fn):
+        def mutated(*args):
+            nums, d = fn(*args)
+            nums = list(nums)
+            if k < len(nums):
+                nums[k] = change(nums[k], d)
+            return nums, d
+        return mutated
+    return wrap
 
 
 def _entry_moved(convolve):
@@ -459,20 +461,15 @@ def test_connect_catches_a_kernel_mutant(capsys, monkeypatch):
     assert EXIT_INCONSISTENT in codes, codes
 
 
-@pytest.mark.parametrize("name, k, change", [
-    ("_reciprocal", 3, lambda x, d: 2 * x), ("_compose", 3, lambda x, d: x + d)])
-def test_connect_catches_an_integer_kernel_mutant(capsys, monkeypatch, name, k, change):
-    # the integer functions that the transfer table runs end to end
+@pytest.mark.parametrize("name, wrap", [
+    ("_reciprocal", _numerator_changed(3, lambda x, d: 2 * x)),
+    ("_compose", _numerator_changed(3, lambda x, d: x + d)),
+    ("_int_convolve", _entry_moved)], ids=["reciprocal", "compose", "convolution"])
+def test_connect_catches_an_integer_kernel_mutant(capsys, monkeypatch, name, wrap):
+    # the integer functions that the transfer table runs end to end; the convolution
+    # is under every product, column sweep and running power
     monkeypatch.setattr(families, "_store", {})
-    _patch_kernel(monkeypatch, name, _numerator_changed(getattr(series, name), k, change))
-    codes = _connect_codes(capsys, 6)
-    assert EXIT_INCONSISTENT in codes, codes
-
-
-def test_connect_catches_a_convolution_mutant(capsys, monkeypatch):
-    # the integer convolution under every product, column sweep and running power
-    monkeypatch.setattr(families, "_store", {})
-    _patch_kernel(monkeypatch, "_int_convolve", _entry_moved(series._int_convolve))
+    _patch_kernel(monkeypatch, name, wrap(getattr(series, name)))
     codes = _connect_codes(capsys, 6)
     assert EXIT_INCONSISTENT in codes, codes
 
