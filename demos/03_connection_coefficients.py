@@ -1,9 +1,13 @@
-"""Changing basis between polynomial families, two independent ways.
+"""Changing basis between polynomial families, two ways.
 
 The transfer formula reads the connection coefficients straight off a
 series product; the oracle builds both sequences and solves a triangular
-system.  They must agree to the last bit - and they do, which is the
-engine's core self-check (exit code 3 in the CLI if it ever breaks).
+system.  They must agree to the last bit, and they do.  The two routes are
+not independent: both build their tables with the same triangle builder, so
+a fault that scales every table alike would cancel between them.  The CLI's
+`connect` never runs the oracle; it checks the transfer table against the
+family store's tables, which no series code builds, and exits 3 if they
+disagree.
 """
 
 from umbra import (

@@ -10,10 +10,10 @@ Exit codes: 0 success (all identities pass), 1 an identity check failed,
 transfer-formula table fails its check, or an exception other than
 UmbraError and ValueError escaped; one "error:" line on stderr, nothing on
 stdout), 141 stdout closed early (as a shell reports SIGPIPE; nothing on
-stderr).  connect checks the transfer table, which the series kernel builds,
-by recombining with each row the target family's stored table, which no series
-code builds, so a passing connect solves nothing; `connection_oracle` is the
-solve kept for the API and the tests.  Argument errors in
+stderr).  connect checks the transfer table, built by the series kernel, as verify
+checks a cell (`identities._first_mismatch`), on stored tables that no series code
+builds; a passing table is not solved, and `connection_oracle` is the solve kept
+for the API and the tests.  Argument errors in
 sizes, orders, lambda and rational text come from the library's own checks:
 each raises ValueError or UmbraError before anything reaches stdout, and
 that is exit 2.
@@ -36,9 +36,10 @@ from math import gcd
 from . import __version__
 from .errors import UmbraError
 from .families import FamilyKind, FamilySpec, _as_lambda, _family_rows, sheffer_pair_of
-from .identities import DEFAULT_LAMBDAS, THEOREM_IDS, IdentityReport, verify_theorem
+from .identities import (
+    DEFAULT_LAMBDAS, THEOREM_IDS, IdentityReport, _first_mismatch, verify_theorem)
 from .series import _as_count
-from .umbral import _connection_table, _first_failing_row
+from .umbral import _connection_table
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -116,10 +117,8 @@ def family_document(spec: FamilySpec, max_degree: int) -> dict:
 def connection_document(source: FamilySpec, target: FamilySpec, n_max: int) -> tuple[dict, bool]:
     table = _connection_table(
         sheffer_pair_of(source, n_max), sheffer_pair_of(target, n_max), n_max)
-    # S_n = sum_k C_(n,k) R_k on the stored family tables; a passing table solves nothing
-    agree = _first_failing_row(
-        table, _family_rows(target, n_max), _family_rows(source, n_max),
-        range(n_max + 1)) is None
+    # S_n = sum_k C_(n,k) R_k on the stored family tables, as verify checks a cell
+    agree = _first_mismatch(source, target, table, range(n_max + 1)) is None
     doc = {
         "document": "connection-table",
         "tool": _TOOL,

@@ -95,10 +95,10 @@ def sheffer_pair_of(spec: FamilySpec, n_max: int) -> ShefferPair:
     return ShefferPair(base ** spec.order_r, TruncatedSeries.t(n))
 
 
-#: Most families whose longest member table is kept; least recently used go first.
+#: Most tables kept, each the longest built for its key; least recently used go first.
 MAX_STORED_SPECS = 128
-#: spec -> (rows, d), members 0..len(rows)-1 as integer rows: [x^k] S_n = rows[n][k] / d.
-_store: dict[FamilySpec, tuple[tuple[tuple[int, ...], ...], int]] = {}
+#: spec, or (identity id, spec) in `identities` -> (rows, d): rows 0..len(rows)-1 over d.
+_store: dict = {}
 
 
 def _appell_egf(spec: FamilySpec, n_max: int) -> tuple[list[int], int]:
@@ -141,22 +141,27 @@ def _build_rows(spec: FamilySpec, n_max: int) -> tuple[tuple[tuple[int, ...], ..
                  for n in range(n_max + 1)), d
 
 
-def _family_rows(spec: FamilySpec, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Members 0..n_max of the family as integer coefficient rows over one denominator d.
+def _stored(key, n_max: int, build):
+    """Rows 0..n_max of the table kept under key, as one table (rows, d).
 
-    A spec is built once at the largest degree asked for so far; a smaller
-    request is a slice of that table, equal to a fresh build because member n
-    reads g only through degree n and earlier members only.  A slice keeps the
-    table's d, which need not be the least for the slice.
+    A key is built once, by build(n_max), at the largest degree asked for so far; a
+    smaller request is a slice of that table, equal to a fresh build because row n never
+    depends on the degree built to (family member n reads g only through degree n).  A
+    slice keeps the table's d, which need not be the least for the slice.
     """
     _as_count(n_max, "n_max")  # before the store is touched
-    rows, d = _store.pop(spec, ((), 1))
+    rows, d = _store.pop(key, ((), 1))
     if n_max >= len(rows):
-        rows, d = _build_rows(spec, n_max)
-    _store[spec] = rows, d  # reinserted as the most recently used
+        rows, d = build(n_max)
+    _store[key] = rows, d  # reinserted as the most recently used
     if len(_store) > MAX_STORED_SPECS:
         del _store[next(iter(_store))]
     return rows[: n_max + 1], d
+
+
+def _family_rows(spec: FamilySpec, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Members 0..n_max as integer rows over one denominator: [x^k] S_n = rows[n][k] / d."""
+    return _stored(spec, n_max, lambda m: _build_rows(spec, m))
 
 
 def family_polys(spec: FamilySpec, n_max: int) -> tuple[Poly, ...]:

@@ -39,11 +39,11 @@ verdict does not depend on the cells before it.  The basis family is triangular
 with a nonzero diagonal, so lhs_n = sum_k C_{n,k} basis_k holds exactly when row n
 is the solved one; a cell checks that equation by recombining the basis with each
 row on the integer family tables and cross-multiplying with member n, so a PASS
-builds no Fraction and solves nothing (`umbral._first_failing_row`, which the
-CLI's connect runs too).  Only the first failing degree is solved in the basis,
-on the same integer tables, to name the wrong k and its expected value.  The
-public tN_coeff read one entry of the same rows, which are memoized for them
-alone.
+builds no Fraction and solves nothing (`_first_mismatch`, which the CLI's connect
+calls too).  Only the first failing degree is solved in the basis, on the same
+integer tables, to name the wrong k and its expected value.  The public tN_coeff
+read one entry of the same rows, which the family store keeps under (id, spec)
+beside the family tables, so a table built to degree N answers every lower degree.
 
 t4 and remark read the explicit Hermite coefficients
 [x^(m-2l)] H_m = (-1)^l m!/(l! (m-2l)!) 2^(m-2l), never the stored Hermite
@@ -59,11 +59,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, perm
 
 from .errors import RegimeViolation
-from .families import FamilyKind, FamilySpec, _as_lambda, _family_rows, hermite
+from .families import FamilyKind, FamilySpec, _as_lambda, _family_rows, _stored, hermite
 from .polynomials import _stirling2_columns
 from .series import _Value, _as_count
 from .umbral import _first_failing_row, _solve_in_basis
@@ -151,8 +150,8 @@ def _stirling_rows(spec: FamilySpec, n_max: int, hermite_coeffs):
 # in the Hermite basis rather than Hermite in the family's basis, the Hermite table
 # the rows read, row builder).  Hermite tables are looked up by name, so a replaced
 # one is used.  Each time a cell runs, verify_theorem builds its Hermite table once
-# and calls the builder found here for each lambda sample; the public tN_coeff read
-# its rows through the _cell_rows memo.
+# and calls the builder found here for each lambda sample; the public tN_coeff keep
+# their rows in the family store, under (id, spec).
 _CATALOG = {
     "t1": (FamilyKind.EULER, True, None, _basis_rows),
     "t2": (FamilyKind.BERNOULLI, True, None, _basis_rows),
@@ -184,18 +183,14 @@ def _hermite_table(tid: str, n_max: int):
     return name and globals()[name](n_max)
 
 
-@lru_cache(maxsize=256)
-def _cell_rows(tid: str, spec: FamilySpec, n_max: int):
-    """Rows 0..n_max of identity tid for the family spec, kept for the public tN_coeff."""
-    return _CATALOG[tid][3](spec, n_max, _hermite_table(tid, n_max))
-
-
 def _entry(tid: str, n: int, k: int, r: int, *lam) -> Fraction:
     """Entry (n, k) of tid's rows for the order-r family (at lam for t3, t8 and remark)."""
     if _as_count(k, "k") > _as_count(n, "n"):
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     _degrees(tid, n, _as_count(r, "r"))
-    rows, d = _cell_rows(tid, FamilySpec(_CATALOG[tid][0], r, *lam), n)
+    kind, _, _, build = _CATALOG[tid]
+    spec = FamilySpec(kind, r, *lam)
+    rows, d = _stored((tid, spec), n, lambda m: build(spec, m, _hermite_table(tid, m)))
     return Fraction(rows[n][k], d)
 
 
@@ -295,12 +290,12 @@ class IdentityReport(_Value):
 
 
 def _first_mismatch(lhs_spec, basis_spec, table, ns, lam=None) -> Mismatch | None:
-    """First (n, k) where the closed-form rows differ from the connection coefficients.
+    """First (n, k) where the rows of table (a cell's closed form, or connect's transfer
+    table) differ from the connection coefficients of lhs_spec in basis_spec.
 
-    Each degree n in ns is checked by recombining the basis table with row n
-    (`_first_failing_row`), so a PASS builds no Fraction and solves nothing; only
-    the first failing member n is solved in the basis, on the same two tables, to
-    name k and the expected value.
+    Each degree n in ns is checked by recombining the stored basis table with row n
+    (`_first_failing_row`), so a PASS builds no Fraction and solves nothing; only the
+    first failing member n is solved in the basis, on the same two tables, to name k.
     """
     n_max = ns[-1]
     basis, lhs = _family_rows(basis_spec, n_max), _family_rows(lhs_spec, n_max)

@@ -14,11 +14,11 @@ Connection coefficients between two such sequences come either from the
 transfer formula (`connection_coeffs`) or from an explicit triangular
 solve against the integer Sheffer tables (`connection_oracle`); the two
 routes must agree exactly, though both build their tables with `_triangle`.
-The CLI's `connect` checks the integer transfer table `_connection_table`
-without solving: `_first_failing_row` recombines the target family's stored
-table, which no series code builds, with each row and compares it with the
-source's member, the check that verification runs on its closed forms too.
-`connection_oracle` is the solve kept for the API and the tests.
+The CLI's `connect` checks the integer transfer table `_connection_table` as
+verify checks a cell (`identities._first_mismatch`): `_first_failing_row`
+recombines the target family's stored table, which no series code builds, with
+each row and compares it with the source's member, so a passing table is not
+solved.  `connection_oracle` is the solve kept for the API and the tests.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from operator import mul
 from .errors import NotDelta, NotInvertible, SingularBasis, TruncationTooShort
 from .polynomials import Poly
 from .series import TruncatedSeries, _Value, _as_count, _fractions, _int_convolve, _reduce, _scale
-from .series import _compose, _reciprocal
+from .series import _compose, _reciprocal, as_rational
 
 _ZERO = Fraction(0)
 
@@ -144,7 +144,7 @@ class ConnectionMatrix(_Value):
     __slots__ = _fields = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(tuple(map(as_rational, r)) for r in rows)  # canonical Fractions
         for n, row in enumerate(rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries, got {len(row)}")

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import umbra.families as families
 import umbra.identities as identities
 import umbra.umbral as umbral
 
@@ -24,7 +25,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 def corrupt_entry(monkeypatch):
     """corrupt_entry(tid, n, k): tid's row builder adds 1 to its entry (n, k) and to no other.
 
-    The corrupted rows a tN_coeff call left in the row memo are dropped when the test ends.
+    The corrupted rows a tN_coeff call left in the family store, under (id, spec), are
+    dropped when the test ends.
     """
     def corrupt(tid, n, k):
         *entry, build = identities._CATALOG[tid]
@@ -38,7 +40,8 @@ def corrupt_entry(monkeypatch):
         monkeypatch.setitem(identities._CATALOG, tid, (*entry, corrupted))
 
     yield corrupt
-    identities._cell_rows.cache_clear()
+    for key in [key for key in families._store if isinstance(key, tuple)]:
+        del families._store[key]
 
 
 @pytest.fixture

@@ -349,8 +349,8 @@ def test_a_passing_connect_solves_nothing(capsys, monkeypatch):
 
     for name in ("_solve_in_basis", "sheffer_polys", "connection_oracle", "_sheffer_table",
                  "connection_coeffs", "ConnectionMatrix"):
-        monkeypatch.setattr(umbral, name, refuse)
-        monkeypatch.setattr(cli, name, refuse, raising=False)
+        for module in (umbral, identities, cli):  # connect checks through identities
+            monkeypatch.setattr(module, name, refuse, raising=module is umbral)
     for source, target in MUTANT_PAIRS:
         code, out, err = run(capsys, "connect", "--from", source, "--to", target, "--max-n", "6")
         assert (code, err) == (EXIT_OK, ""), (source, target)

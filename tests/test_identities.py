@@ -587,11 +587,51 @@ def test_explicit_route_reads_no_sheffer_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("the explicit route read the stored Hermite table")
 
-    identities._cell_rows.cache_clear()  # nothing computed before the patch may answer
+    monkeypatch.setattr(families, "_store", {})  # nothing computed before the patch may answer
     monkeypatch.setattr(identities, "_family_rows", refuse)
     monkeypatch.setattr(identities, "_stored_hermite", refuse)
     assert [t4_coeff(*c) for c in cells] == want_t4
     assert [remark_coeff(*c, F(1, 2)) for c in cells] == want_remark
+
+
+def as_fractions(table):
+    rows, d = table
+    return [[F(x, d) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("tid", ["t4", "t5", "t6", "t7", "t8", "remark"])
+def test_row_builders_read_the_hermite_denominator(tid):
+    # every Hermite table the catalog hands over has d = 1, so only a table over d > 1
+    # shows a builder that drops or misplaces that denominator
+    kind, _, _, build = identities._CATALOG[tid]
+    lams = (F(1, 2), F(-3)) if kind is FamilyKind.FROBENIUS_EULER else (None,)
+    for n_max in range(6):
+        coeffs, d = identities._hermite_table(tid, n_max)
+        assert d == 1
+        tripled = [[3 * c for c in row] for row in coeffs], 3
+        for r in range(5):
+            for lam in lams:
+                spec = FamilySpec(kind, r, lam)
+                want, got = (build(spec, n_max, table) for table in ((coeffs, d), tripled))
+                assert as_fractions(got) == as_fractions(want), (n_max, r, lam)
+
+
+def test_a_coefficient_sweep_below_a_built_degree_builds_no_table(monkeypatch):
+    *entry, build = identities._CATALOG["t6"]
+    built = []
+
+    def counted(spec, n_max, table):
+        built.append(n_max)
+        return build(spec, n_max, table)
+
+    monkeypatch.setitem(identities._CATALOG, "t6", (*entry, counted))
+    monkeypatch.setattr(families, "_store", {})
+    t6_coeff(30, 0, 31)
+    sweep = {(n, k): t6_coeff(n, k, 31) for n in range(30) for k in range(n + 1)}
+    assert built == [30]
+    for n in (0, 1, 7, 29):  # each a slice equal to a table built to degree n
+        rows, d = build(bernoulli(31), n, identities._stored_hermite(n))
+        assert [sweep[n, k] for k in range(n + 1)] == [F(x, d) for x in rows[n]], n
 
 
 def test_hermite_coefficient_tables_agree_with_the_operator_route():

@@ -194,6 +194,17 @@ def test_poly_arithmetic():
     assert p.coeff(99) == 0
 
 
+def test_poly_adds_and_subtracts_polys_only():
+    # a scalar is not lifted to a constant Poly: Python raises once __add__ / __sub__ decline
+    for other in (1, F(1, 2), "1"):
+        with pytest.raises(TypeError):
+            Poly([1]) + other
+        with pytest.raises(TypeError):
+            Poly([1]) - other
+    assert Poly([1]).__add__(1) is NotImplemented
+    assert Poly([1]).__sub__(1) is NotImplemented
+
+
 def test_poly_trims_trailing_zeros():
     assert Poly([1, 0, 0]).degree == 0
     assert Poly([0, 1, 0]).degree == 1

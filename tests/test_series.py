@@ -540,6 +540,18 @@ def test_sheffer_pair_equality_reads_g_and_f_only():
     assert pair.fbar == S([0, 2], order=3)
 
 
+def test_constant_series():
+    c = S.constant("6/4", 3)
+    assert c.coeffs == (F(3, 2), 0, 0, 0) and c.trunc_order == 3
+    assert c == S.one(3) * F(3, 2)
+    assert_canonical(S.constant(-2, 0).coeffs)
+    for bad in (1.5, True):
+        with pytest.raises(TypeError):
+            S.constant(bad, 2)
+    with pytest.raises(ValueError):
+        S.constant("1/0", 2)
+
+
 def test_connection_matrix_stores_tuples():
     matrix = ConnectionMatrix([[F(1)], [F(0), F(2)]])
     assert matrix.rows == ((F(1),), (F(0), F(2)))

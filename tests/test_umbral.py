@@ -489,6 +489,26 @@ def test_connection_matrix_shape():
         ConnectionMatrix([[F(1), F(2)]])
 
 
+def test_connection_matrix_takes_exact_rationals_only():
+    matrix = ConnectionMatrix([[1], [0, "2/4"]])
+    assert matrix.rows == ((F(1),), (F(0), F(1, 2)))
+    assert all(type(c) is F for row in matrix.rows for c in row)
+    assert type(matrix.entry(0, 0)) is F
+    for bad in (1.5, True):
+        with pytest.raises(TypeError):
+            ConnectionMatrix([[1], [bad, 2]])
+    for text in ("x", "1.5", "1/0"):
+        with pytest.raises(ValueError):
+            ConnectionMatrix([[text]])
+
+
+def test_recombination_refuses_a_row_of_the_wrong_length():
+    monomials = ((1,), (0, 1), (0, 0, 1)), 1
+    table = ((1,), (0, 1, 0), (0, 0, 1)), 1  # row 1 holds a third entry
+    with pytest.raises(ValueError, match="row 1 has 3 entries, expected 2"):
+        _first_failing_row(table, monomials, monomials, range(3))
+
+
 def test_nontrivial_delta_inverses():
     n = N_DELTA
     assert falling_pair(n).fbar == log_one_plus(n)
