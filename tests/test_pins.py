@@ -1,5 +1,6 @@
 """The CLI prints the bytes the benchmark pins for each of its inputs, and the bytes
-pinned here for two wider grids and for family and connection tables.
+pinned here for two wider grids, for family and connection tables, and for
+connection tables at N = 120.
 
 `bench/pins.json` maps each benchmark command line to the sha256 of its
 stdout; a change to any table route that alters output shows up here.
@@ -165,3 +166,25 @@ def test_connect_stdout_matches_its_digests(capsys, source, target, fmt):
         out, err = capsys.readouterr()
         assert err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# (source, target) -> sha256 of connect's stdout at --max-n 120, where table entries run
+# to about 250 digits, so a fault that shows only on wide integers changes these bytes
+WIDE_CONNECT_PINS = {
+    ("frobenius-euler:3:1/3", "bernoulli:4"):
+        "13ff5785e9a2c7b820a6c78bc49cb4786b7c83334816cb4d1d3e89de66f27c92",
+    ("hermite", "bernoulli:2"):
+        "d968a32c4e21af7b84b12bae1dcba62537b714a4b5f30c50ec429b968cddf929",
+    ("euler:2", "hermite"):
+        "dc174c273fb625cf27958676a7309c5139dab182ccff3ec9da2e8db3b3a5aa36",
+    ("bernoulli:3", "frobenius-euler:2:-3/2"):
+        "3584a1fa472296e28620245842d7151027ed80d4a9215211a3355bb63295f640",
+}
+
+
+@pytest.mark.parametrize("source, target", WIDE_CONNECT_PINS)
+def test_wide_connect_stdout_matches_its_digest(capsys, source, target):
+    assert main(["connect", "--from", source, "--to", target, "--max-n", "120"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_CONNECT_PINS[source, target]
