@@ -25,7 +25,8 @@ from math import comb, factorial, lcm, perm
 
 from .errors import LambdaIsOne
 from .polynomials import Poly
-from .series import TruncatedSeries, _Value, _as_count, _fractions, _reduce, as_rational
+from .series import TruncatedSeries, _Value, _as_count, _fractions, _reduce, _scale, as_rational
+from .series import _ONE, _binomial_convolve, _pascal, _power
 from .umbral import ShefferPair, operator_apply
 
 
@@ -47,7 +48,8 @@ def _as_lambda(value) -> Fraction:
 class FamilySpec(_Value):
     """Which family, at which order, with which parameter."""
 
-    __slots__ = _fields = ("kind", "order_r", "lam")
+    __slots__ = ("kind", "order_r", "lam", "_hash")
+    _fields = ("kind", "order_r", "lam")
 
     def __init__(self, kind: FamilyKind, order_r: int = 0, lam: Fraction | None = None):
         if not isinstance(kind, FamilyKind):
@@ -61,7 +63,10 @@ class FamilySpec(_Value):
             raise ValueError(f"{kind.value} family takes no lambda parameter")
         if kind is FamilyKind.HERMITE and order_r:
             raise ValueError(f"hermite family takes no order, got {order_r}")
-        self._set(kind, order_r, lam)
+        self._set(kind, order_r, lam, hash((kind, order_r, lam)))
+
+    def __hash__(self):  # taken once, in __init__: every family-store read hashes its key
+        return self._hash
 
 
 def hermite() -> FamilySpec:
@@ -87,12 +92,16 @@ def sheffer_pair_of(spec: FamilySpec, n_max: int) -> ShefferPair:
     if spec.kind is FamilyKind.HERMITE:
         g = TruncatedSeries([0, 0, Fraction(1, 4)], order=n).exp()
         return ShefferPair(g, TruncatedSeries.t(n) / 2)
-    if spec.kind is FamilyKind.BERNOULLI:  # (e^t - 1)/t: coefficient k is 1/(k+1)!
-        base = TruncatedSeries([Fraction(1, factorial(k + 1)) for k in range(n + 1)])
-    else:  # (e^t - lam)/(1 - lam); Euler is Frobenius-Euler at lam = -1
+    if spec.kind is FamilyKind.BERNOULLI:  # (e^t - 1)/t: divided power k is 1/(k+1)
+        base, db = _scale([Fraction(1, k + 1) for k in range(n + 1)])
+    else:  # (e^t - lam)/(1 - lam): divided powers 1, then 1/(1 - lam); Euler is lam = -1
         lam = Fraction(-1) if spec.kind is FamilyKind.EULER else spec.lam
-        base = TruncatedSeries([1] + [1 / ((1 - lam) * factorial(k)) for k in range(1, n + 1)])
-    return ShefferPair(base ** spec.order_r, TruncatedSeries.t(n))
+        base, db = _scale([_ONE] + [1 / (1 - lam)] * n)
+    pascal = _pascal(n)  # g = base^r on divided powers; a product runs over u's nonzero terms
+    g, d = _power((base, db), spec.order_r, ([1] + [0] * n, 1), lambda u, v: _reduce(
+        _binomial_convolve(v[0], u[0], pascal), u[1] * v[1]))
+    g = TruncatedSeries([Fraction(x, d * factorial(k)) for k, x in enumerate(g)])
+    return ShefferPair(g, TruncatedSeries.t(n))
 
 
 #: Most tables kept, each the longest built for its key; least recently used go first.

@@ -8,10 +8,17 @@ canonical `fractions.Fraction`; values are immutable and all operations
 return new series, which makes them safe to share between threads.
 
 The kernel loops (`_int_convolve` under every product, `_reciprocal`, `_compose`, the
-running power in `comp_inverse`, and umbral's triangle, basis solve and operator action)
-run on integer vectors (nums, d), numerators over one denominator, with one gcd per step.
-A method `_scale`s its operands in and builds `Fraction`s (`_fractions`) only on return;
-umbral's Sheffer and transfer tables run the integer functions end to end and build none.
+running power in `comp_inverse`, the binomial convolution and reciprocal on divided powers,
+and umbral's triangle, basis solve and operator action) run on integer vectors (nums, d),
+numerators over one denominator, with one gcd per step.  A method `_scale`s its operands
+in and builds `Fraction`s (`_fractions`) only on return; umbral's Sheffer and transfer
+tables run the integer functions end to end and build none.
+
+Divided powers k! c_k (`_divided`) suit series of exponential type, as every built-in g
+is, whose ordinary coefficients need a denominator near N!; umbral's table route and the
+Appell pair powers multiply them by `_binomial_convolve` and invert them by
+`_binomial_reciprocal`.  The public methods stay ordinary: on a series of ordinary type
+(a polynomial, log(1+t)) divided powers grow like k!.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
+from operator import add, mul
 
 from .errors import CompositionOrder, ExpConstantTerm, NotDelta, NotInvertible
 
@@ -149,6 +158,45 @@ def _compose(outer, inner) -> tuple[list[int], int]:
     return _reduce(nums, d * dc)
 
 
+def _pascal(n: int) -> list[list[int]]:
+    """Pascal's triangle through row n, by diagonals: _pascal(n)[j][i] = C(i + j, j)."""
+    diagonals = [[1] * (n + 1)]
+    for j in range(n):  # C(i + j + 1, j + 1) = sum over i' <= i of C(i' + j, j)
+        diagonals.append(list(accumulate(diagonals[-1][: n - j])))
+    return diagonals
+
+
+def _divided(series) -> tuple[list[int], int]:
+    """The divided powers k! c_k of the vector c / d, with one gcd: (nums, d)."""
+    c, d = series
+    return _reduce([x * math.factorial(k) for k, x in enumerate(c)], d)
+
+
+def _binomial_convolve(a, b, pascal) -> list[int]:
+    """c_m = sum_j C(m, j) a_(m-j) b_j for m <= n, with pascal = `_pascal(n)`: the product
+    on divided powers, c_m = m! [t^m] (A B) where a_k = k! [t^k] A and b_k = k! [t^k] B."""
+    out = [0] * len(pascal)
+    for j, y in enumerate(b[: len(pascal)]):
+        if y:  # diagonal j of the triangle, times a and b_j, added from entry j on
+            terms = map(mul, map(mul, pascal[j], a), repeat(y))
+            out[j:] = map(add, out[j:], chain(terms, repeat(0)))
+    return out
+
+
+def _binomial_reciprocal(series) -> tuple[list[int], int]:
+    """h = 1 / (c / dc) on divided powers, through the degree of c, as (nums, d > 0):
+    `_reciprocal`'s system with C(k, i) c_i in place of c_i, row k of Pascal's from row k-1."""
+    c, dc = series
+    if not c[0]:
+        raise NotInvertible("series has zero constant term")
+    nums, d, row = [dc], c[0], [1]
+    for k in range(1, len(c)):
+        row = [1, *map(add, row, row[1:]), 1]
+        acc = sum(map(mul, map(mul, row[1:], c[1:]), reversed(nums)))
+        nums, d = _reduce([x * c[0] for x in nums] + [-acc], d * c[0])
+    return (nums, d) if d > 0 else ([-x for x in nums], -d)
+
+
 def _fractions(nums, d: int) -> list[Fraction]:
     """The canonical Fractions nums[i] / d."""
     return [Fraction(x, d) for x in nums]
@@ -160,16 +208,16 @@ def _convolve(a, b, n: int) -> list[Fraction]:
     return _fractions(_int_convolve(na, nb, n), da * db)
 
 
-def _power(base, k: int, one):
-    """base**k by repeated squaring, starting from the unit ``one``."""
+def _power(base, k: int, one, times=mul):
+    """base**k by repeated squaring under the product ``times``, from the unit ``one``."""
     _as_count(k, "exponent")
     result = one
     while k:
         if k & 1:
-            result = result * base
+            result = times(result, base)
         k >>= 1
         if k:
-            base = base * base
+            base = times(base, base)
     return result
 
 

@@ -14,6 +14,9 @@ Connection coefficients between two such sequences come either from the
 transfer formula (`connection_coeffs`) or from an explicit triangular
 solve against the integer Sheffer tables (`connection_oracle`); the two
 routes must agree exactly, though both build their tables with `_triangle`.
+Both tables are exponential Riordan arrays: the route composes on ordinary coefficients,
+then takes 1/g(fbar), the product and `_triangle`'s column sweep on divided powers, where
+a built-in g needs no denominator near n_max!.
 The CLI's `connect` checks the integer transfer table `_connection_table` as
 verify checks a cell (`identities._first_mismatch`): `_first_failing_row`
 recombines the target family's stored table, which no series code builds, with
@@ -30,8 +33,8 @@ from operator import mul
 
 from .errors import NotDelta, NotInvertible, SingularBasis, TruncationTooShort
 from .polynomials import Poly
-from .series import TruncatedSeries, _Value, _as_count, _fractions, _int_convolve, _reduce, _scale
-from .series import _compose, _reciprocal, as_rational
+from .series import TruncatedSeries, _Value, _as_count, _fractions, _reduce, _scale, as_rational
+from .series import _binomial_convolve, _binomial_reciprocal, _compose, _divided, _pascal
 
 _ZERO = Fraction(0)
 
@@ -99,19 +102,21 @@ def _triangle(a, b, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), k <= n: entry (n, k) is rows[n][k] / d.
 
     Sheffer tables (a = 1/g(fbar), b = fbar) and transfer tables (a = h(fbar)/g(fbar),
-    b = l(fbar)) come from here, a and b integer vectors (nums, d), a known through n_max.
-    One sweep over k gives each column a b^k over its own denominator; the rows are brought
-    to the lcm of those, and one gcd makes that the least one.
+    b = l(fbar)) come from here, a and b given by their divided powers n! [t^n] as integer
+    vectors (nums, d) known through n_max.  The table is an exponential Riordan array:
+    entry (n, k) is divided power n of column k = a b^k / k!, so one sweep of binomial
+    convolutions, column k = (column k-1) * b / k, gives each entry with no n!/k! rescale,
+    over its column's denominator; the rows are brought to the lcm of those, and one gcd
+    makes that the least one.
     """
-    fact = [factorial(n) for n in range(n_max + 1)]
+    pascal = _pascal(n_max)
     nb, db = b
     cols = [a]
-    for _ in range(n_max):
+    for k in range(1, n_max + 1):
         term, dk = cols[-1]
-        cols.append(_reduce(_int_convolve(term, nb, n_max), dk * db))
+        cols.append(_reduce(_binomial_convolve(term, nb, pascal), dk * db * k))
     d = lcm(*(dk for _, dk in cols))
-    rows = [[fact[n] // fact[k] * term[n] * (d // dk) for k, (term, dk) in enumerate(cols[: n + 1])]
-            for n in range(n_max + 1)]
+    rows = [[term[n] * (d // dk) for term, dk in cols[: n + 1]] for n in range(n_max + 1)]
     g = gcd(d, *chain.from_iterable(rows))
     return tuple(tuple(x // g for x in row) for row in rows), d // g
 
@@ -123,7 +128,7 @@ def _sheffer_table(pair: ShefferPair, n_max: int) -> tuple[tuple[tuple[int, ...]
     """
     _require_known(pair.trunc_order, _as_count(n_max, "n_max"), "give a member of")
     fbar, g = (_scale(s.coeffs[: n_max + 1]) for s in (pair.fbar, pair.g))
-    return _triangle(_reciprocal(_compose(g, fbar)), fbar, n_max)
+    return _triangle(_binomial_reciprocal(_divided(_compose(g, fbar))), _divided(fbar), n_max)
 
 
 def sheffer_polys(pair: ShefferPair, n_max: int) -> tuple[Poly, ...]:
@@ -165,15 +170,19 @@ class ConnectionMatrix(_Value):
 
 def _connection_table(source: ShefferPair, target: ShefferPair, n_max: int):
     """The transfer-formula table of `connection_coeffs` as integer rows over one denominator;
-    each series is `_scale`d once, and from there on no Fraction is built."""
+    each series is `_scale`d once, and from there on no Fraction is built.  h(fbar), g(fbar)
+    and l(fbar) are composed on ordinary coefficients and then go to divided powers, where
+    1/g(fbar), the product and `_triangle` run: every built-in g is of e.g.f. type, whose
+    ordinary coefficients sit over a denominator near n_max! and its divided powers do not."""
     _require_known(
         min(source.trunc_order, target.trunc_order), _as_count(n_max, "n_max"),
         "give connection coefficients of")
     fbar, g, h, l = (
         _scale(s.coeffs[: n_max + 1]) for s in (source.fbar, source.g, target.g, target.f))
-    (h_at, dh), (over_g, dg) = _compose(h, fbar), _reciprocal(_compose(g, fbar))
-    a = _reduce(_int_convolve(h_at, over_g, n_max), dh * dg)
-    return _triangle(a, _compose(l, fbar), n_max)
+    (h_at, dh), g_at, l_at = (_divided(_compose(s, fbar)) for s in (h, g, l))
+    over_g, dg = _binomial_reciprocal(g_at)
+    a = _reduce(_binomial_convolve(over_g, h_at, _pascal(n_max)), dh * dg)  # h's zeros skipped
+    return _triangle(a, l_at, n_max)
 
 
 def connection_coeffs(source: ShefferPair, target: ShefferPair, n_max: int) -> ConnectionMatrix:

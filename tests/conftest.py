@@ -46,7 +46,12 @@ def corrupt_entry(monkeypatch):
 
 @pytest.fixture
 def triangle_without_factorials(monkeypatch):
-    """`umbral._triangle` gives [t^n] (a b^k) itself, without its n!/k!, over the least d."""
+    """`umbral._triangle` gives [t^n] (a b^k) itself, without its n!/k!, over the least d.
+
+    The triangle takes a and b as divided powers and reads (n!/k!) [t^n] (a b^k) off its
+    columns with no rescale, so the fault is made here, on the table it returns; both the
+    Sheffer and the transfer tables come from that one `_triangle`.
+    """
     build = umbral._triangle
 
     def unscaled(a, b, n_max):

@@ -424,7 +424,7 @@ def _result_changed(method, k, change):
 def _patch_kernel(monkeypatch, name, mutant):
     """Bind mutant in place of series.<name> in each module that imports that function."""
     original = getattr(series, name)
-    for module in (series, umbral):
+    for module in (series, umbral, families):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, mutant)
 
@@ -443,10 +443,10 @@ def _numerator_changed(k, change):
 
 
 def _entry_moved(convolve):
-    """The integer convolution, with entry 2 of each product it returns moved by one."""
-    def mutated(a, b, n):
-        out = convolve(a, b, n)
-        if n >= 2:
+    """An integer convolution, with entry 2 of each product it returns moved by one."""
+    def mutated(*args):
+        out = convolve(*args)
+        if len(out) > 2:
             out[2] += 1
         return out
     return mutated
@@ -462,12 +462,15 @@ def test_connect_catches_a_kernel_mutant(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name, wrap", [
-    ("_reciprocal", _numerator_changed(3, lambda x, d: 2 * x)),
+    ("_binomial_reciprocal", _numerator_changed(3, lambda x, d: 2 * x)),
     ("_compose", _numerator_changed(3, lambda x, d: x + d)),
-    ("_int_convolve", _entry_moved)], ids=["reciprocal", "compose", "convolution"])
+    ("_int_convolve", _entry_moved),
+    ("_binomial_convolve", _entry_moved)],
+    ids=["reciprocal", "compose", "convolution", "binomial"])
 def test_connect_catches_an_integer_kernel_mutant(capsys, monkeypatch, name, wrap):
-    # the integer functions that the transfer table runs end to end; the convolution
-    # is under every product, column sweep and running power
+    # the integer functions that the transfer table runs end to end: the ordinary
+    # convolution under each composition and comp_inverse's running power, and the
+    # binomial one under the route's product, its column sweep and the Appell pair powers
     monkeypatch.setattr(families, "_store", {})
     _patch_kernel(monkeypatch, name, wrap(getattr(series, name)))
     codes = _connect_codes(capsys, 6)

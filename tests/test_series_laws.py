@@ -1,16 +1,21 @@
-"""Ring laws of the series kernel, and the tables of general Sheffer pairs, on random exact inputs."""
+"""Ring laws of the series kernel, its divided-power loops, and the tables of general
+Sheffer pairs, on random exact inputs."""
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from umbra import ShefferPair, connection_coeffs, connection_oracle  # noqa: E402
 from umbra import TruncatedSeries as S  # noqa: E402
-from umbra.series import _fractions  # noqa: E402
+from umbra.families import FamilyKind, bernoulli, euler, frobenius_euler, hermite  # noqa: E402
+from umbra.families import sheffer_pair_of  # noqa: E402
+from umbra.series import _binomial_convolve, _binomial_reciprocal, _divided  # noqa: E402
+from umbra.series import _fractions, _pascal, _scale  # noqa: E402
 from umbra.umbral import _connection_table, _sheffer_table  # noqa: E402
 
 from test_series import fraction_reciprocal, horner_compose, naive_product  # noqa: E402
@@ -72,6 +77,58 @@ def test_compose_matches_horner_oracle(outer, tail):
     assert outer.compose(inner) == horner_compose(outer, inner)
 
 
+def divided(coeffs):
+    """The divided powers k! c_k of a coefficient sequence, as Fractions."""
+    return [factorial(k) * c for k, c in enumerate(coeffs)]
+
+
+@laws
+@given(series | wide_series, series | wide_series)
+def test_binomial_convolution_is_the_product_on_divided_powers(a, b):
+    # both vectors whole, so the longer one is read only through the shorter's degree
+    n = min(a.trunc_order, b.trunc_order)
+    (na, da), (nb, db) = (_divided(_scale(s.coeffs)) for s in (a, b))
+    assert _fractions(_binomial_convolve(na, nb, _pascal(n)), da * db) == divided((a * b).coeffs)
+
+
+@laws
+@given(wide.filter(bool) | rationals.filter(bool), st.lists(rationals | wide, max_size=9))
+def test_route_reciprocal_is_the_reciprocal_on_divided_powers(c0, tail):
+    a = S([c0] + tail)
+    nums, d = _binomial_reciprocal(_divided(_scale(a.coeffs)))
+    assert d > 0
+    assert _fractions(nums, d) == divided(a.reciprocal().coeffs)
+
+
+def pair_by_powers(spec, n_max):
+    """The family's pair with g = base ** r by TruncatedSeries products, as it was built
+    before the Appell powers moved onto divided powers."""
+    n = max(n_max, 1)
+    if spec.kind is FamilyKind.HERMITE:
+        return ShefferPair(S([0, 0, F(1, 4)], order=n).exp(), S.t(n) / 2)
+    if spec.kind is FamilyKind.BERNOULLI:
+        base = S([F(1, factorial(k + 1)) for k in range(n + 1)])
+    else:
+        lam = F(-1) if spec.kind is FamilyKind.EULER else spec.lam
+        base = S([1] + [1 / ((1 - lam) * factorial(k)) for k in range(1, n + 1)])
+    return ShefferPair(base ** spec.order_r, S.t(n))
+
+
+orders = st.integers(0, 5)
+family_specs = st.one_of(
+    st.just(hermite()), orders.map(bernoulli), orders.map(euler),
+    st.builds(frobenius_euler, orders, rationals.filter(lambda v: v != 1)))
+
+
+@laws
+@given(family_specs, st.sampled_from([1, 2, 8, 30]))
+@example(frobenius_euler(5, F(-7, 3)), 30)
+@example(frobenius_euler(5, F(7, 3)), 30)
+@example(frobenius_euler(4, F(1, 3)), 8)
+def test_appell_powers_match_series_products(spec, n):
+    assert sheffer_pair_of(spec, n) == pair_by_powers(spec, n)
+
+
 @st.composite
 def sheffer_pairs(draw, n):
     """A pair (g, f) at order n >= 2, wide entries: g invertible, f delta, a_1 not 1 or 1/2, a_2 != 0.
@@ -104,6 +161,18 @@ def test_tables_of_general_pairs_match_fraction_oracles(case):
              fraction_triangle(a, horner_compose(target.f, fbar), n))):
         assert [_fractions(row, d) for row in rows] == want
     assert connection_coeffs(source, target, n) == connection_oracle(source, target, n)
+
+
+@laws
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), *[sheffer_pairs(n)] * 3)))
+def test_connection_tables_of_general_pairs_compose(case):
+    # C(a -> b) C(b -> c) = C(a -> c), through the route's divided powers
+    n, a, b, c = case
+    ab, bc, ac = (connection_coeffs(x, y, n) for x, y in ((a, b), (b, c), (a, c)))
+    for i in range(n + 1):
+        for m in range(i + 1):
+            product = sum(ab.entry(i, k) * bc.entry(k, m) for k in range(m, i + 1))
+            assert product == ac.entry(i, m), (i, m)
 
 
 @laws

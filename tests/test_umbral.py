@@ -34,7 +34,7 @@ from umbra import (
     stirling2,
 )
 from umbra.families import _family_rows
-from umbra.series import _fractions, _scale
+from umbra.series import _divided, _fractions, _scale
 from umbra.umbral import (
     _connection_table,
     _first_failing_row,
@@ -407,7 +407,8 @@ def table_inputs(pair, n_max):
 
 
 def assert_same_triangle(a, b, n_max, where):
-    rows, d = _triangle(_scale(a.coeffs[: n_max + 1]), _scale(b.coeffs[: n_max + 1]), n_max)
+    # the triangle takes a and b as their divided powers
+    rows, d = _triangle(*(_divided(_scale(s.coeffs[: n_max + 1])) for s in (a, b)), n_max)
     assert [_fractions(row, d) for row in rows] == fraction_triangle(a, b, n_max), where
     assert d > 0 and gcd(d, *(x for row in rows for x in row)) == 1, where
 
