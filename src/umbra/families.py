@@ -26,7 +26,7 @@ from math import comb, factorial, lcm, perm
 from .errors import LambdaIsOne
 from .polynomials import Poly
 from .series import TruncatedSeries, _Value, _as_count, _fractions, _reduce, _scale, as_rational
-from .series import _ONE, _binomial_convolve, _pascal, _power
+from .series import _binomial_convolve, _pascal, _power
 from .umbral import ShefferPair, operator_apply
 
 
@@ -96,7 +96,7 @@ def sheffer_pair_of(spec: FamilySpec, n_max: int) -> ShefferPair:
         base, db = _scale([Fraction(1, k + 1) for k in range(n + 1)])
     else:  # (e^t - lam)/(1 - lam): divided powers 1, then 1/(1 - lam); Euler is lam = -1
         lam = Fraction(-1) if spec.kind is FamilyKind.EULER else spec.lam
-        base, db = _scale([_ONE] + [1 / (1 - lam)] * n)
+        base, db = _scale([1] + [1 / (1 - lam)] * n)
     pascal = _pascal(n)  # g = base^r on divided powers; a product runs over u's nonzero terms
     g, d = _power((base, db), spec.order_r, ([1] + [0] * n, 1), lambda u, v: _reduce(
         _binomial_convolve(v[0], u[0], pascal), u[1] * v[1]))
