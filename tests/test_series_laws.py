@@ -101,8 +101,8 @@ def test_route_reciprocal_is_the_reciprocal_on_divided_powers(c0, tail):
 
 
 def pair_by_powers(spec, n_max):
-    """The family's pair with g = base ** r by TruncatedSeries products, as it was built
-    before the Appell powers moved onto divided powers."""
+    """The family's pair with g = base ** r by TruncatedSeries products on ordinary
+    coefficients: an oracle that shares no divided-power code with `sheffer_pair_of`."""
     n = max(n_max, 1)
     if spec.kind is FamilyKind.HERMITE:
         return ShefferPair(S([0, 0, F(1, 4)], order=n).exp(), S.t(n) / 2)
