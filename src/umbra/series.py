@@ -8,7 +8,7 @@ canonical `fractions.Fraction`; values are immutable and all operations
 return new series, which makes them safe to share between threads.
 
 The kernel loops (`_int_convolve` under every product, `_reciprocal`, `_compose`, the
-running power in `comp_inverse`, the binomial convolution and reciprocal on divided powers,
+running power in `comp_inverse`, the binomial convolution and quotient on divided powers,
 and umbral's triangle, basis solve and operator action) run on integer vectors (nums, d),
 numerators over one denominator, with one gcd per step.  A method `_scale`s its operands
 in and builds `Fraction`s (`_fractions`) only on return; umbral's Sheffer and transfer
@@ -16,9 +16,9 @@ tables run the integer functions end to end and build none.
 
 Divided powers k! c_k (`_divided`) suit series of exponential type, as every built-in g
 is, whose ordinary coefficients need a denominator near N!; umbral's table route and the
-Appell pair powers multiply them by `_binomial_convolve` and invert them by
-`_binomial_reciprocal`.  The public methods stay ordinary: on a series of ordinary type
-(a polynomial, log(1+t)) divided powers grow like k!.
+Appell pair powers multiply them by `_binomial_convolve`, and the route divides by g(fbar)
+once, h(fbar)/g(fbar) or 1/g(fbar), by `_binomial_quotient`.  The public methods stay
+ordinary: on a series of ordinary type (a polynomial, log(1+t)) divided powers grow like k!.
 """
 
 from __future__ import annotations
@@ -183,18 +183,19 @@ def _binomial_convolve(a, b, pascal) -> list[int]:
     return out
 
 
-def _binomial_reciprocal(series) -> tuple[list[int], int]:
-    """h = 1 / (c / dc) on divided powers, through the degree of c, as (nums, d > 0):
-    `_reciprocal`'s system with C(k, i) c_i in place of c_i, row k of Pascal's from row k-1."""
-    c, dc = series
+def _binomial_quotient(numerator, series) -> tuple[list[int], int]:
+    """q = (a / da) / (c / dc) on divided powers, through the degree of c, as (nums, d > 0):
+    c_0 q_k = (dc/da) a_k - sum_(i>=1) C(k, i) c_i q_(k-i), row k of Pascal's from row k-1.
+    The solve runs on the integers a and leaves da to the last gcd."""
+    (a, da), (c, dc) = numerator, series
     if not c[0]:
         raise NotInvertible("series has zero constant term")
-    nums, d, row = [dc], c[0], [1]
+    nums, d, row = [dc * a[0]], c[0], [1]
     for k in range(1, len(c)):
         row = [1, *map(add, row, row[1:]), 1]
         acc = sum(map(mul, map(mul, row[1:], c[1:]), reversed(nums)))
-        nums, d = _reduce([x * c[0] for x in nums] + [-acc], d * c[0])
-    return (nums, d) if d > 0 else ([-x for x in nums], -d)
+        nums, d = _reduce([x * c[0] for x in nums] + [dc * a[k] * d - acc], d * c[0])
+    return _reduce(nums, d * da) if d > 0 else _reduce([-x for x in nums], -d * da)
 
 
 def _fractions(nums, d: int) -> list[Fraction]:

@@ -15,8 +15,8 @@ transfer formula (`connection_coeffs`) or from an explicit triangular
 solve against the integer Sheffer tables (`connection_oracle`); the two
 routes must agree exactly, though both build their tables with `_triangle`.
 Both tables are exponential Riordan arrays: the route composes on ordinary coefficients,
-then takes 1/g(fbar), the product and `_triangle`'s column sweep on divided powers, where
-a built-in g needs no denominator near n_max!.
+then takes the one quotient h(fbar)/g(fbar) (1/g(fbar) for a Sheffer table) and `_triangle`'s
+column sweep on divided powers, where a built-in g needs no denominator near n_max!.
 The CLI's `connect` checks the integer transfer table `_connection_table` as
 verify checks a cell (`identities._first_mismatch`): `_first_failing_row`
 recombines the target family's stored table, which no series code builds, with
@@ -34,7 +34,7 @@ from operator import mul
 from .errors import NotDelta, NotInvertible, SingularBasis, TruncationTooShort
 from .polynomials import Poly
 from .series import TruncatedSeries, _Value, _as_count, _fractions, _reduce, _scale, as_rational
-from .series import _binomial_convolve, _binomial_reciprocal, _compose, _divided, _pascal
+from .series import _binomial_convolve, _binomial_quotient, _compose, _divided, _pascal
 
 _ZERO = Fraction(0)
 
@@ -128,7 +128,8 @@ def _sheffer_table(pair: ShefferPair, n_max: int) -> tuple[tuple[tuple[int, ...]
     """
     _require_known(pair.trunc_order, _as_count(n_max, "n_max"), "give a member of")
     fbar, g = (_scale(s.coeffs[: n_max + 1]) for s in (pair.fbar, pair.g))
-    return _triangle(_binomial_reciprocal(_divided(_compose(g, fbar))), _divided(fbar), n_max)
+    over_g = _binomial_quotient(([1] + [0] * n_max, 1), _divided(_compose(g, fbar)))
+    return _triangle(over_g, _divided(fbar), n_max)
 
 
 def sheffer_polys(pair: ShefferPair, n_max: int) -> tuple[Poly, ...]:
@@ -172,17 +173,15 @@ def _connection_table(source: ShefferPair, target: ShefferPair, n_max: int):
     """The transfer-formula table of `connection_coeffs` as integer rows over one denominator;
     each series is `_scale`d once, and from there on no Fraction is built.  h(fbar), g(fbar)
     and l(fbar) are composed on ordinary coefficients and then go to divided powers, where
-    1/g(fbar), the product and `_triangle` run: every built-in g is of e.g.f. type, whose
-    ordinary coefficients sit over a denominator near n_max! and its divided powers do not."""
+    one solve gives h(fbar)/g(fbar) and `_triangle` runs: every built-in g is of e.g.f. type,
+    whose ordinary coefficients sit over a denominator near n_max! and its divided powers do not."""
     _require_known(
         min(source.trunc_order, target.trunc_order), _as_count(n_max, "n_max"),
         "give connection coefficients of")
     fbar, g, h, l = (
         _scale(s.coeffs[: n_max + 1]) for s in (source.fbar, source.g, target.g, target.f))
-    (h_at, dh), g_at, l_at = (_divided(_compose(s, fbar)) for s in (h, g, l))
-    over_g, dg = _binomial_reciprocal(g_at)
-    a = _reduce(_binomial_convolve(over_g, h_at, _pascal(n_max)), dh * dg)  # h's zeros skipped
-    return _triangle(a, l_at, n_max)
+    h_at, g_at, l_at = (_divided(_compose(s, fbar)) for s in (h, g, l))
+    return _triangle(_binomial_quotient(h_at, g_at), l_at, n_max)
 
 
 def connection_coeffs(source: ShefferPair, target: ShefferPair, n_max: int) -> ConnectionMatrix:
@@ -198,8 +197,8 @@ def connection_coeffs(source: ShefferPair, target: ShefferPair, n_max: int) -> C
 def connection_oracle(source: ShefferPair, target: ShefferPair, n_max: int) -> ConnectionMatrix:
     """Solve route: build both integer Sheffer tables and solve the triangular system.
 
-    It shares `_triangle` with `connection_coeffs`, so a fault that scales every table
-    alike (a lost n!/k!) cancels; the family store's finite sums catch that.
+    It shares `_triangle` and `_binomial_quotient` with `connection_coeffs`, so a fault that
+    scales every table alike (a lost n!/k!) cancels; the family store's finite sums catch that.
     """
     return ConnectionMatrix(_solve_in_basis(
         _sheffer_table(source, n_max), _sheffer_table(target, n_max), range(n_max + 1)))

@@ -452,6 +452,14 @@ def _entry_moved(convolve):
     return mutated
 
 
+def _numerator_head_only(quotient):
+    """A quotient on divided powers that reads only a_0 of its numerator a."""
+    def mutated(numerator, series):
+        a, da = numerator
+        return quotient(([a[0]] + [0] * (len(a) - 1), da), series)
+    return mutated
+
+
 def test_connect_catches_a_kernel_mutant(capsys, monkeypatch):
     # the transfer table runs the kernel and the tables it is checked against do not;
     # exp builds Hermite's g in the pair
@@ -462,15 +470,17 @@ def test_connect_catches_a_kernel_mutant(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name, wrap", [
-    ("_binomial_reciprocal", _numerator_changed(3, lambda x, d: 2 * x)),
+    ("_binomial_quotient", _numerator_changed(3, lambda x, d: 2 * x)),
+    ("_binomial_quotient", _numerator_head_only),
     ("_compose", _numerator_changed(3, lambda x, d: x + d)),
     ("_int_convolve", _entry_moved),
     ("_binomial_convolve", _entry_moved)],
-    ids=["reciprocal", "compose", "convolution", "binomial"])
+    ids=["quotient", "quotient-numerator", "compose", "convolution", "binomial"])
 def test_connect_catches_an_integer_kernel_mutant(capsys, monkeypatch, name, wrap):
     # the integer functions that the transfer table runs end to end: the ordinary
-    # convolution under each composition and comp_inverse's running power, and the
-    # binomial one under the route's product, its column sweep and the Appell pair powers
+    # convolution under each composition and comp_inverse's running power, the quotient
+    # h(fbar)/g(fbar), and the binomial convolution under the column sweep and the
+    # Appell pair powers
     monkeypatch.setattr(families, "_store", {})
     _patch_kernel(monkeypatch, name, wrap(getattr(series, name)))
     codes = _connect_codes(capsys, 6)

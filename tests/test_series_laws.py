@@ -11,10 +11,11 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from umbra import ShefferPair, connection_coeffs, connection_oracle  # noqa: E402
+from umbra import NotInvertible, Poly, operator_apply, pair_functional  # noqa: E402
 from umbra import TruncatedSeries as S  # noqa: E402
 from umbra.families import FamilyKind, bernoulli, euler, frobenius_euler, hermite  # noqa: E402
 from umbra.families import sheffer_pair_of  # noqa: E402
-from umbra.series import _binomial_convolve, _binomial_reciprocal, _divided  # noqa: E402
+from umbra.series import _binomial_convolve, _binomial_quotient, _divided  # noqa: E402
 from umbra.series import _fractions, _pascal, _scale  # noqa: E402
 from umbra.umbral import _connection_table, _sheffer_table  # noqa: E402
 
@@ -77,6 +78,27 @@ def test_compose_matches_horner_oracle(outer, tail):
     assert outer.compose(inner) == horner_compose(outer, inner)
 
 
+@st.composite
+def adjoint_cases(draw):
+    """Series f and g and a polynomial p, wide entries, both series of order >= deg p.
+
+    p is the zero polynomial whenever its drawn coefficients all vanish."""
+    p = Poly(draw(st.lists(wide, max_size=12)))
+    order = max(p.degree, 0) + draw(st.integers(0, 2))
+    f, g = (S(draw(st.lists(wide, min_size=order + 1, max_size=order + 1))) for _ in "fg")
+    return f, g, p
+
+
+@laws
+@given(adjoint_cases())
+@example((S([F(-3, 7)]), S([F(5)]), Poly()))
+def test_adjoint_law_holds_on_wide_inputs(case):
+    # <f g | p> = <g | f p>: the pairing against the operator action; the seeded
+    # test_adjoint_law_random checks the same law
+    f, g, p = case
+    assert pair_functional(f * g, p) == pair_functional(g, operator_apply(f, p))
+
+
 def divided(coeffs):
     """The divided powers k! c_k of a coefficient sequence, as Fractions."""
     return [factorial(k) * c for k, c in enumerate(coeffs)]
@@ -92,12 +114,28 @@ def test_binomial_convolution_is_the_product_on_divided_powers(a, b):
 
 
 @laws
-@given(wide.filter(bool) | rationals.filter(bool), st.lists(rationals | wide, max_size=9))
-def test_route_reciprocal_is_the_reciprocal_on_divided_powers(c0, tail):
-    a = S([c0] + tail)
-    nums, d = _binomial_reciprocal(_divided(_scale(a.coeffs)))
+@given(rationals | wide, st.lists(rationals | wide, max_size=9),
+       st.lists(rationals | wide, min_size=10, max_size=10))
+@example(F(-1), [], [F(3)])  # the solve runs no step, so only the sign rule makes d > 0
+@example(F(-7, 3), [F(0), F(5, 2)], [F(0), F(-1, 6), F(4)])  # a negative non-unit c_0
+@example(F(0), [F(1)], [F(1), F(2)])  # no quotient: NotInvertible
+def test_route_quotient_is_the_quotient_on_divided_powers(c0, tail, top):
+    c = _divided(_scale([c0] + tail))
+    n = len(tail)
+    a = _divided(_scale(top[: n + 1]))
+    one = ([1] + [0] * n, 1)
+    if not c0:
+        for numerator in (a, one):
+            with pytest.raises(NotInvertible):
+                _binomial_quotient(numerator, c)
+        return
+    nums, d = _binomial_quotient(a, c)
     assert d > 0
-    assert _fractions(nums, d) == divided(a.reciprocal().coeffs)
+    # q * c = a on divided powers: the quotient times the divisor gives back the numerator
+    assert _fractions(_binomial_convolve(nums, c[0], _pascal(n)), d * c[1]) == _fractions(*a)
+    nums, d = _binomial_quotient(one, c)
+    assert d > 0
+    assert _fractions(nums, d) == divided(S([c0] + tail).reciprocal().coeffs)
 
 
 def pair_by_powers(spec, n_max):
