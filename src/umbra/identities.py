@@ -40,8 +40,12 @@ with a nonzero diagonal, so lhs_n = sum_k C_{n,k} basis_k holds exactly when row
 is the solved one; a cell checks that equation by recombining the basis with each
 row on the integer family tables and cross-multiplying with member n, so a PASS
 builds no Fraction and solves nothing (`_first_mismatch`, which the CLI's connect
-calls too).  Only the first failing degree is solved in the basis, on the same
-integer tables, to name the wrong k and its expected value.  The public tN_coeff
+calls too).  Every family here is Appell (Hermite in 2x), so the three tables are
+binomial-Toeplitz and a PASS is proved in O(N^2) from their row recurrences, the
+constant terms and one full row (`umbral._proved_by_appell`); the O(N^3) check of every
+coefficient runs only where that proof does not go through, as on every FAIL.  Only
+the first failing degree is solved in the basis, on the same integer tables, to
+name the wrong k and its expected value.  The public tN_coeff
 read one entry of the same rows, which the family store keeps under (id, spec)
 beside the family tables, so a table built to degree N answers every lower degree.
 

@@ -501,7 +501,7 @@ def test_an_entry_off_by_one_is_caught_at_its_place(monkeypatch, tid, r):
     clean = build(spec, n_max, identities._hermite_table(tid, n_max))
     rng = random.Random(20130222)
     cases = [(n, rng.randint(0, n)) for n in rng.sample(range(n_max + 1), 4)]
-    for n, k in cases + [(n_max, n_max), (0, 0)]:
+    for n, k in cases + [(n_max, n_max), (0, 0), (n_max, 0), (n_max // 2, 0)]:
         step = rng.choice([-3, -2, -1, 1, 2, 3])
 
         def corrupted(*args, n=n, k=k, step=step):

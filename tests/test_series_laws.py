@@ -1,8 +1,8 @@
-"""Ring laws of the series kernel, its divided-power loops, and the tables of general
-Sheffer pairs, on random exact inputs."""
+"""Ring laws of the series kernel, its divided-power loops, the tables of general
+Sheffer pairs, and the recombination check on Appell tables, on random exact inputs."""
 
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -11,13 +11,14 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from umbra import ShefferPair, connection_coeffs, connection_oracle  # noqa: E402
-from umbra import NotInvertible, Poly, operator_apply, pair_functional  # noqa: E402
+from umbra import NotInvertible, Poly, SingularBasis, operator_apply, pair_functional  # noqa: E402
 from umbra import TruncatedSeries as S  # noqa: E402
 from umbra.families import FamilyKind, bernoulli, euler, frobenius_euler, hermite  # noqa: E402
 from umbra.families import sheffer_pair_of  # noqa: E402
 from umbra.series import _binomial_convolve, _binomial_quotient, _divided  # noqa: E402
 from umbra.series import _fractions, _pascal, _scale  # noqa: E402
-from umbra.umbral import _connection_table, _sheffer_table  # noqa: E402
+from umbra.umbral import _connection_table, _first_failing_row, _proved_by_appell  # noqa: E402
+from umbra.umbral import _sheffer_table  # noqa: E402
 
 from test_series import fraction_reciprocal, horner_compose, naive_product  # noqa: E402
 from test_umbral import fraction_triangle  # noqa: E402
@@ -211,6 +212,93 @@ def test_connection_tables_of_general_pairs_compose(case):
         for m in range(i + 1):
             product = sum(ab.entry(i, k) * bc.entry(k, m) for k in range(m, i + 1))
             assert product == ac.entry(i, m), (i, m)
+
+
+def appell_rows(ratio, constants):
+    """Entry (n, k) = C(n, k) ratio^k constants[n - k]: the table Appell in ratio * x."""
+    return [[comb(n, k) * ratio ** k * constants[n - k] for k in range(n + 1)]
+            for n in range(len(constants))]
+
+
+def integer_rows(rows):
+    """Fraction rows as integer rows over their least common denominator, as lists."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def fraction_solve(expanded, basis):
+    """Rows C_(n, .) with sum_k C_(n,k) basis_k = expanded_n, by back substitution."""
+    table = []
+    for n, member in enumerate(expanded):
+        residual, row = list(member), [F(0)] * (n + 1)
+        for k in range(n, -1, -1):
+            row[k] = residual[k] / basis[k][k]
+            for i in range(k + 1):
+                residual[i] -= row[k] * basis[k][i]
+        table.append(row)
+    return table
+
+
+def first_unequal_degree(table, basis, expanded, ns):
+    """The oracle: the first n in ns where sum_k C_(n,k) R_k != S_n on Fractions, None,
+    or SingularBasis when a member of R, or of S in ns, has a zero leading entry."""
+    (c, dc), (r, dr), (s, ds) = table, basis, expanded
+    if not all(r[k][k] for k in range(ns[-1] + 1)) or not all(s[n][n] for n in ns):
+        return SingularBasis
+    for n in ns:
+        combo = [F(0)] * (n + 1)
+        for k in range(n + 1):
+            for i in range(k + 1):
+                combo[i] += F(c[n][k], dc) * F(r[k][i], dr)
+        if combo != [F(x, ds) for x in s[n]]:
+            return n
+    return None
+
+
+appell_ratios = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3)])
+small = st.integers(-9, 9)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.data())
+def test_recombination_check_matches_a_fraction_oracle_on_appell_tables(data):
+    # R Appell in s_R x, S in s_S x, and the exact C between them, which is Appell in
+    # (s_S / s_R) y; then one entry of C, R or S moved, or one constant term of C moved
+    # with its whole binomial-Toeplitz pattern, which keeps every row recurrence of C
+    n_max = data.draw(st.integers(0, 7))
+    s_r, s_s = data.draw(appell_ratios), data.draw(appell_ratios)
+    # a tail of zeros makes a basis of monomials times powers of s_R, where every constant
+    # term of sum_k C_(n,k) R_k is C_(n,0) R_00
+    tails = st.lists(small, min_size=n_max, max_size=n_max) | st.just([0] * n_max)
+    r, s = ([data.draw(small.filter(bool))] + data.draw(tails) for _ in "rs")
+    basis, expanded = appell_rows(s_r, r), appell_rows(s_s, s)
+    exact = fraction_solve(expanded, basis)
+    constants = [row[0] for row in exact]
+    assert exact == appell_rows(s_s / s_r, constants)
+    tables = {"C": integer_rows(exact), "R": integer_rows(basis), "S": integer_rows(expanded)}
+    lo = data.draw(st.integers(0, n_max))
+    ns = range(lo, n_max + 1)
+    if data.draw(st.booleans()):  # rows below lo are not checked, so they may be anything
+        for n in range(lo):
+            tables["C"][0][n] = data.draw(st.lists(small, min_size=n + 1, max_size=n + 1))
+    assert _first_failing_row(tables["C"], tables["R"], tables["S"], ns) is None
+    if lo < n_max:
+        assert _proved_by_appell(tables["C"], tables["R"], tables["S"], ns)
+    step = data.draw(st.sampled_from([-2, -1, 1, 2]))
+    what = data.draw(st.sampled_from(["C", "R", "S", "constant"]))
+    if what == "constant":
+        # c_j, j < lo, moves rows lo..N off column 0, so that only row lo in full shows it
+        constants[data.draw(st.integers(0, lo))] += step
+        tables["C"] = integer_rows(appell_rows(s_s / s_r, constants))
+    else:
+        n = data.draw(st.integers(0, n_max))
+        tables[what][0][n][data.draw(st.integers(0, n))] += step
+    want = first_unequal_degree(tables["C"], tables["R"], tables["S"], ns)
+    if want is SingularBasis:
+        with pytest.raises(SingularBasis):
+            _first_failing_row(tables["C"], tables["R"], tables["S"], ns)
+    else:
+        assert _first_failing_row(tables["C"], tables["R"], tables["S"], ns) == want
 
 
 @laws

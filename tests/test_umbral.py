@@ -36,8 +36,10 @@ from umbra import (
 from umbra.families import _family_rows
 from umbra.series import _divided, _fractions, _scale
 from umbra.umbral import (
+    _appell_ratio,
     _connection_table,
     _first_failing_row,
+    _proved_by_appell,
     _require_known,
     _sheffer_table,
     _solve_in_basis,
@@ -322,23 +324,65 @@ def test_connection_transitivity():
 
 def test_recombination_verdict_matches_the_solve_on_nontrivial_pairs():
     # the check connect runs agrees with the triangular solve; one entry moved by 1/d
-    # must be caught at its row
+    # must be caught at its row.  Between two built-in (Appell) families a PASS is proved
+    # from the Appell structure, so row N, which no later row is tied to, and column 0,
+    # which only the constant terms read, are always among the places moved
     n_max = N_DELTA
-    pairs = nontrivial_pairs(n_max)
+    appell = [sheffer_pair_of(spec, n_max) for spec in (hermite(), bernoulli(2), euler(1))]
+    pairs = nontrivial_pairs(n_max) + appell
     rng = random.Random(1302)
     for i, source in enumerate(pairs):
         for j, target in enumerate(pairs):
             direct, d = _connection_table(source, target, n_max)
             solved = connection_oracle(source, target, n_max)
-            n = rng.randint(0, n_max)
-            rows = [list(row) for row in direct]
-            rows[n][rng.randint(0, n)] += rng.choice([-1, 1])
             tables = _sheffer_table(target, n_max), _sheffer_table(source, n_max)
-            for table, want in ((direct, None), (rows, n)):
-                failing = _first_failing_row((table, d), *tables, range(n_max + 1))
-                matrix = ConnectionMatrix(_fractions(row, d) for row in table)
-                assert (failing is None) == (matrix == solved), (i, j)
-                assert failing == want, (i, j)
+            n = rng.randint(0, n_max)
+            places = [(n, rng.randint(0, n)), (n_max, n_max), (n_max, 0), (n, 0)]
+            assert _first_failing_row((direct, d), *tables, range(n_max + 1)) is None
+            assert ConnectionMatrix(_fractions(row, d) for row in direct) == solved, (i, j)
+            for n, k in places:
+                rows = [list(row) for row in direct]
+                rows[n][k] += rng.choice([-1, 1])
+                failing = _first_failing_row((rows, d), *tables, range(n_max + 1))
+                assert failing == n, (i, j, n, k)
+
+
+def test_recombination_from_a_starting_degree():
+    # verify's t7 checks the degrees r..N only: rows below r may be anything, and row r
+    # is tied to no row before it, so an error there is caught at row r.  Hermite in the
+    # monomial basis (Bernoulli of order 0), as t7 at r = 0 reads it
+    n_max, lo = 9, 3
+    source, target = hermite(), bernoulli(0)
+    tables = _family_rows(target, n_max), _family_rows(source, n_max)
+    direct, d = _connection_table(*(sheffer_pair_of(s, n_max) for s in (source, target)), n_max)
+    ns = range(lo, n_max + 1)
+
+    def failing(rows):
+        return _first_failing_row((rows, d), *tables, ns)
+
+    below = [[7] * (n + 1) if n < lo else list(row) for n, row in enumerate(direct)]
+    assert failing(below) is None
+    assert _proved_by_appell((below, d), *tables, ns)  # the per-row loop did not run
+    # C_(n,k) = C(n,k) 2^k c_(n-k) (Hermite is Appell in 2x): an error in the constant
+    # term c_(lo-1), below the rows checked, keeps every row recurrence and, in this
+    # basis, every constant term of sum_k C_(n,k) R_k, so only row lo in full shows it
+    cascade = [list(row) for row in direct]
+    for n in ns:
+        cascade[n][n - lo + 1] += comb(n, n - lo + 1) * 2 ** (n - lo + 1)
+    assert _appell_ratio(cascade, lo, n_max, (2, 1)) == (2, 1)
+    assert failing(cascade) == lo
+    for k in (0, 1, lo):
+        rows = [list(row) for row in direct]
+        rows[lo][k] -= 1
+        assert failing(rows) == lo, k
+    # one degree, N = 0 among them, is checked coefficient by coefficient
+    for n in (0, n_max):
+        rows = [list(row) for row in direct]
+        assert _first_failing_row((rows, d), *tables, range(n, n + 1)) is None
+        rows[n][n] += 1
+        assert _first_failing_row((rows, d), *tables, range(n, n + 1)) == n
+    zero = _family_rows(target, 0), _family_rows(source, 0)
+    assert _first_failing_row(((direct[0],), d), *zero, range(1)) is None
 
 
 def test_a_triangle_without_its_factorials_is_caught_by_the_store_only(
@@ -475,9 +519,15 @@ def test_solve_matches_poly_oracle_on_builtin_tables():
 
 
 def test_solver_rejects_malformed_basis():
-    basis = [Poly([1]), Poly([3])]  # degree-1 slot holds a constant
-    with pytest.raises(SingularBasis):
-        _solve_in_basis(int_table([Poly([1]), Poly([0, 1])]), int_table(basis), range(2))
+    monomials = int_table([Poly([1]), Poly([0, 1]), Poly([0, 0, 1])])
+    # degree-1 slot holds a constant; then a basis Appell in 0 x: R_11 = 0
+    for basis in ([Poly([1]), Poly([3])], [Poly([1]), Poly([5]), Poly([6])]):
+        with pytest.raises(SingularBasis):
+            _solve_in_basis(monomials, int_table(basis), range(2))
+    zero_ratio = ((1,), (5, 0), (6, 0, 0)), 1
+    for ns in (range(2), range(3), range(1, 3)):
+        with pytest.raises(SingularBasis, match="basis member 1"):
+            _first_failing_row(monomials, zero_ratio, monomials, ns)
 
 
 def test_connection_matrix_shape():
