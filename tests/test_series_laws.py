@@ -21,7 +21,7 @@ from umbra.umbral import _connection_table, _first_failing_row, _proved_by_appel
 from umbra.umbral import _sheffer_table  # noqa: E402
 
 from test_series import fraction_reciprocal, horner_compose, naive_product  # noqa: E402
-from test_umbral import fraction_triangle  # noqa: E402
+from test_umbral import fraction_triangle, poly_solve_oracle  # noqa: E402
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 series = st.lists(rationals, min_size=1, max_size=8).map(S)
@@ -226,19 +226,6 @@ def integer_rows(rows):
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
-def fraction_solve(expanded, basis):
-    """Rows C_(n, .) with sum_k C_(n,k) basis_k = expanded_n, by back substitution."""
-    table = []
-    for n, member in enumerate(expanded):
-        residual, row = list(member), [F(0)] * (n + 1)
-        for k in range(n, -1, -1):
-            row[k] = residual[k] / basis[k][k]
-            for i in range(k + 1):
-                residual[i] -= row[k] * basis[k][i]
-        table.append(row)
-    return table
-
-
 def first_unequal_degree(table, basis, expanded, ns):
     """The oracle: the first n in ns where sum_k C_(n,k) R_k != S_n on Fractions, None,
     or SingularBasis when a member of R, or of S in ns, has a zero leading entry."""
@@ -272,7 +259,7 @@ def test_recombination_check_matches_a_fraction_oracle_on_appell_tables(data):
     tails = st.lists(small, min_size=n_max, max_size=n_max) | st.just([0] * n_max)
     r, s = ([data.draw(small.filter(bool))] + data.draw(tails) for _ in "rs")
     basis, expanded = appell_rows(s_r, r), appell_rows(s_s, s)
-    exact = fraction_solve(expanded, basis)
+    exact = poly_solve_oracle(*([Poly(row) for row in t] for t in (expanded, basis)))
     constants = [row[0] for row in exact]
     assert exact == appell_rows(s_s / s_r, constants)
     tables = {"C": integer_rows(exact), "R": integer_rows(basis), "S": integer_rows(expanded)}
