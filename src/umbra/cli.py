@@ -13,9 +13,9 @@ stdout), 141 stdout closed early (as a shell reports SIGPIPE; nothing on
 stderr).  connect checks the transfer table, built by the series kernel, as verify
 checks a cell (`identities._first_mismatch`), on stored tables that no series code
 builds; a passing table is not solved, and `connection_oracle` is the solve kept
-for the API and the tests.  Both built-in families of a connect are Appell, so a
-passing table is proved in O(N^2) (`umbral._proved_by_appell`); a failing one runs
-the O(N^3) check of every coefficient, which names the row.  Argument errors in
+for the API and the tests.  Both built-in families of a connect are Appell, so the
+check walks the rows once (`umbral._first_failing_row`) and names the first failing
+row, or none, in O(N^2).  Argument errors in
 sizes, orders, lambda and rational text come from the library's own checks:
 each raises ValueError or UmbraError before anything reaches stdout, and
 that is exit 2.

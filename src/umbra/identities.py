@@ -37,15 +37,14 @@ store's tables are, from tables that do not depend on k:
 A verification cell builds its rows when it runs and keeps no table, so its
 verdict does not depend on the cells before it.  The basis family is triangular
 with a nonzero diagonal, so lhs_n = sum_k C_{n,k} basis_k holds exactly when row n
-is the solved one; a cell checks that equation by recombining the basis with each
-row on the integer family tables and cross-multiplying with member n, so a PASS
-builds no Fraction and solves nothing (`_first_mismatch`, which the CLI's connect
-calls too).  Every family here is Appell (Hermite in 2x), so the three tables are
-binomial-Toeplitz and a PASS is proved in O(N^2) from their row recurrences, the
-constant terms and one full row (`umbral._proved_by_appell`); the O(N^3) check of every
-coefficient runs only where that proof does not go through, as on every FAIL.  Only
-the first failing degree is solved in the basis, on the same integer tables, to
-name the wrong k and its expected value.  The public tN_coeff
+is the solved one; a cell checks that equation on the integer family tables,
+cross-multiplying with member n, so it builds no Fraction and solves nothing
+(`_first_mismatch`, which the CLI's connect calls too).  Every family here is Appell
+(Hermite in 2x), so the three tables are binomial-Toeplitz: one walk over the rows
+(`umbral._first_failing_row`) recombines the basis with the first row in full and
+decides each later row by its tie to the row before and its constant term, naming
+the first failing degree in O(N^2).  Only that degree is solved in the basis, on
+the same integer tables, to name the wrong k and its expected value.  The public tN_coeff
 read one entry of the same rows, which the family store keeps under (id, spec)
 beside the family tables, so a table built to degree N answers every lower degree.
 
@@ -297,7 +296,7 @@ def _first_mismatch(lhs_spec, basis_spec, table, ns, lam=None) -> Mismatch | Non
     """First (n, k) where the rows of table (a cell's closed form, or connect's transfer
     table) differ from the connection coefficients of lhs_spec in basis_spec.
 
-    Each degree n in ns is checked by recombining the stored basis table with row n
+    The degrees in ns are checked against the stored basis table in one walk
     (`_first_failing_row`), so a PASS builds no Fraction and solves nothing; only the
     first failing member n is solved in the basis, on the same two tables, to name k.
     """

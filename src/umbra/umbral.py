@@ -23,10 +23,9 @@ recombines the target family's stored table, which no series code builds, with
 each row and compares it with the source's member, so a passing table is not
 solved.  `connection_oracle` is the solve kept for the API and the tests.
 Every built-in family is Appell, so its tables and the table between two of them
-are binomial-Toeplitz, C_(n,k) = C(n,k) rho^k c_(n-k); `_proved_by_appell` proves a
-PASS from that in O(N^2) (each table's row recurrence X_n' = n s X_(n-1), the
-constant terms, and the first degree checked in full), and the O(N^3) per-row loop
-runs for everything else: a table that is not Appell, one degree, and every FAIL.
+are binomial-Toeplitz, C_(n,k) = C(n,k) rho^k c_(n-k): the check recombines its first
+degree in full and decides each later one in O(n), by its tie to the one before
+(X_n' = n s X_(n-1)) and its constant term, so it names the first failing row in O(N^2).
 """
 
 from __future__ import annotations
@@ -242,57 +241,31 @@ def _solve_in_basis(expanded, basis, ns) -> list[list[Fraction]]:
     return rows
 
 
-def _appell_ratio(rows, lo: int, n_max: int, ratio=None) -> tuple[int, int] | None:
-    """The ratio s = p/q, as (p, q), of rows lo..n_max of an integer table if they are of
-    degree n and Appell in s x from row lo on, else None: k X_(n,k) = n s X_(n-1,k-1) for
-    lo < n <= n_max and 0 < k <= n, that is X_n' = n s X_(n-1).  s is the given ratio, or
-    else X_(lo+1,lo+1) / X_(lo,lo); with X_(lo,lo) and s nonzero no diagonal entry is zero.
-    All the rows are compared in one pass over flat iterators, as k q X_(n,k) == n p X_(n-1,k-1).
-    """
-    if list(map(len, rows[lo: n_max + 1])) != list(range(lo + 1, n_max + 2)) or not rows[lo][lo]:
-        return None
-    p, q = ratio or (rows[lo + 1][lo + 1], rows[lo][lo])
-    if not p:
-        return None
+def _tied(rows, n: int, p: int, q: int) -> bool:
+    """Whether row n of an integer table is tied to row n-1 in s = p/q: k q X_(n,k) ==
+    n p X_(n-1,k-1) for 0 < k <= n, that is X_n' = n s X_(n-1).  Rows n and n-1 must
+    hold n+1 and n entries."""
+    return all(map(eq, map(mul, rows[n][1:], range(q, (n + 1) * q, q)),
+                   map(mul, rows[n - 1], repeat(n * p))))
+
+
+def _ratio(rows, lo: int) -> tuple[int, int]:
+    """X_(lo+1,lo+1) / X_(lo,lo) in least terms, as (p, q)."""
+    p, q = rows[lo + 1][lo + 1], rows[lo][lo]
     g = gcd(p, q)
-    p, q = p // g, q // g
-    tops = range(lo + 1, n_max + 1)  # k q for 0 < k <= n, and n p n times, row after row
-    ends = range((lo + 2) * q, (n_max + 2) * q, q)
-    kq = chain.from_iterable(map(range, repeat(q), ends, repeat(q)))
-    np_ = chain.from_iterable(map(repeat, range((lo + 1) * p, (n_max + 1) * p, p), tops))
-    tails = chain.from_iterable(map(itemgetter(slice(1, None)), rows[lo + 1: n_max + 1]))
-    heads = chain.from_iterable(rows[lo: n_max])
-    return (p, q) if all(map(eq, map(mul, tails, kq), map(mul, heads, np_))) else None
+    return p // g, q // g
 
 
-def _proved_by_appell(table, basis, expanded, ns) -> bool:
-    """Whether S_n = sum_k C_(n,k) R_k holds for every n in ns = lo..N, lo < N, by the
-    Appell structure of the three tables, in O(N^2); False says nothing.
+def _recombines(table, basis, expanded, n: int) -> bool:
+    """Whether sum_k C_(n,k) R_k equals S_n, every coefficient x^0..x^n compared in full.
 
-    R must be Appell in s_R x over rows 0..N, and S in s_S x and C in (s_S / s_R) y from
-    row lo on (`_appell_ratio`).  Then E_n = sum_k C_(n,k) R_k - S_n has
-    E_n' = sum_k k C_(n,k) s_R R_(k-1) - n s_S S_(n-1) = n s_S E_(n-1) for lo < n <= N,
-    so E_lo = 0 in full and E_n(0) = 0 for each n > lo give every E_n = 0, by induction
-    on n.  Row lo is not tied to the row before it, which ns does not check.
+    [x^i] of the sum is one sum down column i of R, cross-multiplied with S_n's, so no
+    Fraction is built and nothing is solved.
     """
-    lo, n_max = ns[0], ns[-1]
-    if ns != range(lo, n_max + 1) or lo == n_max:
-        return False
     (rows, d), (basis, db), (expanded, de) = table, basis, expanded
-    s_r = _appell_ratio(basis, 0, n_max)
-    s_s = s_r and _appell_ratio(expanded, lo, n_max)
-    if not (s_s and _appell_ratio(rows, lo, n_max, (s_s[0] * s_r[1], s_s[1] * s_r[0]))):
-        return False
-    scale = d * db  # coefficient i of sum_k C_(n,k) R_k is cross-multiplied with S_n's
-    row = rows[lo]
-    if not all(sum(map(mul, row[i:], [r[i] for r in basis[i: lo + 1]])) * de == x * scale
-               for i, x in enumerate(expanded[lo][1:], 1)):
-        return False
-    # the constant terms of rows lo..N, each one sum over column 0 of R
-    col = list(map(itemgetter(0), basis))
-    sums = map(sum, map(map, repeat(mul), rows[lo: n_max + 1], repeat(col)))
-    constants = map(itemgetter(0), expanded[lo: n_max + 1])
-    return all(map(eq, map(mul, sums, repeat(de)), map(mul, constants, repeat(scale))))
+    nums, scale = rows[n], d * db
+    return all(sum(map(mul, nums[i:], map(itemgetter(i), basis[i: n + 1]))) * de == x * scale
+               for i, x in enumerate(expanded[n]))
 
 
 def _first_failing_row(table, basis, expanded, ns) -> int | None:
@@ -301,29 +274,40 @@ def _first_failing_row(table, basis, expanded, ns) -> int | None:
     C (table), R (basis) and S (expanded) are integer tables (rows, d): entry (n, k) of
     C is rows[n][k] / d, and R and S are as the family store gives them.  R is
     triangular with a nonzero diagonal, so S_n = sum_k C_(n,k) R_k holds exactly when
-    row n is the solved one.  Every built-in family is Appell (Hermite in 2x), so the
-    tables are binomial-Toeplitz (Roman, 1984, ch. 2-3), and a PASS on degrees lo..N is
-    proved in O(N^2) from that (`_proved_by_appell`).  Everything else runs the loop
-    below, in O(N^3): one degree, degrees that are not a range, a table that is not
-    Appell, a zero ratio, a member of the wrong length or degree, and every FAIL.  It
-    cross-multiplies each coefficient x^0..x^n of the recombined row with S_n, so no
-    Fraction is built and nothing is solved, names the first failing row, and refuses
-    a member of R or S whose degree is not its index before anything is compared.
+    row n is the solved one.  The rows are decided in turn, row lo = ns[0] by
+    recombining it in full (`_recombines`).  Every built-in family is Appell (Hermite
+    in 2x; Roman, 1984, ch. 2-3), and a row n > lo is decided in O(n) when ns is a range
+    and R is Appell in s_R x through row n and S in s_S x from row lo through row n, each
+    row tied to the one before it (`_tied`).  Row n-1 has passed, so if row n of C is
+    tied to row n-1 in rho = s_S / s_R, E_n = sum_k C_(n,k) R_k - S_n has
+    E_n' = n s_S E_(n-1) = 0, and row n is right exactly when it is tied and E_n(0) = 0,
+    one sum over column 0 of R (the exact C is tied, by the uniqueness of its rows).  So
+    a first failing row n is named in O(n^2).  Every other row is recombined in full, in
+    O(n^2) each.  A member of R or S whose degree is not its index is refused before
+    anything is compared, and a row of C of the wrong length when the walk reaches it.
     """
-    if _proved_by_appell(table, basis, expanded, ns):
-        return None
-    n_max = ns[-1]
-    (rows, d), (basis, db), (expanded, de) = table, basis, expanded
-    _check_graded(basis, range(n_max + 1), "basis")
-    _check_graded(expanded, ns, "expanded")
-    # cols[i][k - i] = [x^i] R_k, so [x^i] sum_k C_(n,k) R_k is a sum over one column
-    cols = [[row[i] for row in basis[i:]] for i in range(n_max + 1)]
-    scale = d * db
+    lo, n_max = ns[0], ns[-1]
+    (rows, d), (r_rows, db), (s_rows, de) = table, basis, expanded
+    _check_graded(r_rows, range(n_max + 1), "basis")
+    _check_graded(s_rows, ns, "expanded")
+    # a row is tied only to the row checked just before it
+    appell = ns == range(lo, n_max + 1) and lo < n_max
+    if appell:
+        (rp, rq), (sp, sq) = _ratio(r_rows, 0), _ratio(s_rows, lo)
+        p, q = sp * rq, sq * rp  # rho = s_S / s_R
+        appell = all(_tied(r_rows, k, rp, rq) for k in range(1, lo + 1))
+        col, scale = [row[0] for row in r_rows[: n_max + 1]], d * db
+    tie = False  # row n-1 was checked just before row n and R and S are Appell through it
     for n in ns:
         nums = rows[n]
         if len(nums) != n + 1:
             raise ValueError(f"row {n} has {len(nums)} entries, expected {n + 1}")
-        if not all(sum(map(mul, nums[i:], col)) * de == x * scale
-                   for i, (col, x) in enumerate(zip(cols, expanded[n]))):
+        tie = tie and _tied(r_rows, n, rp, rq) and _tied(s_rows, n, sp, sq)
+        if tie:
+            passed = _tied(rows, n, p, q) and sum(map(mul, nums, col)) * de == s_rows[n][0] * scale
+        else:
+            passed = _recombines(table, basis, expanded, n)
+        if not passed:
             return n
+        tie = tie or (n == lo and appell)
     return None

@@ -26,6 +26,8 @@ from umbra.cli import (
 )
 from umbra.families import FamilyKind
 
+from test_umbral import rows_recombined_in_full
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -357,26 +359,36 @@ def test_a_passing_connect_solves_nothing(capsys, monkeypatch):
         assert parse_document(out)["routes_agree"] is True
 
 
-def test_a_passing_check_runs_no_per_row_loop(capsys, monkeypatch, corrupt_entry):
-    # every built-in family is Appell, so a PASS is proved in O(N^2); the O(N^3) loop of
-    # `_first_failing_row` starts with the graded checks, which the proof makes itself
-    def refuse(*args):
-        raise AssertionError("a passing check ran the per-row loop")
+def test_every_check_recombines_one_row_in_full(capsys, monkeypatch, corrupt_entry):
+    # every built-in family is Appell, so after row lo the walk of `_first_failing_row`
+    # decides each row by its tie to the row before it and its constant term: a check
+    # names its first failing row, or none, in O(N^2), recombining only row lo in full
+    walk, per_check = identities._first_failing_row, []
 
-    with monkeypatch.context() as patched:
-        patched.setattr(umbral, "_check_graded", refuse)
+    def counted(*args):
+        before = len(full)
+        failing = walk(*args)
+        per_check.append(len(full) - before)
+        return failing
+
+    monkeypatch.setattr(identities, "_first_failing_row", counted)
+    with rows_recombined_in_full() as full:
         for argv in ("connect --from frobenius-euler:3:1/3 --to bernoulli:4 --max-n 60",
                      "verify --theorems all --max-n 10 --orders 0,1,2,3,4",
                      "verify --theorems t3,t8,remark --max-n 10 --orders 0,2,4 --symbolic-lambda"):
+            per_check.clear()
             code, _, err = run(capsys, *argv.split())
             assert (code, err) == (EXIT_OK, ""), argv
-    # a FAIL runs the loop and the solve, and reports what it did before the Appell proof
-    for tid, r, n, k, expected, lam in (
-            ("t1", 2, 2, 0, F(1), None), ("t6", 11, 10, 0, F(134037325312, 3), None),
-            ("t7", 3, 10, 10, F(1024), None), ("remark", 4, 7, 3, F(126560), F(-1))):
-        corrupt_entry(tid, n, k)
-        failure = verify_theorem(tid, 10, r).first_failure
-        assert failure == identities.Mismatch(n, k, expected, expected + 1, lam), tid
+            assert per_check and set(per_check) == {1}, argv
+        # a FAIL reports what it did before the walk, and recombines one row in full too
+        for tid, r, n, k, expected, lam in (
+                ("t1", 2, 2, 0, F(1), None), ("t6", 11, 10, 0, F(134037325312, 3), None),
+                ("t7", 3, 10, 10, F(1024), None), ("remark", 4, 7, 3, F(126560), F(-1))):
+            corrupt_entry(tid, n, k)
+            per_check.clear()
+            failure = verify_theorem(tid, 10, r).first_failure
+            assert failure == identities.Mismatch(n, k, expected, expected + 1, lam), tid
+            assert per_check and set(per_check) == {1}, tid
 
 
 # (argv, exit code, sha256 of stdout), pinned while these documents were still built

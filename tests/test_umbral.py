@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
 from math import comb, factorial, gcd
 
@@ -33,16 +34,16 @@ from umbra import (
     stirling1,
     stirling2,
 )
+import umbra.umbral as umbral
 from umbra.families import _family_rows
 from umbra.series import _divided, _fractions, _scale
 from umbra.umbral import (
-    _appell_ratio,
     _connection_table,
     _first_failing_row,
-    _proved_by_appell,
     _require_known,
     _sheffer_table,
     _solve_in_basis,
+    _tied,
     _triangle,
 )
 
@@ -51,6 +52,20 @@ from test_series import (
     KERNEL_ORDERS, assert_canonical, int_table, naive_product, wide_coeffs, wide_unit)
 
 S = TruncatedSeries
+
+
+@contextmanager
+def rows_recombined_in_full():
+    """The degrees that `_first_failing_row` recombines in full inside the block, in order."""
+    seen, recombines = [], umbral._recombines
+
+    def counted(table, basis, expanded, n):
+        seen.append(n)
+        return recombines(table, basis, expanded, n)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(umbral, "_recombines", counted)
+        yield seen
 
 
 def rand_poly(rng, max_degree):
@@ -324,9 +339,10 @@ def test_connection_transitivity():
 
 def test_recombination_verdict_matches_the_solve_on_nontrivial_pairs():
     # the check connect runs agrees with the triangular solve; one entry moved by 1/d
-    # must be caught at its row.  Between two built-in (Appell) families a PASS is proved
-    # from the Appell structure, so row N, which no later row is tied to, and column 0,
-    # which only the constant terms read, are always among the places moved
+    # must be caught at its row.  Between two built-in (Appell) families each row after
+    # the first is decided by its tie to the row before it and its constant term, so row
+    # N, which no later row is tied to, and column 0, which only the constant terms read,
+    # are always among the places moved
     n_max = N_DELTA
     appell = [sheffer_pair_of(spec, n_max) for spec in (hermite(), bernoulli(2), euler(1))]
     pairs = nontrivial_pairs(n_max) + appell
@@ -349,38 +365,62 @@ def test_recombination_verdict_matches_the_solve_on_nontrivial_pairs():
 
 def test_recombination_from_a_starting_degree():
     # verify's t7 checks the degrees r..N only: rows below r may be anything, and row r
-    # is tied to no row before it, so an error there is caught at row r.  Hermite in the
-    # monomial basis (Bernoulli of order 0), as t7 at r = 0 reads it
+    # is tied to no row before it, so it is recombined in full and an error there is
+    # caught at row r.  Hermite in the monomial basis (Bernoulli of order 0), as t7 at
+    # r = 0 reads it
     n_max, lo = 9, 3
     source, target = hermite(), bernoulli(0)
-    tables = _family_rows(target, n_max), _family_rows(source, n_max)
+    basis, expanded = _family_rows(target, n_max), _family_rows(source, n_max)
     direct, d = _connection_table(*(sheffer_pair_of(s, n_max) for s in (source, target)), n_max)
     ns = range(lo, n_max + 1)
 
-    def failing(rows):
-        return _first_failing_row((rows, d), *tables, ns)
+    def failing(rows, ns=ns, expanded=expanded):
+        return _first_failing_row((rows, d), basis, expanded, ns)
+
+    def moved(n, k, step):
+        rows = [list(row) for row in direct]
+        rows[n][k] += step
+        return rows
 
     below = [[7] * (n + 1) if n < lo else list(row) for n, row in enumerate(direct)]
-    assert failing(below) is None
-    assert _proved_by_appell((below, d), *tables, ns)  # the per-row loop did not run
+    # S's ratio is read from row lo on, where S is Appell, so its rows below lo may be
+    # anything too; every row after lo is decided by its tie and its constant term
+    junk = tuple((5,) * (n + 1) if n < lo else row for n, row in enumerate(expanded[0]))
+    for members in (expanded, (junk, expanded[1])):
+        with rows_recombined_in_full() as full:
+            assert failing(below, expanded=members) is None
+        assert full == [lo]
+    # R off its recurrence below lo (R_1 = x + 1) ties no row, so every row is
+    # recombined in full; the exact C in that basis moves column 1 out of column 0
+    r_rows, db = basis
+    skewed = tuple((db, db) if n == 1 else row for n, row in enumerate(r_rows)), db
+    exact = [[row[0] - row[1], *row[1:]] if n else list(row) for n, row in enumerate(direct)]
+    with rows_recombined_in_full() as full:
+        assert _first_failing_row((exact, d), skewed, expanded, ns) is None
+    assert full == list(ns)
     # C_(n,k) = C(n,k) 2^k c_(n-k) (Hermite is Appell in 2x): an error in the constant
-    # term c_(lo-1), below the rows checked, keeps every row recurrence and, in this
-    # basis, every constant term of sum_k C_(n,k) R_k, so only row lo in full shows it
+    # term c_(lo-1), below the rows checked, keeps every row tied to the one before it
+    # and, in this basis, every constant term of sum_k C_(n,k) R_k, so only row lo in
+    # full shows it
     cascade = [list(row) for row in direct]
     for n in ns:
         cascade[n][n - lo + 1] += comb(n, n - lo + 1) * 2 ** (n - lo + 1)
-    assert _appell_ratio(cascade, lo, n_max, (2, 1)) == (2, 1)
-    assert failing(cascade) == lo
-    for k in (0, 1, lo):
-        rows = [list(row) for row in direct]
-        rows[lo][k] -= 1
-        assert failing(rows) == lo, k
+    assert all(_tied(cascade, n, 2, 1) for n in ns[1:])
+    # a list of degrees is not a range: no row is tied across the gap at lo + 1, whose
+    # row may be anything
+    gap = [list(row) for row in direct]
+    gap[lo + 1] = [7] * (lo + 2)
+    apart = [lo, lo + 2]
+    cases = [(cascade, ns, lo), (cascade, apart, lo), (gap, apart, None),
+             (moved(lo + 2, 1, 1), apart, lo + 2), (moved(lo + 2, 0, 1), apart, lo + 2)]
+    cases += [(moved(lo, k, -1), ns, lo) for k in (0, 1, lo)]
     # one degree, N = 0 among them, is checked coefficient by coefficient
-    for n in (0, n_max):
-        rows = [list(row) for row in direct]
-        assert _first_failing_row((rows, d), *tables, range(n, n + 1)) is None
-        rows[n][n] += 1
-        assert _first_failing_row((rows, d), *tables, range(n, n + 1)) == n
+    cases += [(direct, range(n, n + 1), None) for n in (0, lo, n_max)]
+    cases += [(moved(n, k, 1), range(n, n + 1), n) for n in (0, lo, n_max) for k in {0, n}]
+    for i, (rows, degrees, want) in enumerate(cases):
+        with rows_recombined_in_full() as full:
+            assert failing(rows, degrees) == want, i
+        assert full == [n for n in degrees if want is None or n <= want], i
     zero = _family_rows(target, 0), _family_rows(source, 0)
     assert _first_failing_row(((direct[0],), d), *zero, range(1)) is None
 
