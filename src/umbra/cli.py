@@ -5,24 +5,11 @@ diagnostics go to stderr.  Every scalar is an exact rational rendered as
 "p/q" (or a bare integer "p"), never floating point, and identical
 arguments always produce byte-identical output.
 
-Exit codes: 0 success (all identities pass), 1 an identity check failed,
-2 bad arguments or out-of-regime parameters, 3 internal error (the
-transfer-formula table fails its check, or an exception other than
-UmbraError and ValueError escaped; one "error:" line on stderr, nothing on
-stdout), 141 stdout closed early (as a shell reports SIGPIPE; nothing on
-stderr).  connect checks the transfer table, built by the series kernel, as verify
-checks a cell (`identities._first_mismatch`), on stored tables that no series code
-builds; a passing table is not solved, and `connection_oracle` is the solve kept
-for the API and the tests.  Both built-in families of a connect are Appell, so the
-check walks the rows once (`umbral._first_failing_row`) and names the first failing
-row, or none, in O(N^2).  Argument errors in
-sizes, orders, lambda and rational text come from the library's own checks:
-each raises ValueError or UmbraError before anything reaches stdout, and
-that is exit 2.
-t6 needs an order above --max-n and t7 one at or below it; an explicit
-order outside that is exit 2, and orders the CLI picks itself (no --orders,
-or --theorems all) give t6 the order max-n + 1 and leave t7's orders above
-max-n out.
+Exit codes: 0 success (all identities pass), 1 an identity check failed, 2 bad
+arguments or out-of-regime parameters (the library's ValueError or UmbraError, before
+any stdout), 3 internal error (connect's transfer table fails its check, or another
+exception escaped; one "error:" line on stderr, no stdout), 141 stdout closed early
+(as a shell reports SIGPIPE; nothing on stderr).
 """
 
 from __future__ import annotations
@@ -119,7 +106,6 @@ def family_document(spec: FamilySpec, max_degree: int) -> dict:
 def connection_document(source: FamilySpec, target: FamilySpec, n_max: int) -> tuple[dict, bool]:
     table = _connection_table(
         sheffer_pair_of(source, n_max), sheffer_pair_of(target, n_max), n_max)
-    # S_n = sum_k C_(n,k) R_k on the stored family tables, as verify checks a cell
     agree = _first_mismatch(source, target, table, range(n_max + 1)) is None
     doc = {
         "document": "connection-table",

@@ -1,20 +1,11 @@
-"""Constructors for the built-in polynomial families and their Sheffer pairs.
+"""Constructors for the built-in polynomial families and their Sheffer pairs (g, f).
 
-Each family is the Sheffer sequence of an explicit pair:
-
-* Hermite (physicists'): (e^{t^2/4}, t/2), generated by e^{2xt - t^2};
-* order-r Bernoulli: (((e^t - 1)/t)^r, t), generated by (t/(e^t-1))^r e^{xt};
-* order-r Euler: (((e^t + 1)/2)^r, t), generated by (2/(e^t+1))^r e^{xt};
-* order-r Frobenius-Euler with parameter lam != 1:
-  (((e^t - lam)/(1 - lam))^r, t), generated by ((1-lam)/(e^t-lam))^r e^{xt}.
-
-The order parameter is a nonnegative integer (Hermite takes none); at lam = -1
-the Frobenius-Euler family coincides with the Euler family exactly.
-
-Each family's members are stored in one form: integer coefficient rows over one
-denominator, from finite integer sums that run no series code (`_build_rows`).
-Verification, connect's check and the CLI's family tables read those rows; only the
-public readers (`family_polys` and the others) build Polys and Fractions from them.
+Hermite (physicists') is (e^{t^2/4}, t/2), generated by e^{2xt - t^2}; order-r
+Bernoulli (((e^t - 1)/t)^r, t), order-r Euler (((e^t + 1)/2)^r, t) and order-r
+Frobenius-Euler with lam != 1 (((e^t - lam)/(1 - lam))^r, t) are generated by
+e^{xt}/g(t).  The order is a nonnegative integer (Hermite takes none); at lam = -1
+Frobenius-Euler is Euler exactly.  Members are built by `_build_rows` and kept by
+`_stored`; the public readers build Polys and Fractions from the stored rows.
 """
 
 from __future__ import annotations
@@ -153,15 +144,16 @@ def _build_rows(spec: FamilySpec, n_max: int) -> tuple[tuple[tuple[int, ...], ..
 def _stored(key, n_max: int, build):
     """Rows 0..n_max of the table kept under key, as one table (rows, d).
 
-    A key is built once, by build(n_max), at the largest degree asked for so far; a
-    smaller request is a slice of that table, equal to a fresh build because row n never
-    depends on the degree built to (family member n reads g only through degree n).  A
-    slice keeps the table's d, which need not be the least for the slice.
+    A key is first built by build(n_max), and a request beyond its rows rebuilds it to
+    at least twice as many, so a rising sweep to N builds O(log N) tables.  A smaller
+    request is a slice, equal to a fresh build since row n never depends on the degree
+    built to (member n reads g, and a closed-form row the Hermite rows, only through
+    degree n); it keeps the table's d, which need not be the least for the slice.
     """
     _as_count(n_max, "n_max")  # before the store is touched
     rows, d = _store.pop(key, ((), 1))
     if n_max >= len(rows):
-        rows, d = build(n_max)
+        rows, d = build(max(n_max, 2 * len(rows)))
     _store[key] = rows, d  # reinserted as the most recently used
     if len(_store) > MAX_STORED_SPECS:
         del _store[next(iter(_store))]

@@ -1,61 +1,11 @@
-"""Closed-form connection coefficients for the identity catalog, and the
-engine that verifies each identity as an exact polynomial equation.
+"""The identity catalog and the engine that verifies each identity exactly.
 
-Identity ids t1..t3 expand a family in the Hermite basis; t4..t8 and
-`remark` expand Hermite members in another family's basis:
-
-* t1 / t2 / t3: order-r Euler / Bernoulli / Frobenius-Euler members in
-  the Hermite basis, via the family's number sequence;
-* t4 / t5: Hermite members in the order-r Euler basis (double-sum and
-  Hermite-values forms of the same coefficients);
-* t6 / t7: Hermite members in the order-r Bernoulli basis (t6 holds for
-  r > n, t7 for n >= r with a split at k = r; a cell with no degree in
-  the regime is refused);
-* t8 / remark: Hermite members in the order-r Frobenius-Euler basis
-  (Hermite-values and double-sum forms).
-
-Each identity has one row builder.  It gives rows 0..N (N = n_max) of the closed
-form as one table (rows, d), integer numerators over one denominator, as the family
-store's tables are, from tables that do not depend on k:
-
-* t1..t3: n!/(k! 2^k) w(m), m = n - k, with w(m) the family's Hermite-basis
-  sum, as C(n, k) 2^(m mod 2) W[m] over 2^n D, where w(m) = W[m] / (D m! 4^(m//2))
-  and D is the family table's denominator; row n is shifted left N - n more bits
-  to the table's 2^N D;
-* t4, t5, t8, remark: C(n, k) 2^k w(n-k), where for lam = p/q
-  w(m) = sum_i [x^i]H_m M_i / (q-p)^r, on the integer moments
-  M_i = sum_j C(r, j) (-p)^(r-j) q^j j^i.
-  Frobenius-Euler at lam = -1 is Euler, so t4 / t5 are remark / t8 at -1;
-* t6, and t7 below k = r: with j = r - k, n! j!/(k! (n+j)!) times
-  sum_l D^k H_(n-l)(0) 2^l S(j+l, j) C(n+j, n-l), where the k-th forward
-  difference at 0 is D^k H_m(0) = k! sum_i [x^i]H_m S(i, k), and the Stirling
-  columns S(j+l, j) are built once per row set;
-* t7 at and above k = r: 2^(k-r) n! D^r H_(n-k+r)(0) / (k! (n-k+r)!).
-  Both t7 branches and t6 share the row denominator (n+r)!; row n is multiplied
-  by (N+r)!/(n+r)! to the table's (N+r)!.
-
-A verification cell builds its rows when it runs and keeps no table, so its
-verdict does not depend on the cells before it.  The basis family is triangular
-with a nonzero diagonal, so lhs_n = sum_k C_{n,k} basis_k holds exactly when row n
-is the solved one; a cell checks that equation on the integer family tables,
-cross-multiplying with member n, so it builds no Fraction and solves nothing
-(`_first_mismatch`, which the CLI's connect calls too).  Every family here is Appell
-(Hermite in 2x), so the three tables are binomial-Toeplitz: one walk over the rows
-(`umbral._first_failing_row`) recombines the basis with the first row in full and
-decides each later row by its tie to the row before and its constant term, naming
-the first failing degree in O(N^2).  Only that degree is solved in the basis, on
-the same integer tables, to name the wrong k and its expected value.  The public tN_coeff
-read one entry of the same rows, which the family store keeps under (id, spec)
-beside the family tables, so a table built to degree N answers every lower degree.
-
-t4 and remark read the explicit Hermite coefficients
-[x^(m-2l)] H_m = (-1)^l m!/(l! (m-2l)!) 2^(m-2l), never the stored Hermite
-table that t5..t8 read, which the family store builds by the three-term
-recurrence with no code in common, so each pair checks two routes.
-Verification compares coefficient vectors, never evaluations, so a PASS is an
-exact identity at the checked parameters.  For the lambda families the
-identity is rational in lambda of bounded degree, so checking n_max + r + 1
-distinct samples ("symbolic" mode) proves it for every lambda != 1.
+t1 / t2 / t3 expand an order-r Euler / Bernoulli / Frobenius-Euler member in the
+Hermite basis (`_basis_rows`); t4 / t5 and t8 / remark expand a Hermite member in the
+order-r Euler and Frobenius-Euler bases (`_weighted_rows`, two Hermite routes by
+`_explicit_hermite`), t6 (r > n) and t7 (n >= r) in the Bernoulli one (`_stirling_rows`).
+`verify_theorem` checks a cell (`_first_mismatch`); each tN_coeff reads one entry of
+the rows the family store keeps under (id, spec).
 """
 
 from __future__ import annotations
@@ -78,7 +28,8 @@ _LAMBDA_SEED = DEFAULT_LAMBDAS + (Fraction(3), Fraction(-2), Fraction(5))
 
 def _explicit_hermite(n_max: int) -> tuple[list[list[int]], int]:
     """[x^i] H_m for m <= n_max over the denominator 1, from
-    [x^(m-2l)] H_m = (-1)^l m!/(l! (m-2l)!) 2^(m-2l); never reads the stored table."""
+    [x^(m-2l)] H_m = (-1)^l m!/(l! (m-2l)!) 2^(m-2l).  t4 and remark read this table and
+    t5 and t8 `_stored_hermite`, which shares no code with it, so each pair checks two routes."""
     rows = [[0] * (m + 1) for m in range(n_max + 1)]
     for m, row in enumerate(rows):
         for l in range(m // 2 + 1):
@@ -89,13 +40,12 @@ def _explicit_hermite(n_max: int) -> tuple[list[list[int]], int]:
 
 def _stored_hermite(n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """[x^i] H_m for m <= n_max over one denominator: a slice of the stored Hermite table,
-    which the family store builds by H_(m+1) = 2x H_m - 2m H_(m-1), not by a Sheffer pair."""
+    built by the three-term recurrence of `families._build_rows`."""
     return _family_rows(hermite(), n_max)
 
 
-# A row builder takes the family spec paired with Hermite, n_max and the Hermite
-# coefficient table its rows read (None for t1-t3, which read none), and returns
-# rows 0..n_max as one table (rows, d), the coefficient at (n, k) being rows[n][k] / d.
+# A row builder takes the family spec paired with Hermite, n_max and the Hermite table
+# its rows read (None for t1-t3), and returns entry (n, k) of rows 0..n_max as rows[n][k] / d.
 
 def _basis_rows(spec: FamilySpec, n_max: int, _hermite):
     """t1-t3: n!/(k! 2^k) w(n-k) as C(n, k) 2^(m mod 2) W[m] over 2^n D, m = n - k, where
@@ -125,12 +75,15 @@ def _weighted_rows(spec: FamilySpec, n_max: int, hermite_coeffs):
 
 
 def _stirling_rows(spec: FamilySpec, n_max: int, hermite_coeffs):
-    """t6 and t7 over (n+r)! dA, since k! (n+r-k)! divides (n+r)! by C(n+r, k); row n is
-    lifted to the table's (n_max+r)! dA by (n_max+r)!/(n+r)!."""
+    """t6, and t7 below k = r: with j = r - k, n! j!/(k! (n+j)!) times
+    sum_l D^k H_(n-l)(0) 2^l S(j+l, j) C(n+j, n-l), where the k-th forward difference at 0
+    is D^k H_m(0) = k! sum_i [x^i]H_m S(i, k); t7 at and above k = r: 2^(k-r) n!
+    D^r H_(n-k+r)(0) / (k! (n-k+r)!).  Each row is over (n+r)! dA, since k! (n+r-k)!
+    divides (n+r)!, and row n is lifted to the table's (n_max+r)! dA by (n_max+r)!/(n+r)!."""
     r = spec.order_r
     coeffs, da = hermite_coeffs
     cols = [col[:] for col in _stirling2_columns(r, n_max + 1)]  # cols[j][l] = S(j+l, j)
-    # diffs[m][k] = D^k H_m(0) dA = k! sum_i [x^i]H_m S(i, k) dA, for k <= min(m, r)
+    # diffs[m][k] = D^k H_m(0) dA, for k <= min(m, r)
     diffs = [[factorial(k) * sum(c * s for c, s in zip(row[k:], cols[k]))
               for k in range(min(m, r) + 1)] for m, row in enumerate(coeffs)]
     rows = []
@@ -149,12 +102,7 @@ def _stirling_rows(spec: FamilySpec, n_max: int, hermite_coeffs):
     return rows, factorial(n_max + r) * da
 
 
-# id -> (kind of the family paired with Hermite, whether that family is expanded
-# in the Hermite basis rather than Hermite in the family's basis, the Hermite table
-# the rows read, row builder).  Hermite tables are looked up by name, so a replaced
-# one is used.  Each time a cell runs, verify_theorem builds its Hermite table once
-# and calls the builder found here for each lambda sample; the public tN_coeff keep
-# their rows in the family store, under (id, spec).
+# id -> (kind paired with Hermite, expanded in the Hermite basis?, Hermite table's name, builder)
 _CATALOG = {
     "t1": (FamilyKind.EULER, True, None, _basis_rows),
     "t2": (FamilyKind.BERNOULLI, True, None, _basis_rows),
@@ -228,11 +176,7 @@ def t6_coeff(n: int, k: int, r: int) -> Fraction:
 
 
 def t7_coeff(n: int, k: int, r: int) -> Fraction:
-    """Order-r Bernoulli-basis coefficient of the degree-n Hermite member, n >= r.
-
-    Splits at k = r: below it the Stirling-route shape of t6 applies, at and
-    above it a single r-th forward difference.
-    """
+    """Order-r Bernoulli-basis coefficient of the degree-n Hermite member, n >= r."""
     return _entry("t7", n, k, r)
 
 
@@ -294,12 +238,8 @@ class IdentityReport(_Value):
 
 def _first_mismatch(lhs_spec, basis_spec, table, ns, lam=None) -> Mismatch | None:
     """First (n, k) where the rows of table (a cell's closed form, or connect's transfer
-    table) differ from the connection coefficients of lhs_spec in basis_spec.
-
-    The degrees in ns are checked against the stored basis table in one walk
-    (`_first_failing_row`), so a PASS builds no Fraction and solves nothing; only the
-    first failing member n is solved in the basis, on the same two tables, to name k.
-    """
+    table) differ from the connection coefficients of lhs_spec in basis_spec, over the
+    degrees ns: n by `_first_failing_row` on the stored tables, then k by solving row n."""
     n_max = ns[-1]
     basis, lhs = _family_rows(basis_spec, n_max), _family_rows(lhs_spec, n_max)
     n = _first_failing_row(table, basis, lhs, ns)
@@ -321,12 +261,17 @@ def verify_theorem(
 ) -> IdentityReport:
     """Verify one identity for all degrees up to n_max at the given order.
 
-    For the lambda identities (t3, t8, remark) every sample in ``lambdas``
-    (default DEFAULT_LAMBDAS) is checked; the other identities ignore it.
-    ``symbolic_lambda`` widens the sample set to n_max + order_r + 1 values,
-    enough to prove the identity for every parameter.  t6 requires
-    order_r > n_max; t7 requires order_r <= n_max and checks the degrees
-    order_r..n_max.
+    Coefficient vectors are compared, never values, so a PASS is an exact identity at
+    the checked parameters.  The lambda identities (t3, t8, remark) check every sample
+    in ``lambdas`` (default DEFAULT_LAMBDAS); the others ignore it.  t6 requires
+    order_r > n_max; t7 requires order_r <= n_max and checks degrees order_r..n_max.
+
+    ``symbolic_lambda`` widens the samples to n_max + r + 1 distinct values (r = order_r),
+    which proves the identity for every lambda != 1.  With u = 1/(1-lambda), the
+    Frobenius-Euler g is (1 + u(e^t - 1))^r, so member n's coefficients have degree <= n
+    in u, t3 entries degree <= n and t8 / remark entries degree <= r.  So every coefficient
+    of a residual S_n - sum_k C_(n,k) R_k has degree <= n_max + r in u, and distinct
+    lambda give distinct u: vanishing at n_max + r + 1 of them, it is zero.
     """
     tid = str(theorem_id).lower()
     if tid not in _CATALOG:

@@ -7,18 +7,9 @@ visible in the result's order.  Every coefficient a caller sees is a
 canonical `fractions.Fraction`; values are immutable and all operations
 return new series, which makes them safe to share between threads.
 
-The kernel loops (`_int_convolve` under every product, `_reciprocal`, `_compose`, the
-running power in `comp_inverse`, the binomial convolution and quotient on divided powers,
-and umbral's triangle, basis solve and operator action) run on integer vectors (nums, d),
-numerators over one denominator, with one gcd per step.  A method `_scale`s its operands
-in and builds `Fraction`s (`_fractions`) only on return; umbral's Sheffer and transfer
-tables run the integer functions end to end and build none.
-
-Divided powers k! c_k (`_divided`) suit series of exponential type, as every built-in g
-is, whose ordinary coefficients need a denominator near N!; umbral's table route and the
-Appell pair powers multiply them by `_binomial_convolve`, and the route divides by g(fbar)
-once, h(fbar)/g(fbar) or 1/g(fbar), by `_binomial_quotient`.  The public methods stay
-ordinary: on a series of ordinary type (a polynomial, log(1+t)) divided powers grow like k!.
+Below the methods the kernel runs on integer vectors (nums, d), numerators over one
+denominator, one gcd per step: a method `_scale`s its operands in and builds `Fraction`s
+(`_fractions`) only on return.  `_divided` and the `_binomial_*` serve umbral's tables.
 """
 
 from __future__ import annotations
@@ -167,7 +158,9 @@ def _pascal(n: int) -> list[list[int]]:
 
 
 def _divided(series) -> tuple[list[int], int]:
-    """The divided powers k! c_k of the vector c / d, with one gcd: (nums, d)."""
+    """The divided powers k! c_k of the vector c / d, with one gcd: (nums, d).  They suit a
+    series of exponential type, as every built-in g is, whose ordinary coefficients need a
+    denominator near k!; on one of ordinary type (a polynomial, log(1+t)) they grow like k!."""
     c, d = series
     return _reduce([x * math.factorial(k) for k, x in enumerate(c)], d)
 

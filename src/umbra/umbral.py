@@ -1,31 +1,11 @@
 """The umbral pairing, operator action, Sheffer sequences, and basis changes.
 
-A series acts on polynomials two ways.  As a linear functional the pairing
-is <f | x^n> = n! * c_n(f) (the n! compensates for ordinary-coefficient
-storage, where the functional's weight on x^n is the divided-power
-coefficient).  As an operator, t differentiates: f acts as
-sum_k c_k(f) d^k/dx^k.  The two actions satisfy the adjoint law
-<f*g | p> = <g | f p>.
-
-A Sheffer pair (g, f) - g invertible, f delta - determines the unique
-polynomial sequence S_n with <g f^k | S_n> = n! delta_{n,k}, generated by
-(1/g(fbar)) e^{y fbar(t)} where fbar is the compositional inverse of f.
-Connection coefficients between two such sequences come either from the
-transfer formula (`connection_coeffs`) or from an explicit triangular
-solve against the integer Sheffer tables (`connection_oracle`); the two
-routes must agree exactly, though both build their tables with `_triangle`.
-Both tables are exponential Riordan arrays: the route composes on ordinary coefficients,
-then takes the one quotient h(fbar)/g(fbar) (1/g(fbar) for a Sheffer table) and `_triangle`'s
-column sweep on divided powers, where a built-in g needs no denominator near n_max!.
-The CLI's `connect` checks the integer transfer table `_connection_table` as
-verify checks a cell (`identities._first_mismatch`): `_first_failing_row`
-recombines the target family's stored table, which no series code builds, with
-each row and compares it with the source's member, so a passing table is not
-solved.  `connection_oracle` is the solve kept for the API and the tests.
-Every built-in family is Appell, so its tables and the table between two of them
-are binomial-Toeplitz, C_(n,k) = C(n,k) rho^k c_(n-k): the check recombines its first
-degree in full and decides each later one in O(n), by its tie to the one before
-(X_n' = n s X_(n-1)) and its constant term, so it names the first failing row in O(N^2).
+A series acts on a polynomial as a linear functional (`pair_functional`) and as a
+differential operator (`operator_apply`), with <f*g | p> = <g | f p>.  A Sheffer pair
+(g, f), g invertible and f delta, determines S_n with <g f^k | S_n> = n! delta_(n,k),
+generated by (1/g(fbar)) e^(y fbar(t)), fbar the inverse of f.  Sheffer and transfer
+tables come from `_triangle`; `connection_oracle` solves one table in another
+(`_solve_in_basis`), and `_first_failing_row` checks a connection table.
 """
 
 from __future__ import annotations
@@ -73,9 +53,8 @@ def eval_functional(y, order: int) -> TruncatedSeries:
 class ShefferPair(_Value):
     """An invertible series g and a delta series f, with f's inverse fbar.
 
-    Both series are held at a common truncation order.  fbar is computed when
-    first read and kept, so a pair whose inverse nobody reads (connect's target)
-    never inverts f.  The pair is (g, f): fbar is neither compared, hashed nor printed.
+    Both series are held at a common truncation order.  The pair is (g, f): fbar,
+    kept once read, is neither compared, hashed nor printed.
     """
 
     __slots__ = ("g", "f", "_fbar")
@@ -103,15 +82,13 @@ class ShefferPair(_Value):
 
 
 def _triangle(a, b, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), k <= n: entry (n, k) is rows[n][k] / d.
+    """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), k <= n: entry (n, k) is rows[n][k] / d,
+    from the divided powers n! [t^n] of a and b as integer vectors (nums, d).
 
-    Sheffer tables (a = 1/g(fbar), b = fbar) and transfer tables (a = h(fbar)/g(fbar),
-    b = l(fbar)) come from here, a and b given by their divided powers n! [t^n] as integer
-    vectors (nums, d) known through n_max.  The table is an exponential Riordan array:
-    entry (n, k) is divided power n of column k = a b^k / k!, so one sweep of binomial
-    convolutions, column k = (column k-1) * b / k, gives each entry with no n!/k! rescale,
-    over its column's denominator; the rows are brought to the lcm of those, and one gcd
-    makes that the least one.
+    The table is an exponential Riordan array: entry (n, k) is divided power n of column
+    k = a b^k / k!, so one sweep of binomial convolutions, column k = (column k-1) * b / k,
+    gives every entry with no n!/k! rescale; the rows are brought to the lcm of the
+    columns' denominators, and one gcd makes that the least one.
     """
     pascal = _pascal(n_max)
     nb, db = b
@@ -126,10 +103,8 @@ def _triangle(a, b, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 
 def _sheffer_table(pair: ShefferPair, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """S_0..S_{n_max} for the pair as integer rows over one denominator: [x^k] S_n = rows[n][k] / d.
-
-    With A = 1/g(fbar) and B = fbar, coefficient k of S_n is (n!/k!) [t^n](A B^k).
-    """
+    """S_0..S_{n_max} for the pair as integer rows over one denominator: [x^k] S_n =
+    rows[n][k] / d = (n!/k!) [t^n](A B^k) with A = 1/g(fbar) and B = fbar (`_triangle`)."""
     _require_known(pair.trunc_order, _as_count(n_max, "n_max"), "give a member of")
     fbar, g = (_scale(s.coeffs[: n_max + 1]) for s in (pair.fbar, pair.g))
     over_g = _binomial_quotient(([1] + [0] * n_max, 1), _divided(_compose(g, fbar)))
@@ -174,11 +149,7 @@ class ConnectionMatrix(_Value):
 
 
 def _connection_table(source: ShefferPair, target: ShefferPair, n_max: int):
-    """The transfer-formula table of `connection_coeffs` as integer rows over one denominator;
-    each series is `_scale`d once, and from there on no Fraction is built.  h(fbar), g(fbar)
-    and l(fbar) are composed on ordinary coefficients and then go to divided powers, where
-    one solve gives h(fbar)/g(fbar) and `_triangle` runs: every built-in g is of e.g.f. type,
-    whose ordinary coefficients sit over a denominator near n_max! and its divided powers do not."""
+    """The transfer-formula table of `connection_coeffs` as integer rows over one denominator."""
     _require_known(
         min(source.trunc_order, target.trunc_order), _as_count(n_max, "n_max"),
         "give connection coefficients of")
@@ -216,13 +187,10 @@ def _check_graded(table, degrees, what: str):
 
 
 def _solve_in_basis(expanded, basis, ns) -> list[list[Fraction]]:
-    """Rows n in ns of C with S_n = sum_k C_(n,k) R_k, by back substitution.
-
-    expanded (S) and basis (R) are integer tables (rows, d) as `_sheffer_table` gives
-    them, and the basis must be graded.  Each basis row, and each member solved, is
-    first reduced to its own least denominator: the table's shared d would widen
-    every integer of the solve.
-    """
+    """Rows n in ns of C with S_n = sum_k C_(n,k) R_k, by back substitution, from the
+    integer tables expanded (S) and basis (R), R graded.  Each basis row, and each member
+    solved, is first reduced to its own least denominator: the table's shared d would
+    widen every integer of the solve."""
     (expanded, de), (basis, db) = expanded, basis
     _check_graded(basis, range(ns[-1] + 1), "basis")
     scaled = [_reduce(row, db) for row in basis[: ns[-1] + 1]]
@@ -257,11 +225,8 @@ def _ratio(rows, lo: int) -> tuple[int, int]:
 
 
 def _recombines(table, basis, expanded, n: int) -> bool:
-    """Whether sum_k C_(n,k) R_k equals S_n, every coefficient x^0..x^n compared in full.
-
-    [x^i] of the sum is one sum down column i of R, cross-multiplied with S_n's, so no
-    Fraction is built and nothing is solved.
-    """
+    """Whether sum_k C_(n,k) R_k equals S_n, every coefficient x^0..x^n compared in full:
+    [x^i] of the sum is one sum down column i of R, cross-multiplied with S_n's."""
     (rows, d), (basis, db), (expanded, de) = table, basis, expanded
     nums, scale = rows[n], d * db
     return all(sum(map(mul, nums[i:], map(itemgetter(i), basis[i: n + 1]))) * de == x * scale
@@ -271,20 +236,18 @@ def _recombines(table, basis, expanded, n: int) -> bool:
 def _first_failing_row(table, basis, expanded, ns) -> int | None:
     """The first degree n in ns where sum_k C_(n,k) R_k differs from S_n, or None.
 
-    C (table), R (basis) and S (expanded) are integer tables (rows, d): entry (n, k) of
-    C is rows[n][k] / d, and R and S are as the family store gives them.  R is
-    triangular with a nonzero diagonal, so S_n = sum_k C_(n,k) R_k holds exactly when
-    row n is the solved one.  The rows are decided in turn, row lo = ns[0] by
-    recombining it in full (`_recombines`).  Every built-in family is Appell (Hermite
-    in 2x; Roman, 1984, ch. 2-3), and a row n > lo is decided in O(n) when ns is a range
-    and R is Appell in s_R x through row n and S in s_S x from row lo through row n, each
-    row tied to the one before it (`_tied`).  Row n-1 has passed, so if row n of C is
-    tied to row n-1 in rho = s_S / s_R, E_n = sum_k C_(n,k) R_k - S_n has
-    E_n' = n s_S E_(n-1) = 0, and row n is right exactly when it is tied and E_n(0) = 0,
-    one sum over column 0 of R (the exact C is tied, by the uniqueness of its rows).  So
-    a first failing row n is named in O(n^2).  Every other row is recombined in full, in
-    O(n^2) each.  A member of R or S whose degree is not its index is refused before
-    anything is compared, and a row of C of the wrong length when the walk reaches it.
+    C (table), R (basis) and S (expanded) are integer tables (rows, d), entry (n, k) of C
+    being rows[n][k] / d.  R is triangular with a nonzero diagonal, so S_n =
+    sum_k C_(n,k) R_k holds exactly when row n is the solved one.  Row lo = ns[0] is
+    recombined in full (`_recombines`).  Every built-in family is Appell (Hermite in 2x;
+    Roman, 1984, ch. 2-3): when ns is a range, R is tied (`_tied`) in s_R through row n
+    and S in s_S from row lo through row n, each row to the one before, a row n > lo is
+    decided in O(n).  Row n-1 has passed, so if row n of C is tied to row n-1 in
+    rho = s_S / s_R, E_n = sum_k C_(n,k) R_k - S_n has E_n' = n s_S E_(n-1) = 0, and row n
+    is right exactly when it is tied and E_n(0) = 0, one sum over column 0 of R (the
+    exact C is tied, by the uniqueness of its rows).  So a first failing row is named in
+    O(N^2); any other row is recombined in full.  A member of R or S whose degree is not
+    its index is refused first, and a row of C of the wrong length when the walk reaches it.
     """
     lo, n_max = ns[0], ns[-1]
     (rows, d), (r_rows, db), (s_rows, de) = table, basis, expanded

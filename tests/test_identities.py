@@ -634,6 +634,51 @@ def test_a_coefficient_sweep_below_a_built_degree_builds_no_table(monkeypatch):
         assert [sweep[n, k] for k in range(n + 1)] == [F(x, d) for x in rows[n]], n
 
 
+def test_a_rising_coefficient_sweep_doubles_the_stored_table(monkeypatch):
+    *entry, build = identities._CATALOG["t6"]
+    built = []
+
+    def counted(spec, n_max, table):
+        built.append(n_max)
+        return build(spec, n_max, table)
+
+    monkeypatch.setitem(identities._CATALOG, "t6", (*entry, counted))
+    monkeypatch.setattr(families, "_store", {})
+    sweep = {(n, k): t6_coeff(n, k, 31) for n in range(31) for k in range(n + 1)}
+    assert built == [0, 2, 6, 14, 30]  # each rebuild holds at least twice the rows
+    for n in (0, 1, 7, 30):  # each entry equal to a table built to degree n
+        rows, d = build(bernoulli(31), n, identities._stored_hermite(n))
+        assert [sweep[n, k] for k in range(n + 1)] == [F(x, d) for x in rows[n]], n
+
+
+def _top_divided_differences(us, values, order):
+    """The divided differences of the given order of values over the points us."""
+    for j in range(1, order + 1):
+        values = [(b - a) / (us[i + j] - us[i])
+                  for i, (a, b) in enumerate(zip(values, values[1:]))]
+    return values
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_lambda_entries_are_polynomials_in_u_of_the_bounded_degree(r):
+    # with u = 1/(1 - lambda), t3 entries and Frobenius-Euler member coefficients have
+    # degree <= n in u and t8 / remark entries degree <= r: the bound behind the
+    # n_max + r + 1 samples of symbolic mode, so the (D+1)-th divided differences vanish
+    for n in range(7):
+        us = [F(2 * i + 1, 3) for i in range(n + r + 2)]
+        lams = [1 - 1 / u for u in us]
+        tables = [(n, [[t3_coeff(n, k, r, lam) for k in range(n + 1)] for lam in lams]),
+                  (n, [list(family_poly(frobenius_euler(r, lam), n).coeffs) for lam in lams])]
+        tables += [(r, [[coeff(n, k, r, lam) for k in range(n + 1)] for lam in lams])
+                   for coeff in (t8_coeff, remark_coeff)]
+        for degree, table in tables:
+            for k, column in enumerate(zip(*table)):
+                assert not any(_top_divided_differences(us, column, degree + 1)), (n, k, degree)
+            if r and n >= degree:  # and the bound is reached
+                assert any(any(_top_divided_differences(us, column, degree))
+                           for column in zip(*table)), (n, degree)
+
+
 def test_hermite_coefficient_tables_agree_with_the_operator_route():
     explicit, d_explicit = identities._explicit_hermite(40)
     stored, d_stored = identities._stored_hermite(40)
