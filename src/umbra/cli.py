@@ -1,9 +1,9 @@
 """Command-line surface: family tables, connection tables, verification runs.
 
-Documents go to stdout as JSON (CSV is available for the flat tables);
+Documents go to stdout as JSON written by `_json` (CSV for the flat tables);
 diagnostics go to stderr.  Every scalar is an exact rational rendered as
 "p/q" (or a bare integer "p"), never floating point, and identical
-arguments always produce byte-identical output.
+arguments always produce byte-identical output.  A process enters at `_run`.
 
 Exit codes: 0 success (all identities pass), 1 an identity check failed, 2 bad
 arguments or out-of-regime parameters (the library's ValueError or UmbraError, before
@@ -15,8 +15,8 @@ exception escaped; one "error:" line on stderr, no stdout), 141 stdout closed ea
 from __future__ import annotations
 
 import argparse
+import gc
 import io
-import json
 import os
 import sys
 from fractions import Fraction
@@ -148,6 +148,8 @@ def parse_document(text: str) -> dict:
     lambda come back as Fractions that compare equal to the values they were built
     from; the grid's lambdas and each family descriptor's lambda stay text.
     """
+    import json  # only where a document is read: _emit_json writes one without it
+
     doc = json.loads(text)
     for row in doc.get("rows", ()):
         row["coefficients"] = [Fraction(c) for c in row["coefficients"]]
@@ -171,8 +173,24 @@ def parse_table_csv(text: str) -> list[list[Fraction]]:
 
 
 def _emit_json(doc: dict, out):
-    out.write(json.dumps(doc, indent=2))
-    out.write("\n")
+    out.write(_json(doc, "\n") + "\n")
+
+
+def _json(value, indent: str) -> str:
+    """`json.dumps(value, indent=2)` for a document's values; ``indent`` precedes the close.
+
+    Documents hold dicts with str keys, lists, str, int, bool and None, and each string is a
+    name, a theorem id or str() of an int or Fraction, which JSON writes with no escapes."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets, items = "{}", [f'{inner}"{key}": {_json(v, inner)}' for key, v in value.items()]
+    elif isinstance(value, list):
+        brackets, items = "[]", [inner + _json(v, inner) for v in value]
+    elif isinstance(value, str):
+        return f'"{value}"'
+    else:  # an int or a bool, whose str() lowered is JSON's true or false, or None
+        return "null" if value is None else str(value).lower()
+    return brackets[0] + ",".join(items) + indent + brackets[1] if items else brackets
 
 
 def _emit_table(doc: dict, fmt: str, out) -> int:
@@ -355,5 +373,16 @@ def main(argv=None) -> int:
         return EXIT_INCONSISTENT
 
 
+def _run():
+    """Run main() as the process: `python -m umbra.cli` and the `umbra` script.
+
+    gc.freeze() before exit moves the run's objects to the permanent generation, which the
+    exit-time collections skip; no umbra object has a finalizer with a visible effect, and
+    the std streams are still flushed.  main() freezes nothing: tests run it in process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _run()

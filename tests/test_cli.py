@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import json
 import operator
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +15,7 @@ import umbra.families as families
 import umbra.identities as identities
 import umbra.series as series
 import umbra.umbral as umbral
-from umbra import TruncatedSeries, as_rational, connection_coeffs, verify_theorem
+from umbra import TruncatedSeries, __version__, as_rational, connection_coeffs, verify_theorem
 from umbra.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_IDENTITY_FAILURE,
@@ -141,11 +144,44 @@ def loaded_modules(code):
     return set(out.split())
 
 
-def test_cli_import_loads_no_dataclasses_or_csv():
+def test_cli_import_loads_no_dataclasses_csv_or_json():
     # against a bare interpreter in the same environment, so site hooks do not count
     added = loaded_modules("import umbra.cli") - loaded_modules("pass")
     assert "umbra.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}, added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "json"}, added
+
+
+def _as_text(value):
+    """value with every Fraction in it written back as text."""
+    if isinstance(value, dict):
+        return {key: _as_text(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_as_text(v) for v in value]
+    return str(value) if isinstance(value, F) else value
+
+
+@pytest.mark.parametrize("argv, corrupted", [
+    ("family --name hermite --max-degree 6", []),
+    ("family --name frobenius-euler --order 2 --lambda=-3/2 --max-degree 5", []),
+    ("connect --from euler:1 --to hermite --max-n 0", []),
+    ("connect --from frobenius-euler:3:-2/3 --to bernoulli:4 --max-n 9", []),
+    ("verify --theorems all --max-n 4 --orders 0,2", []),
+    ("verify --theorems t1,t8 --max-n 5 --orders 2 --lambdas=1/2,3", [("t1", 2, 0), ("t8", 4, 1)]),
+    ("verify --theorems t1,t2 --max-n 3 --orders 1", []),
+], ids=["hermite", "frobenius-euler", "connect-0", "connect-9", "grid", "fail", "no-lambdas"])
+def test_documents_are_written_as_json_dumps_writes_them(
+        capsys, monkeypatch, corrupt_entry, argv, corrupted):
+    import umbra.cli as cli
+
+    docs, emit = [], cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda doc, out: (docs.append(doc), emit(doc, out)))
+    for entry in corrupted:
+        corrupt_entry(*entry)
+    code, out, _ = run(capsys, *argv.split())
+    assert code == (EXIT_IDENTITY_FAILURE if corrupted else EXIT_OK)
+    [doc] = docs
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert _as_text(parse_document(out)) == doc
 
 
 def test_verify_small_grid_passes(capsys):
@@ -632,6 +668,42 @@ def test_version_flag(capsys):
     assert main(["--version"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("umbra ")
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "verify", "--theorems", "t1", "--max-n", "3")[0] == EXIT_OK
+    assert gc.get_freeze_count() == frozen
+
+
+def umbra_process(*argv, probe=""):
+    """(exit code, stdout, stderr) of `python -m umbra.cli argv`; a probe's code runs first."""
+    args = ["-m", "umbra.cli", *argv]
+    if probe:  # the same run as -m makes, from -c
+        args = ["-c", f"{probe}\nimport runpy, sys\nsys.argv[1:] = {list(argv)!r}\n"
+                      "runpy.run_module('umbra.cli', run_name='__main__', alter_sys=True)"]
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_a_cli_process_exits_with_mains_code_and_a_frozen_heap():
+    assert umbra_process("--version") == (EXIT_OK, f"umbra {__version__}\n", "")
+    code, out, err = umbra_process("verify", "--theorems", "t7", "--max-n", "2", "--orders", "5")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    # atexit handlers run after the entry's sys.exit, before the exit-time collections
+    probe = "import atexit, gc\natexit.register(lambda: print(gc.get_freeze_count()))"
+    code, out, _ = umbra_process("--version", probe=probe)
+    assert code == EXIT_OK and int(out.splitlines()[-1]) > 0, out
+
+
+def test_the_umbra_script_and_python_m_call_one_entry():
+    root = Path(__file__).resolve().parent.parent
+    [entry] = re.findall(r'^umbra = "umbra\.cli:(\w+)"$', (root / "pyproject.toml").read_text(),
+                         re.MULTILINE)
+    source = (root / "src" / "umbra" / "cli.py").read_text()
+    assert source.endswith(f'\nif __name__ == "__main__":\n    {entry}()\n')
+    assert entry != "main"  # main() returns its code and leaves the heap as it was
 
 
 def test_unexpected_exception_exits_three(capsys, monkeypatch):
