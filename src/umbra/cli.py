@@ -9,18 +9,19 @@ Exit codes: 0 success (all identities pass), 1 an identity check failed, 2 bad
 arguments or out-of-regime parameters (the library's ValueError or UmbraError, before
 any stdout), 3 internal error (connect's transfer table fails its check, or another
 exception escaped; one "error:" line on stderr, no stdout), 141 stdout closed early
-(as a shell reports SIGPIPE; nothing on stderr).
+(as a shell reports SIGPIPE; nothing on stderr).  A size above `_CEILING` exits 2.
+`_quick_args` reads a well-formed command line, and argparse (`build_parser`) the rest.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import io
 import os
 import sys
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import UmbraError
@@ -46,12 +47,23 @@ _CONVENTIONS = {
 
 _FAMILY_NAMES = {kind.value: kind for kind in FamilyKind}
 
+#: The largest size the CLI takes: --max-n, --max-degree, --order, each --orders value
+#: and a descriptor's order.  A table holds about N^2/2 entries whose digits grow with N,
+#: so a far larger size runs for hours or never ends; --symbolic-lambda's count <= 2001.
+_CEILING = 1000
+
+
+def _below_ceiling(value: int | None, what: str):
+    if value is not None and value > _CEILING:
+        raise ValueError(f"{what} must be at most {_CEILING}, got {value}")
+
 
 def _family_spec(name: str, order: int | None, lam: str | None) -> FamilySpec:
     kind = _FAMILY_NAMES.get(name)
     if kind is None:
         known = ", ".join(sorted(_FAMILY_NAMES))
         raise ValueError(f"unknown family {name!r} (known: {known})")
+    _below_ceiling(order, "family order")
     if kind is FamilyKind.HERMITE and order is not None:
         _as_count(order, "family order")  # refused like any other order, then unused
     r = 0 if kind is FamilyKind.HERMITE else (1 if order is None else order)
@@ -211,14 +223,21 @@ def _emit_table(doc: dict, fmt: str, out) -> int:
 
 # -- subcommands -------------------------------------------------------------
 
+def _cmd_version(args, out) -> int:
+    out.write(f"umbra {__version__}\n")  # as argparse's version action prints it
+    return EXIT_OK
+
+
 def _cmd_family(args, out) -> int:
     spec = _family_spec(args.name, args.order, args.lam)
+    _below_ceiling(args.max_degree, "--max-degree")
     return _emit_table(family_document(spec, args.max_degree), args.format, out)
 
 
 def _cmd_connect(args, out) -> int:
     source = parse_family_descriptor(args.source)
     target = parse_family_descriptor(args.target)
+    _below_ceiling(args.max_n, "--max-n")
     doc, agree = connection_document(source, target, args.max_n)
     if not agree:
         print(
@@ -254,6 +273,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 def _cmd_verify(args, out) -> int:
     theorems, requested_all = _parse_theorems(args.theorems)
     orders = [0, 1, 2, 3] if args.orders is None else _parse_int_list(args.orders, "--orders")
+    _below_ceiling(args.max_n, "--max-n")
+    _below_ceiling(max(orders), "an --orders value")
     lambdas = (
         list(DEFAULT_LAMBDAS)
         if args.lambdas is None
@@ -298,64 +319,99 @@ def _cmd_verify(args, out) -> int:
     return EXIT_OK if all_pass else EXIT_IDENTITY_FAILURE
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FORMAT = ("--format",), dict(choices=("json", "csv"), default="json")
+
+#: The command line, declared once for build_parser() and _quick_args(): each command's
+#: help, handler and options, an option as its flags and its add_argument keywords.
+_COMMANDS = {
+    "family": ("emit coefficient rows 0..N of one polynomial family", _cmd_family, (
+        (("--name",), dict(required=True, help="hermite, bernoulli, euler, or frobenius-euler")),
+        (("--order",), dict(type=int, help="family order r (default 1; ignored for hermite)")),
+        (("--lambda",), dict(dest="lam", help="parameter for frobenius-euler, as p/q (never 1)")),
+        (("--max-degree",), dict(type=int, required=True)),
+        _FORMAT)),
+    "connect": ("emit the connection-coefficient table between two families", _cmd_connect, (
+        (("--from",), dict(dest="source", required=True,
+                           help="source family descriptor name[:order[:lambda]], e.g. euler:1")),
+        (("--to",), dict(dest="target", required=True,
+                         help="target family descriptor, e.g. hermite or bernoulli:2")),
+        (("--max-n",), dict(type=int, required=True)),
+        _FORMAT)),
+    "verify": ("check identities exactly over a parameter grid", _cmd_verify, (
+        (("--theorems",), dict(required=True,
+                               help="comma-separated ids from t1..t8, remark, or 'all'")),
+        (("--max-n",), dict(type=int, required=True)),
+        (("--orders",), dict(help="comma-separated family orders (default 0,1,2,3; unless given "
+                                  "explicitly, t6 picks max-n+1 and t7 drops orders above max-n)")),
+        (("--lambdas", "--lambda"), dict(dest="lambdas", help="comma-separated p/q parameter "
+                                         "samples for t3/t8/remark (default -1,2,1/2)")),
+        (("--symbolic-lambda",), dict(action="store_true", default=False, help="widen the sample "
+         "set to max-n + order + 1 values, enough to prove the identity for every parameter")))),
+}
+
+
+def build_parser():
+    """The argparse parser of `_COMMANDS`: it reads every line `_quick_args` refuses."""
+    import argparse  # only for help, abbreviations and usage errors
+
     parser = argparse.ArgumentParser(
         prog="umbra",
         description="Exact tables and identity checks for the built-in Sheffer families.")
     parser.add_argument("--version", action="version", version=f"umbra {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_family = sub.add_parser(
-        "family", help="emit coefficient rows 0..N of one polynomial family")
-    p_family.add_argument(
-        "--name", required=True,
-        help="hermite, bernoulli, euler, or frobenius-euler")
-    p_family.add_argument(
-        "--order", type=int, default=None,
-        help="family order r (default 1; ignored for hermite)")
-    p_family.add_argument(
-        "--lambda", dest="lam", default=None,
-        help="parameter for frobenius-euler, as p/q (never 1)")
-    p_family.add_argument("--max-degree", type=int, required=True)
-    p_family.add_argument("--format", choices=("json", "csv"), default="json")
-    p_family.set_defaults(handler=_cmd_family)
-
-    p_connect = sub.add_parser(
-        "connect", help="emit the connection-coefficient table between two families")
-    p_connect.add_argument(
-        "--from", dest="source", required=True,
-        help="source family descriptor name[:order[:lambda]], e.g. euler:1")
-    p_connect.add_argument(
-        "--to", dest="target", required=True,
-        help="target family descriptor, e.g. hermite or bernoulli:2")
-    p_connect.add_argument("--max-n", type=int, required=True)
-    p_connect.add_argument("--format", choices=("json", "csv"), default="json")
-    p_connect.set_defaults(handler=_cmd_connect)
-
-    p_verify = sub.add_parser(
-        "verify", help="check identities exactly over a parameter grid")
-    p_verify.add_argument(
-        "--theorems", required=True,
-        help="comma-separated ids from t1..t8, remark, or 'all'")
-    p_verify.add_argument("--max-n", type=int, required=True)
-    p_verify.add_argument(
-        "--orders", default=None,
-        help="comma-separated family orders (default 0,1,2,3; unless given explicitly, "
-             "t6 picks max-n+1 and t7 drops orders above max-n)")
-    p_verify.add_argument(
-        "--lambdas", "--lambda", dest="lambdas", default=None,
-        help="comma-separated p/q parameter samples for t3/t8/remark (default -1,2,1/2)")
-    p_verify.add_argument(
-        "--symbolic-lambda", action="store_true",
-        help="widen the sample set to max-n + order + 1 values, enough to prove the identity for every parameter")
-    p_verify.set_defaults(handler=_cmd_verify)
+    for command, (text, handler, options) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=text)
+        for flags, keywords in options:
+            p_command.add_argument(*flags, **keywords)
+        p_command.set_defaults(handler=handler)
     return parser
 
 
+def _quick_args(argv: list[str]):
+    """What `build_parser().parse_args(argv)` returns for a well-formed line, else None.
+
+    Well-formed: a command, then each of its options at most once, as the exact flag and
+    `=value` or a next token not starting with "-" (store_true: the flag alone), with every
+    required one, each int read by int() and each choice among its choices.  argparse's
+    top level hands every token after the command to that command's parser, which matches
+    an exact flag before abbreviations, splits at the first "=" (no flag holds one), takes
+    a next token not starting with "-" as the value and defaults the rest: the same namespace."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    args, by_flag = {"command": argv[0], "handler": handler}, {}
+    for flags, keywords in options:
+        dest = keywords.get("dest", flags[0][2:].replace("-", "_"))
+        args[dest] = keywords.get("default")
+        by_flag.update(dict.fromkeys(flags, (dest, keywords)))
+    required = {dest for dest, keywords in by_flag.values() if keywords.get("required")}
+    seen, tokens = set(), iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        dest, keywords = by_flag.get(flag, (None, {}))
+        if dest is None or dest in seen:
+            return None
+        seen.add(dest)
+        if "action" in keywords:  # store_true, the one action: the flag alone
+            if eq:
+                return None
+            value = True
+        elif not eq and (value := next(tokens, "-")).startswith("-"):
+            return None
+        try:
+            args[dest] = value = keywords.get("type", lambda text: text)(value)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+    return SimpleNamespace(**args) if required <= seen else None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = SimpleNamespace(handler=_cmd_version) if argv == ["--version"] else _quick_args(argv)
     try:
-        args = parser.parse_args(argv)
+        args = args or build_parser().parse_args(argv)  # a namespace is always true
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

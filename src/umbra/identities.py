@@ -197,12 +197,10 @@ def lambda_samples(count: int, base=()) -> tuple[Fraction, ...]:
     default pool and then fresh integers fill up the remainder.
     """
     _as_count(count, "count")
-    out = list(dict.fromkeys(_as_lambda(v) for v in base))
+    out = dict.fromkeys(_as_lambda(v) for v in base)  # insertion-ordered, hashed lookups
     fill = itertools.chain(_LAMBDA_SEED, map(Fraction, itertools.count(6)))
     while len(out) < count:
-        v = next(fill)
-        if v not in out:
-            out.append(v)
+        out.setdefault(next(fill))
     return tuple(out)
 
 

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import operator
+import os
 import random
 import re
 import subprocess
@@ -148,7 +149,8 @@ def test_cli_import_loads_no_dataclasses_csv_or_json():
     # against a bare interpreter in the same environment, so site hooks do not count
     added = loaded_modules("import umbra.cli") - loaded_modules("pass")
     assert "umbra.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "json"}, added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv", "json",
+                        "argparse", "gettext", "locale"}, added
 
 
 def _as_text(value):
@@ -607,6 +609,17 @@ def test_a_closed_stdout_exits_141_quietly():
     assert (code, err) == (EXIT_BROKEN_PIPE, b"") and code == 141
 
 
+def test_version_into_a_closed_stdout_exits_141_quietly():
+    read, write = os.pipe()
+    os.close(read)  # closed before the child starts, so its one write meets the closed end
+    try:
+        done = subprocess.run([sys.executable, "-m", "umbra.cli", "--version"], stdout=write,
+                              stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, b"")
+
+
 def test_connect_catches_a_triangle_without_its_factorials(capsys, triangle_without_factorials):
     assert _connect_codes(capsys, 2) == [EXIT_INCONSISTENT] * len(MUTANT_PAIRS)
 
@@ -664,6 +677,30 @@ def test_bad_arguments_exit_two(capsys):
         assert capsys.readouterr().out == "", argv
 
 
+@pytest.mark.parametrize("argv", [
+    "connect --from bernoulli:99999999999999999999 --to hermite --max-n 1",
+    "connect --from hermite:1001 --to euler --max-n 2",
+    "connect --from euler:1 --to hermite --max-n 1001",
+    "family --name euler --order 1001 --max-degree 2",
+    "family --name hermite --max-degree 1001",
+    "verify --theorems t1 --max-n 1001",
+    "verify --theorems t1 --max-n 3 --orders 1,1001",
+    "verify --theorems t3 --max-n 2 --orders=99999999999999999999 --symbolic-lambda",
+])
+def test_sizes_above_the_ceiling_exit_two_before_any_table(capsys, monkeypatch, argv):
+    import umbra.cli as cli
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    for name in ("family_document", "connection_document", "verify_theorem"):
+        monkeypatch.setattr(cli, name, no_table)  # a call would exit 3, not 2
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (EXIT_USAGE, ""), argv
+    assert err.startswith("error: ") and "must be at most 1000" in err, err
+    assert err.count("\n") == 1, err
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -695,6 +732,17 @@ def test_a_cli_process_exits_with_mains_code_and_a_frozen_heap():
     probe = "import atexit, gc\natexit.register(lambda: print(gc.get_freeze_count()))"
     code, out, _ = umbra_process("--version", probe=probe)
     assert code == EXIT_OK and int(out.splitlines()[-1]) > 0, out
+
+
+def test_a_well_formed_process_loads_no_argparse_and_help_still_works():
+    # printed at exit: which of argparse and the gettext and locale it imports the run loaded
+    probe = ("import atexit, sys\natexit.register(lambda: print(sorted("
+             "{'argparse', 'gettext', 'locale'} & set(sys.modules))))")
+    code, out, _ = umbra_process("verify", "--theorems", "t1,t8", "--max-n=3", probe=probe)
+    assert code == EXIT_OK and out.splitlines()[-1] == "[]", out[-200:]
+    assert json.loads(out[:out.rindex("[]")])["all_pass"] is True
+    code, out, err = umbra_process("verify", "--help")
+    assert (code, err) == (EXIT_OK, "") and out.startswith("usage: umbra verify "), out
 
 
 def test_the_umbra_script_and_python_m_call_one_entry():
