@@ -1,5 +1,8 @@
 """Exception types raised by the umbra kernel."""
 
+__all__ = ["UmbraError", "NotInvertible", "CompositionOrder", "NotDelta", "ExpConstantTerm",
+           "TruncationTooShort", "SingularBasis", "LambdaIsOne", "RegimeViolation"]
+
 
 class UmbraError(Exception):
     """Base class for all umbra errors."""

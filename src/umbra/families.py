@@ -20,6 +20,10 @@ from .series import TruncatedSeries, _Value, _as_count, _fractions, _reduce, _sc
 from .series import _binomial_convolve, _pascal, _power
 from .umbral import ShefferPair, operator_apply
 
+__all__ = ["FamilyKind", "FamilySpec", "hermite", "bernoulli", "euler", "frobenius_euler",
+           "sheffer_pair_of", "family_poly", "family_polys", "family_number", "family_numbers",
+           "hermite_poly_via_operator"]
+
 
 class FamilyKind(enum.Enum):
     HERMITE = "hermite"

@@ -20,6 +20,10 @@ from .polynomials import _stirling2_columns
 from .series import _Value, _as_count
 from .umbral import _first_failing_row, _solve_in_basis
 
+__all__ = ["THEOREM_IDS", "DEFAULT_LAMBDAS", "IdentityReport", "Mismatch", "lambda_samples",
+           "t1_coeff", "t2_coeff", "t3_coeff", "t4_coeff", "t5_coeff", "t6_coeff", "t7_coeff",
+           "t8_coeff", "remark_coeff", "verify_theorem"]
+
 #: Default parameter samples for the lambda families (1 is never allowed).
 DEFAULT_LAMBDAS = (Fraction(-1), Fraction(2), Fraction(1, 2))
 

@@ -7,6 +7,8 @@ from math import perm
 
 from .series import _Value, _as_count, _convolve, _format_terms, _power, as_rational
 
+__all__ = ["Poly", "falling_factorial", "stirling1", "stirling2"]
+
 _ZERO = Fraction(0)
 
 

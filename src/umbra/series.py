@@ -22,6 +22,8 @@ from operator import add, mul
 
 from .errors import CompositionOrder, ExpConstantTerm, NotDelta, NotInvertible
 
+__all__ = ["INFINITE", "TruncatedSeries", "as_rational"]
+
 #: Order of the zero series (compares greater than any stored degree).
 INFINITE = math.inf
 

@@ -20,6 +20,10 @@ from .polynomials import Poly
 from .series import TruncatedSeries, _Value, _as_count, _fractions, _reduce, _scale, as_rational
 from .series import _binomial_convolve, _binomial_quotient, _compose, _divided, _pascal
 
+__all__ = ["ShefferPair", "ConnectionMatrix", "pair_functional", "operator_apply",
+           "eval_functional", "sheffer_poly", "sheffer_polys", "connection_coeffs",
+           "connection_oracle"]
+
 _ZERO = Fraction(0)
 
 

@@ -22,7 +22,10 @@ PUBLIC = sorted("""
 """.split())
 
 
-def test_the_public_surface_is_pinned():
+MODULES = ("errors", "series", "polynomials", "umbral", "families", "identities")
+
+
+def test_the_public_surface_is_pinned_and_each_name_is_declared_once():
     assert len(PUBLIC) == len(set(umbra.__all__)) == len(umbra.__all__) == 54
     assert sorted(umbra.__all__) == PUBLIC
     namespace = {}
@@ -30,3 +33,18 @@ def test_the_public_surface_is_pinned():
     assert sorted(namespace.keys() - {"__builtins__"}) == PUBLIC
     submodules = {info.name for info in pkgutil.iter_modules(umbra.__path__)}
     assert "cli" in submodules and not submodules & set(umbra.__all__)
+
+    # each name in exactly one module's __all__, bound there and exported as that object
+    modules = [getattr(umbra, module) for module in MODULES]
+    declared = [name for module in modules for name in module.__all__]
+    assert sorted(declared) == sorted(set(PUBLIC) - {"__version__", "Rational"})
+    for module in modules:
+        for name in module.__all__:
+            assert name in vars(module) and getattr(umbra, name) is vars(module)[name], name
+    # and the package's own source spells out no public name but these two
+    tree = ast.parse(Path(umbra.__file__).read_text())
+    spelled = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    spelled |= {alias.asname or alias.name for node in ast.walk(tree) for alias in
+                getattr(node, "names", ()) if isinstance(node, ast.ImportFrom)}
+    spelled |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert spelled & set(PUBLIC) == {"__version__", "Rational"}
