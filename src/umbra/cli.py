@@ -223,8 +223,8 @@ def _emit_table(doc: dict, fmt: str, out) -> int:
 
 # -- subcommands -------------------------------------------------------------
 
-def _cmd_version(args, out) -> int:
-    out.write(f"umbra {__version__}\n")  # as argparse's version action prints it
+def _cmd_text(args, out) -> int:
+    out.write(args.text)  # --version's line, or the help or version text argparse printed
     return EXIT_OK
 
 
@@ -409,11 +409,19 @@ def _quick_args(argv: list[str]):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = SimpleNamespace(handler=_cmd_version) if argv == ["--version"] else _quick_args(argv)
-    try:
-        args = args or build_parser().parse_args(argv)  # a namespace is always true
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
+    args = (SimpleNamespace(handler=_cmd_text, text=f"umbra {__version__}\n")
+            if argv == ["--version"] else _quick_args(argv))
+    if args is None:  # argparse reads the line; its help or version text is written below
+        import contextlib
+
+        text = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(text):
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # a usage error has written its message to stderr
+            if exc.code:
+                return EXIT_USAGE
+            args = SimpleNamespace(handler=_cmd_text, text=text.getvalue())
     try:
         code = args.handler(args, sys.stdout)
         sys.stdout.flush()  # a reader that closed early shows here, not at interpreter exit

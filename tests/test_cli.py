@@ -609,11 +609,13 @@ def test_a_closed_stdout_exits_141_quietly():
     assert (code, err) == (EXIT_BROKEN_PIPE, b"") and code == 141
 
 
-def test_version_into_a_closed_stdout_exits_141_quietly():
+# the --version fast path, and help and version text printed by argparse
+@pytest.mark.parametrize("argv", ["--version", "-h", "verify -h", "--vers"])
+def test_version_into_a_closed_stdout_exits_141_quietly(argv):
     read, write = os.pipe()
     os.close(read)  # closed before the child starts, so its one write meets the closed end
     try:
-        done = subprocess.run([sys.executable, "-m", "umbra.cli", "--version"], stdout=write,
+        done = subprocess.run([sys.executable, "-m", "umbra.cli", *argv.split()], stdout=write,
                               stderr=subprocess.PIPE, timeout=120)
     finally:
         os.close(write)

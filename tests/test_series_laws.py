@@ -79,6 +79,22 @@ def test_compose_matches_horner_oracle(outer, tail):
     assert outer.compose(inner) == horner_compose(outer, inner)
 
 
+@laws
+@given(wide.filter(bool), wide_tails)
+def test_comp_inverse_is_a_two_sided_inverse(c1, tail):
+    # f = c1 t + tail, c1 any nonzero rational: every built-in f is t or t/2
+    f = S([0, c1] + tail)
+    fbar = f.comp_inverse()
+    assert f.compose(fbar) == fbar.compose(f) == S.t(f.trunc_order)
+
+
+@laws
+@given(wide_tails | st.lists(rationals, max_size=7), wide_tails | st.lists(rationals, max_size=7))
+def test_exp_takes_a_sum_to_a_product(a_tail, b_tail):
+    a, b = S([0] + a_tail), S([0] + b_tail)
+    assert (a + b).exp() == a.exp() * b.exp()
+
+
 @st.composite
 def adjoint_cases(draw):
     """Series f and g and a polynomial p, wide entries, both series of order >= deg p.
