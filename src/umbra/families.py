@@ -4,15 +4,16 @@ Hermite (physicists') is (e^{t^2/4}, t/2), generated by e^{2xt - t^2}; order-r
 Bernoulli (((e^t - 1)/t)^r, t), order-r Euler (((e^t + 1)/2)^r, t) and order-r
 Frobenius-Euler with lam != 1 (((e^t - lam)/(1 - lam))^r, t) are generated by
 e^{xt}/g(t).  The order is a nonnegative integer (Hermite takes none); at lam = -1
-Frobenius-Euler is Euler exactly.  Members are built by `_build_rows` and kept by
-`_stored`; the public readers build Polys and Fractions from the stored rows.
+Frobenius-Euler is Euler exactly.  Members are built by `_build_rows`, on integer
+weights with no common denominator, and kept by `_stored`; the public readers build Polys
+and Fractions from the stored rows.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import comb, factorial, lcm, perm
+from math import comb, factorial
 
 from .errors import LambdaIsOne
 from .polynomials import Poly
@@ -106,41 +107,41 @@ _store: dict = {}
 
 
 def _appell_egf(spec: FamilySpec, n_max: int) -> tuple[list[int], int]:
-    """g_i = i! [t^i] g = a[i] / b (b > 0) for i <= n_max, by finite sums over e^(jt):
-    Bernoulli sum_j C(r, j) (-1)^(r-j) j^(i+r) / (C(i+r, r) r!), Frobenius-Euler at p/q
-    (Euler at -1) sum_j C(r, j) (-p)^(r-j) q^j j^i / (q-p)^r.  The closed forms' weights
-    are written apart in `identities`, so that a wrong sum cannot cancel from a check."""
+    """Integers a and a shift s with g_i = i! [t^i] g = a[i] / (a[0] C(i+s, s)) for i <= n_max,
+    by finite sums over e^(jt): Bernoulli s = r, a[i] = sum_j C(r, j) (-1)^(r-j) j^(i+r) and
+    a[0] = r!; Frobenius-Euler at p/q (Euler at -1) s = 0, a[i] = sum_j C(r, j) (-p)^(r-j)
+    q^j j^i, signed so that a[0] = |q-p|^r.  The closed forms' weights are written apart in
+    `identities`, so that a wrong sum cannot cancel from a check."""
     r = spec.order_r
     if spec.kind is FamilyKind.BERNOULLI:
         weights = [comb(r, j) * (-1) ** (r - j) for j in range(r + 1)]
-        dens = [perm(i + r, r) for i in range(n_max + 1)]
-        b = lcm(*dens)
-        return [sum(c * j ** (i + r) for j, c in enumerate(weights)) * (b // den)
-                for i, den in enumerate(dens)], b
+        return [sum(c * j ** (i + r) for j, c in enumerate(weights)) for i in range(n_max + 1)], r
     lam = Fraction(-1) if spec.lam is None else spec.lam
     p, q = lam.numerator, lam.denominator
-    sign = 1 if q > p else (-1) ** r  # the sign of (q-p)^r, moved to the numerators
+    sign = 1 if q > p else (-1) ** r  # the sign of (q-p)^r, so that a[0] > 0
     weights = [sign * comb(r, j) * (-p) ** (r - j) * q ** j for j in range(r + 1)]
-    return [sum(c * j ** i for j, c in enumerate(weights))
-            for i in range(n_max + 1)], abs(q - p) ** r
+    return [sum(c * j ** i for j, c in enumerate(weights)) for i in range(n_max + 1)], 0
 
 
 def _build_rows(spec: FamilySpec, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Members 0..n_max as integer rows over their least denominator, by no series code:
     Hermite by H_(n+1) = 2x H_n - 2n H_(n-1), an Appell family (g, t) by [x^k] S_n =
-    C(n, k) s_(n-k) with sum_i C(n, i) g_i s_(n-i) = [n = 0] (Roman, 1984, ch. 2).  Row n
-    starts with s_n, so the gcd per step that keeps d least for s_0..s_n keeps it least."""
+    C(n, k) c_(n-k) with sum_i C(n, i) g_i c_(n-i) = [n = 0] (Roman, 1984, ch. 2), which
+    C(n, i) / C(i+s, s) = C(n+s, i+s) n! s! / (n+s)! turns into sum_i C(n+s, i+s) a_i
+    c_(n-i) = 0 for n >= 1 on the integer weights of `_appell_egf`.  Row n starts with c_n,
+    so the gcd per step that keeps d least for c_0..c_n keeps it least."""
     if spec.kind is FamilyKind.HERMITE:
         rows = [(1,), (0, 2)][: n_max + 1]
         for n in range(1, n_max):
             rows.append(tuple(2 * u - 2 * n * v
                               for u, v in zip((0, *rows[n]), (*rows[n - 1], 0, 0))))
         return tuple(rows), 1
-    a, b = _appell_egf(spec, n_max)
-    nums, d = [1], 1  # s_m = nums[m] / d
+    a, s = _appell_egf(spec, n_max)
+    nums, d = [1], 1  # c_m = nums[m] / d
     for n in range(1, n_max + 1):
-        top = -sum(comb(n, i) * a[i] * nums[n - i] for i in range(1, n + 1))
-        nums, d = _reduce([x * b for x in nums] + [top], d * b)
+        top = -sum(comb(n + s, i + s) * a[i] * nums[n - i] for i in range(1, n + 1))
+        lead = comb(n + s, s) * a[0]
+        nums, d = _reduce([x * lead for x in nums] + [top], d * lead)
     return tuple(tuple(comb(n, k) * nums[n - k] for k in range(n + 1))
                  for n in range(n_max + 1)), d
 

@@ -106,17 +106,18 @@ def _stirling_rows(spec: FamilySpec, n_max: int, hermite_coeffs):
     return rows, factorial(n_max + r) * da
 
 
-# id -> (kind paired with Hermite, expanded in the Hermite basis?, Hermite table's name, builder)
+# id -> (kind paired with Hermite, Hermite table's name, builder); t1-t3 read no Hermite
+# table and expand the family in the Hermite basis, the others Hermite in the family's
 _CATALOG = {
-    "t1": (FamilyKind.EULER, True, None, _basis_rows),
-    "t2": (FamilyKind.BERNOULLI, True, None, _basis_rows),
-    "t3": (FamilyKind.FROBENIUS_EULER, True, None, _basis_rows),
-    "t4": (FamilyKind.EULER, False, "_explicit_hermite", _weighted_rows),
-    "t5": (FamilyKind.EULER, False, "_stored_hermite", _weighted_rows),
-    "t6": (FamilyKind.BERNOULLI, False, "_stored_hermite", _stirling_rows),
-    "t7": (FamilyKind.BERNOULLI, False, "_stored_hermite", _stirling_rows),
-    "t8": (FamilyKind.FROBENIUS_EULER, False, "_stored_hermite", _weighted_rows),
-    "remark": (FamilyKind.FROBENIUS_EULER, False, "_explicit_hermite", _weighted_rows),
+    "t1": (FamilyKind.EULER, None, _basis_rows),
+    "t2": (FamilyKind.BERNOULLI, None, _basis_rows),
+    "t3": (FamilyKind.FROBENIUS_EULER, None, _basis_rows),
+    "t4": (FamilyKind.EULER, "_explicit_hermite", _weighted_rows),
+    "t5": (FamilyKind.EULER, "_stored_hermite", _weighted_rows),
+    "t6": (FamilyKind.BERNOULLI, "_stored_hermite", _stirling_rows),
+    "t7": (FamilyKind.BERNOULLI, "_stored_hermite", _stirling_rows),
+    "t8": (FamilyKind.FROBENIUS_EULER, "_stored_hermite", _weighted_rows),
+    "remark": (FamilyKind.FROBENIUS_EULER, "_explicit_hermite", _weighted_rows),
 }
 
 THEOREM_IDS = tuple(_CATALOG)
@@ -134,7 +135,7 @@ def _degrees(tid: str, n_max: int, r: int) -> range:
 
 def _hermite_table(tid: str, n_max: int):
     """The Hermite coefficients through degree n_max that tid's rows read, or None."""
-    name = _CATALOG[tid][2]
+    name = _CATALOG[tid][1]
     return name and globals()[name](n_max)
 
 
@@ -143,7 +144,7 @@ def _entry(tid: str, n: int, k: int, r: int, *lam) -> Fraction:
     if _as_count(k, "k") > _as_count(n, "n"):
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     _degrees(tid, n, _as_count(r, "r"))
-    kind, _, _, build = _CATALOG[tid]
+    kind, _, build = _CATALOG[tid]
     spec = FamilySpec(kind, r, *lam)
     rows, d = _stored((tid, spec), n, lambda m: build(spec, m, _hermite_table(tid, m)))
     return Fraction(rows[n][k], d)
@@ -244,7 +245,7 @@ def _first_mismatch(lhs_spec, basis_spec, table, ns, lam=None) -> Mismatch | Non
     degrees ns: n by `_first_failing_row` on the stored tables, then k by solving row n."""
     n_max = ns[-1]
     basis, lhs = _family_rows(basis_spec, n_max), _family_rows(lhs_spec, n_max)
-    n = _first_failing_row(table, basis, lhs, ns)
+    n = _first_failing_row(table, basis, lhs, ns[0], n_max)
     if n is None:
         return None
     rows, d = table
@@ -282,7 +283,7 @@ def verify_theorem(
     r = _as_count(order_r, "order_r")
     ns = _degrees(tid, n_max, r)
 
-    kind, in_hermite_basis, _, build = _CATALOG[tid]
+    kind, _, build = _CATALOG[tid]
     lams: tuple[Fraction, ...] = ()
     if kind is FamilyKind.FROBENIUS_EULER:
         base = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)
@@ -295,7 +296,7 @@ def verify_theorem(
     failure: Mismatch | None = None
     for lam in lams or (None,):
         spec = FamilySpec(kind, r, lam)
-        lhs, basis = (spec, hermite()) if in_hermite_basis else (hermite(), spec)
+        lhs, basis = (spec, hermite()) if table is None else (hermite(), spec)
         failure = _first_mismatch(lhs, basis, build(spec, n_max, table), ns, lam)
         if failure is not None:
             break

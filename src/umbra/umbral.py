@@ -5,7 +5,8 @@ differential operator (`operator_apply`), with <f*g | p> = <g | f p>.  A Sheffer
 (g, f), g invertible and f delta, determines S_n with <g f^k | S_n> = n! delta_(n,k),
 generated by (1/g(fbar)) e^(y fbar(t)), fbar the inverse of f.  Sheffer and transfer
 tables come from `_triangle`; `connection_oracle` solves one table in another
-(`_solve_in_basis`), and `_first_failing_row` checks a connection table.
+(`_solve_in_basis`); `_first_failing_row` checks a connection table on two tables that it
+proves Appell once per check (`_tie_ratio`).
 """
 
 from __future__ import annotations
@@ -221,11 +222,13 @@ def _tied(rows, n: int, p: int, q: int) -> bool:
                    map(mul, rows[n - 1], repeat(n * p))))
 
 
-def _ratio(rows, lo: int) -> tuple[int, int]:
-    """X_(lo+1,lo+1) / X_(lo,lo) in least terms, as (p, q)."""
+def _tie_ratio(rows, lo: int, n_max: int) -> tuple[int, int] | None:
+    """X_(lo+1,lo+1) / X_(lo,lo) in least terms, as (p, q), when every row lo+1..n_max of
+    an integer table is tied in it to the row before (`_tied`); None otherwise."""
     p, q = rows[lo + 1][lo + 1], rows[lo][lo]
     g = gcd(p, q)
-    return p // g, q // g
+    p, q = p // g, q // g
+    return (p, q) if all(_tied(rows, n, p, q) for n in range(lo + 1, n_max + 1)) else None
 
 
 def _recombines(table, basis, expanded, n: int) -> bool:
@@ -237,44 +240,38 @@ def _recombines(table, basis, expanded, n: int) -> bool:
                for i, x in enumerate(expanded[n]))
 
 
-def _first_failing_row(table, basis, expanded, ns) -> int | None:
-    """The first degree n in ns where sum_k C_(n,k) R_k differs from S_n, or None.
+def _first_failing_row(table, basis, expanded, lo: int, n_max: int) -> int | None:
+    """The first degree n in lo..n_max where sum_k C_(n,k) R_k differs from S_n, or None.
 
     C (table), R (basis) and S (expanded) are integer tables (rows, d), entry (n, k) of C
     being rows[n][k] / d.  R is triangular with a nonzero diagonal, so S_n =
-    sum_k C_(n,k) R_k holds exactly when row n is the solved one.  Row lo = ns[0] is
-    recombined in full (`_recombines`).  Every built-in family is Appell (Hermite in 2x;
-    Roman, 1984, ch. 2-3): when ns is a range, R is tied (`_tied`) in s_R through row n
-    and S in s_S from row lo through row n, each row to the one before, a row n > lo is
-    decided in O(n).  Row n-1 has passed, so if row n of C is tied to row n-1 in
-    rho = s_S / s_R, E_n = sum_k C_(n,k) R_k - S_n has E_n' = n s_S E_(n-1) = 0, and row n
-    is right exactly when it is tied and E_n(0) = 0, one sum over column 0 of R (the
-    exact C is tied, by the uniqueness of its rows).  So a first failing row is named in
-    O(N^2); any other row is recombined in full.  A member of R or S whose degree is not
-    its index is refused first, and a row of C of the wrong length when the walk reaches it.
+    sum_k C_(n,k) R_k holds exactly when row n is the solved one.  Row lo is recombined in
+    full (`_recombines`).  Every built-in family is Appell (Hermite in 2x; Roman, 1984,
+    ch. 2-3): once R is tied in s_R over rows 0..n_max and S in s_S over lo..n_max
+    (`_tie_ratio`), a row n > lo is decided in O(n).  Row n-1 has passed, so if row n of C
+    is tied to row n-1 in rho = s_S / s_R, E_n = sum_k C_(n,k) R_k - S_n has
+    E_n' = n s_S E_(n-1) = 0, and row n is right exactly when it is tied and E_n(0) = 0,
+    one sum over column 0 of R (the exact C is tied, by the uniqueness of its rows).
+    Without both ties every row is recombined in full.  A member of R or S whose degree
+    is not its index is refused first, and a row of C of the wrong length when reached.
     """
-    lo, n_max = ns[0], ns[-1]
     (rows, d), (r_rows, db), (s_rows, de) = table, basis, expanded
     _check_graded(r_rows, range(n_max + 1), "basis")
-    _check_graded(s_rows, ns, "expanded")
-    # a row is tied only to the row checked just before it
-    appell = ns == range(lo, n_max + 1) and lo < n_max
-    if appell:
-        (rp, rq), (sp, sq) = _ratio(r_rows, 0), _ratio(s_rows, lo)
+    _check_graded(s_rows, range(lo, n_max + 1), "expanded")
+    r_ratio = lo < n_max and _tie_ratio(r_rows, 0, n_max)
+    s_ratio = r_ratio and _tie_ratio(s_rows, lo, n_max)
+    if s_ratio:
+        (rp, rq), (sp, sq) = r_ratio, s_ratio
         p, q = sp * rq, sq * rp  # rho = s_S / s_R
-        appell = all(_tied(r_rows, k, rp, rq) for k in range(1, lo + 1))
         col, scale = [row[0] for row in r_rows[: n_max + 1]], d * db
-    tie = False  # row n-1 was checked just before row n and R and S are Appell through it
-    for n in ns:
+    for n in range(lo, n_max + 1):
         nums = rows[n]
         if len(nums) != n + 1:
             raise ValueError(f"row {n} has {len(nums)} entries, expected {n + 1}")
-        tie = tie and _tied(r_rows, n, rp, rq) and _tied(s_rows, n, sp, sq)
-        if tie:
+        if s_ratio and n > lo:
             passed = _tied(rows, n, p, q) and sum(map(mul, nums, col)) * de == s_rows[n][0] * scale
         else:
             passed = _recombines(table, basis, expanded, n)
         if not passed:
             return n
-        tie = tie or (n == lo and appell)
     return None

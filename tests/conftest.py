@@ -1,6 +1,8 @@
 """Child processes that the tests start import umbra from this tree's src/ too.
 
 ``pythonpath`` in pyproject.toml covers imports inside the pytest process only.
+`cli_env` gives a CLI child the environment the benchmark gives its children, so a
+test of stdout buffering tests the mode it names, not the one its shell set.
 The ``corrupt_entry`` fixture makes one closed-form coefficient wrong, for the
 tests of FAIL reports; ``triangle_without_factorials`` drops the n!/k! of every
 table the series kernel builds, for the tests of what catches that.
@@ -19,6 +21,13 @@ import umbra.umbral as umbral
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+def cli_env(**settings) -> dict[str, str]:
+    """The caller's environment without its PYTHON* and UMBRA_* variables, as
+    bench/run.py gives its children, importing umbra from src; then ``settings``."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "UMBRA_"))}
+    return {**env, "PYTHONPATH": _SRC, **settings}
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from umbra.cli import (
 )
 from umbra.families import FamilyKind
 
+from conftest import cli_env
 from test_umbral import rows_recombined_in_full
 
 
@@ -562,10 +563,10 @@ def test_connect_catches_an_integer_kernel_mutant(capsys, monkeypatch, name, wra
 def _g3_doubled(kind):
     def wrap(build):
         def doubled(spec, n_max):
-            a, b = build(spec, n_max)
+            a, s = build(spec, n_max)
             if spec.kind is kind and n_max >= 3:
                 a[3] *= 2
-            return a, b
+            return a, s
         return doubled
     return "_appell_egf", wrap
 
@@ -596,10 +597,16 @@ def test_a_wrong_store_table_fails_verify_and_connect(capsys, monkeypatch, mutan
     assert EXIT_INCONSISTENT in codes, codes
 
 
-def test_a_closed_stdout_exits_141_quietly():
+# each pipe test runs its child buffered and unbuffered, whatever the caller's shell sets
+STDOUT_MODES = pytest.mark.parametrize(
+    "stdout_mode", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+
+
+@STDOUT_MODES
+def test_a_closed_stdout_exits_141_quietly(stdout_mode):
     # about 1.2 MB of CSV, more than a pipe holds, so the writer meets the closed end
     argv = "family --name hermite --max-degree 200 --format csv".split()
-    with subprocess.Popen([sys.executable, "-m", "umbra.cli", *argv],
+    with subprocess.Popen([sys.executable, "-m", "umbra.cli", *argv], env=cli_env(**stdout_mode),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -610,13 +617,14 @@ def test_a_closed_stdout_exits_141_quietly():
 
 
 # the --version fast path, and help and version text printed by argparse
+@STDOUT_MODES
 @pytest.mark.parametrize("argv", ["--version", "-h", "verify -h", "--vers"])
-def test_version_into_a_closed_stdout_exits_141_quietly(argv):
+def test_version_into_a_closed_stdout_exits_141_quietly(argv, stdout_mode):
     read, write = os.pipe()
     os.close(read)  # closed before the child starts, so its one write meets the closed end
     try:
         done = subprocess.run([sys.executable, "-m", "umbra.cli", *argv.split()], stdout=write,
-                              stderr=subprocess.PIPE, timeout=120)
+                              stderr=subprocess.PIPE, env=cli_env(**stdout_mode), timeout=120)
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (EXIT_BROKEN_PIPE, b"")
@@ -721,7 +729,8 @@ def umbra_process(*argv, probe=""):
     if probe:  # the same run as -m makes, from -c
         args = ["-c", f"{probe}\nimport runpy, sys\nsys.argv[1:] = {list(argv)!r}\n"
                       "runpy.run_module('umbra.cli', run_name='__main__', alter_sys=True)"]
-    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=cli_env(), timeout=120)
     return done.returncode, done.stdout, done.stderr
 
 

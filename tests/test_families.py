@@ -268,8 +268,8 @@ def test_store_evicts_least_recently_used(table_builds, monkeypatch):
     assert len(table_builds) == 5
 
 
-@pytest.mark.parametrize("spec", [hermite()] + [
-    make(r) for make in (bernoulli, euler) for r in range(5)] + [
+@pytest.mark.parametrize("spec", [hermite()] + [  # to order 7, where the weights are widest
+    make(r) for make in (bernoulli, euler) for r in range(8)] + [
     frobenius_euler(r, lam) for r in range(5) for lam in (F(1, 3), F(-2, 7), 2, F(-3, 2), 5, -1)])
 def test_store_table_is_the_sheffer_table(monkeypatch, spec):
     # the finite sums against the series route, the least denominator included
@@ -302,10 +302,10 @@ def test_the_store_shares_no_moment_code_with_the_closed_forms(monkeypatch):
     build = families._appell_egf
 
     def plus_one(spec, n_max):
-        a, b = build(spec, n_max)
+        a, s = build(spec, n_max)  # g_i = a[i] / a[0] at s = 0
         if spec.kind is FamilyKind.FROBENIUS_EULER:
-            a[3] += b
-        return a, b
+            a[3] += a[0]
+        return a, s
 
     monkeypatch.setattr(families, "_store", {})
     monkeypatch.setattr(families, "_appell_egf", plus_one)

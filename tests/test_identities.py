@@ -240,11 +240,11 @@ def test_lambda_forms_match_oracles_at_wide_lambdas(seed):
 @pytest.mark.parametrize("tid", identities.THEOREM_IDS)
 def test_builder_row_is_the_solved_row_and_the_public_row(tid):
     n_max, r = 8, {"t6": 9, "t7": 3}.get(tid, 2)
-    kind, in_hermite_basis, _, build = identities._CATALOG[tid]
+    kind, hermite_table, build = identities._CATALOG[tid]
     lam = (F(-7, 3),) if kind is FamilyKind.FROBENIUS_EULER else ()
     spec = FamilySpec(kind, r, *lam)
     hermites, polys = family_polys(hermite(), n_max), family_polys(spec, n_max)
-    lhs, basis = (polys, hermites) if in_hermite_basis else (hermites, polys)
+    lhs, basis = (polys, hermites) if hermite_table is None else (hermites, polys)
     solved = _solve_in_basis(int_table(lhs), int_table(basis), range(n_max + 1))
     rows, d = build(spec, n_max, identities._hermite_table(tid, n_max))
     # every row, not only row n_max, whose lift to the table's d is 1
@@ -603,7 +603,7 @@ def as_fractions(table):
 def test_row_builders_read_the_hermite_denominator(tid):
     # every Hermite table the catalog hands over has d = 1, so only a table over d > 1
     # shows a builder that drops or misplaces that denominator
-    kind, _, _, build = identities._CATALOG[tid]
+    kind, _, build = identities._CATALOG[tid]
     lams = (F(1, 2), F(-3)) if kind is FamilyKind.FROBENIUS_EULER else (None,)
     for n_max in range(6):
         coeffs, d = identities._hermite_table(tid, n_max)

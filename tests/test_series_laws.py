@@ -17,7 +17,7 @@ from umbra.families import FamilyKind, bernoulli, euler, frobenius_euler, hermit
 from umbra.families import sheffer_pair_of  # noqa: E402
 from umbra.series import _binomial_convolve, _binomial_quotient, _divided  # noqa: E402
 from umbra.series import _fractions, _pascal, _scale  # noqa: E402
-from umbra.umbral import _connection_table, _first_failing_row  # noqa: E402
+from umbra.umbral import _connection_table, _first_failing_row, _tie_ratio  # noqa: E402
 from umbra.umbral import _sheffer_table  # noqa: E402
 
 from test_series import fraction_reciprocal, horner_compose, naive_product  # noqa: E402
@@ -281,11 +281,15 @@ def test_recombination_check_matches_a_fraction_oracle_on_appell_tables(data):
     tables = {"C": integer_rows(exact), "R": integer_rows(basis), "S": integer_rows(expanded)}
     lo = data.draw(st.integers(0, n_max))
     ns = range(lo, n_max + 1)
+
+    def walk():
+        return _first_failing_row(tables["C"], tables["R"], tables["S"], lo, n_max)
+
     if data.draw(st.booleans()):  # rows below lo are not checked, so they may be anything
         for n in range(lo):
             tables["C"][0][n] = data.draw(st.lists(small, min_size=n + 1, max_size=n + 1))
     with rows_recombined_in_full() as full:
-        assert _first_failing_row(tables["C"], tables["R"], tables["S"], ns) is None
+        assert walk() is None
     assert full == [lo]  # every later row is decided by its tie and its constant term
     step = data.draw(st.sampled_from([-2, -1, 1, 2]))
     what = data.draw(st.sampled_from(["C", "R", "S", "constant"]))
@@ -299,12 +303,17 @@ def test_recombination_check_matches_a_fraction_oracle_on_appell_tables(data):
     want = first_unequal_degree(tables["C"], tables["R"], tables["S"], ns)
     if want is SingularBasis:
         with pytest.raises(SingularBasis):
-            _first_failing_row(tables["C"], tables["R"], tables["S"], ns)
+            walk()
     else:
         with rows_recombined_in_full() as full:
-            assert _first_failing_row(tables["C"], tables["R"], tables["S"], ns) == want
-        if what in ("C", "constant"):  # R and S are still Appell: a FAIL is named in O(N^2) too
-            assert full == [lo]
+            assert walk() == want
+        # with R proved Appell from row 0 and S from row lo, every row after lo is decided
+        # by its tie and its constant term; without either proof every row is recombined
+        proved = lo < n_max and all(
+            _tie_ratio(tables[x][0], start, n_max) for x, start in (("R", 0), ("S", lo)))
+        assert full == ([lo] if proved else [n for n in ns if want is None or n <= want])
+        # R and S are still Appell: a FAIL is named in O(N^2) too
+        assert proved or lo == n_max or what in ("R", "S")
 
 
 @laws
