@@ -1,9 +1,10 @@
 """Command-line surface: family tables, connection tables, verification runs.
 
-Documents go to stdout as JSON written by `_json` (CSV for the flat tables);
-diagnostics go to stderr.  Every scalar is an exact rational rendered as
-"p/q" (or a bare integer "p"), never floating point, and identical
-arguments always produce byte-identical output.  A process enters at `_run`.
+Each command builds its document with `_document` and writes it to stdout with
+`_emit_table`, the one writer: JSON by `_json`, or a table's rows as CSV.  Diagnostics
+go to stderr.  Every scalar is an exact rational rendered as "p/q" (or a bare integer
+"p"), never floating point, and identical arguments always produce byte-identical output.
+A process enters at `_run`.
 
 Exit codes: 0 success (all identities pass), 1 an identity check failed, 2 bad
 arguments or out-of-regime parameters (the library's ValueError or UmbraError, before
@@ -27,7 +28,7 @@ from . import __version__
 from .errors import UmbraError
 from .families import FamilyKind, FamilySpec, _as_lambda, _family_rows, sheffer_pair_of
 from .identities import (
-    DEFAULT_LAMBDAS, THEOREM_IDS, IdentityReport, _first_mismatch, verify_theorem)
+    DEFAULT_LAMBDAS, THEOREM_IDS, IdentityReport, _first_mismatch, _grid_orders, verify_theorem)
 from .series import _as_count
 from .umbral import _connection_table
 
@@ -104,32 +105,22 @@ def _rows(table) -> list[dict]:
         for n, row in enumerate(rows)]
 
 
+def _document(kind: str, **body) -> dict:
+    return {"document": kind, "tool": _TOOL, "conventions": _CONVENTIONS, **body}
+
+
 def family_document(spec: FamilySpec, max_degree: int) -> dict:
-    return {
-        "document": "family-table",
-        "tool": _TOOL,
-        "conventions": _CONVENTIONS,
-        "family": _describe_spec(spec),
-        "max_degree": max_degree,
-        "rows": _rows(_family_rows(spec, max_degree)),
-    }
+    return _document("family-table", family=_describe_spec(spec), max_degree=max_degree,
+                     rows=_rows(_family_rows(spec, max_degree)))
 
 
 def connection_document(source: FamilySpec, target: FamilySpec, n_max: int) -> tuple[dict, bool]:
     table = _connection_table(
         sheffer_pair_of(source, n_max), sheffer_pair_of(target, n_max), n_max)
     agree = _first_mismatch(source, target, table, range(n_max + 1)) is None
-    doc = {
-        "document": "connection-table",
-        "tool": _TOOL,
-        "conventions": _CONVENTIONS,
-        "source": _describe_spec(source),
-        "target": _describe_spec(target),
-        "max_n": n_max,
-        "routes_agree": agree,
-        "rows": _rows(table),
-    }
-    return doc, agree
+    return _document("connection-table", source=_describe_spec(source),
+                     target=_describe_spec(target), max_n=n_max, routes_agree=agree,
+                     rows=_rows(table)), agree
 
 
 def report_document(report: IdentityReport) -> dict:
@@ -160,7 +151,7 @@ def parse_document(text: str) -> dict:
     lambda come back as Fractions that compare equal to the values they were built
     from; the grid's lambdas and each family descriptor's lambda stay text.
     """
-    import json  # only where a document is read: _emit_json writes one without it
+    import json  # only where a document is read: _emit_table writes one without it
 
     doc = json.loads(text)
     for row in doc.get("rows", ()):
@@ -184,10 +175,6 @@ def parse_table_csv(text: str) -> list[list[Fraction]]:
     return [[Fraction(c) for c in row[1:] if c != ""] for row in reader]
 
 
-def _emit_json(doc: dict, out):
-    out.write(_json(doc, "\n") + "\n")
-
-
 def _json(value, indent: str) -> str:
     """`json.dumps(value, indent=2)` for a document's values; ``indent`` precedes the close.
 
@@ -206,9 +193,10 @@ def _json(value, indent: str) -> str:
 
 
 def _emit_table(doc: dict, fmt: str, out) -> int:
-    """Write a table document as JSON, or its rows as CSV padded to the widest row."""
+    """Write a document as JSON, or a table document's rows as CSV padded to the widest
+    row: every command's document goes out here."""
     if fmt != "csv":
-        _emit_json(doc, out)
+        out.write(_json(doc, "\n") + "\n")
         return EXIT_OK
     import csv
 
@@ -282,40 +270,24 @@ def _cmd_verify(args, out) -> int:
     if not lambdas:
         raise ValueError("--lambdas needs at least one value")
 
-    # t6 lives in the r > n regime and t7 in r <= n; unless an id was asked
-    # for explicitly with explicit orders, t6 gets its smallest admissible
-    # order and t7 leaves out the orders above max-n (a negative max-n keeps
-    # them, so that verify_theorem refuses it).
+    # an id named together with explicit orders checks exactly those orders
     auto = requested_all or args.orders is None
-
-    cells = []
-    for tid in theorems:
-        if tid == "t6" and auto:
-            cells.append((tid, args.max_n + 1))
-        else:
-            cells.extend(
-                (tid, r) for r in orders if not (tid == "t7" and auto and r > args.max_n >= 0))
-
     reports = [
         verify_theorem(tid, args.max_n, r, lambdas=lambdas, symbolic_lambda=args.symbolic_lambda)
-        for tid, r in cells]
+        for tid in theorems
+        for r in (_grid_orders(tid, args.max_n, orders) if auto else orders)]
 
     all_pass = all(r.passed for r in reports)
-    doc = {
-        "document": "verification-report",
-        "tool": _TOOL,
-        "conventions": _CONVENTIONS,
-        "grid": {
-            "theorems": theorems,
-            "max_n": args.max_n,
-            "orders": orders,
-            "lambdas": [str(v) for v in lambdas],
-            "symbolic_lambda": bool(args.symbolic_lambda),
-        },
-        "reports": [report_document(r) for r in reports],
-        "all_pass": all_pass,
+    grid = {
+        "theorems": theorems,
+        "max_n": args.max_n,
+        "orders": orders,
+        "lambdas": [str(v) for v in lambdas],
+        "symbolic_lambda": bool(args.symbolic_lambda),
     }
-    _emit_json(doc, out)
+    _emit_table(_document("verification-report", grid=grid,
+                          reports=[report_document(r) for r in reports], all_pass=all_pass),
+                "json", out)
     return EXIT_OK if all_pass else EXIT_IDENTITY_FAILURE
 
 

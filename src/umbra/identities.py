@@ -133,6 +133,15 @@ def _degrees(tid: str, n_max: int, r: int) -> range:
     return range(r if tid == "t7" else 0, n_max + 1)
 
 
+def _grid_orders(tid: str, n_max: int, orders: list[int]) -> list[int]:
+    """The orders a grid checks tid at when no order was asked of it: t6 its least order
+    that `_degrees` takes, t7 the orders it takes (every one for n_max < 0, so that
+    `verify_theorem` refuses n_max), every other id the orders as given."""
+    if tid == "t6":
+        return [n_max + 1]
+    return [r for r in orders if not (tid == "t7" and r > n_max >= 0)]
+
+
 def _hermite_table(tid: str, n_max: int):
     """The Hermite coefficients through degree n_max that tid's rows read, or None."""
     name = _CATALOG[tid][1]

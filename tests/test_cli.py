@@ -176,8 +176,9 @@ def test_documents_are_written_as_json_dumps_writes_them(
         capsys, monkeypatch, corrupt_entry, argv, corrupted):
     import umbra.cli as cli
 
-    docs, emit = [], cli._emit_json
-    monkeypatch.setattr(cli, "_emit_json", lambda doc, out: (docs.append(doc), emit(doc, out)))
+    docs, emit = [], cli._emit_table
+    monkeypatch.setattr(cli, "_emit_table",
+                        lambda doc, fmt, out: (docs.append(doc), emit(doc, fmt, out))[1])
     for entry in corrupted:
         corrupt_entry(*entry)
     code, out, _ = run(capsys, *argv.split())

@@ -463,6 +463,28 @@ def test_verify_regime_errors():
         verify_theorem("t8", 4, 1, lambdas=())
 
 
+@pytest.mark.parametrize("tid", identities.THEOREM_IDS)
+def test_the_grid_plan_keeps_the_orders_the_regimes_take(tid):
+    def takes(n_max, r):
+        try:
+            identities._degrees(tid, n_max, r)
+        except RegimeViolation:
+            return False
+        return True
+
+    for orders in [list(range(11))] + [[r] for r in range(11)]:
+        for n_max in range(9):
+            kept = identities._grid_orders(tid, n_max, orders)
+            if tid == "t6":  # one order, the least that _degrees takes
+                assert kept == [min(r for r in range(11) if takes(n_max, r))]
+            else:  # each order _degrees takes, and no other
+                assert kept == [r for r in orders if takes(n_max, r)]
+    # a negative n_max keeps t7's orders, so that verify_theorem refuses the n_max
+    assert identities._grid_orders("t7", -1, [0, 3]) == [0, 3]
+    with pytest.raises(ValueError):
+        verify_theorem("t7", -1, 0)
+
+
 def test_verify_reports_first_failure(corrupt_entry):
     corrupt_entry("t1", 3, 1)
     report = verify_theorem("t1", 5, 1)
