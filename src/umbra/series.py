@@ -134,17 +134,20 @@ def _reciprocal(series) -> tuple[list[int], int]:
 def _compose(outer, inner) -> tuple[list[int], int]:
     """outer(inner(t)) through the lower of the two degrees, on vectors (nums, d > 0).
 
-    Horner's rule over powers of the inner series, which must have zero constant
-    term.  The running sum leaves the outer's denominator out until the end, so
-    each step is one convolution, one scaling of the next outer numerator and one gcd.
+    Horner's rule over powers of the inner series, which must have zero constant term, from
+    the outer's last nonzero coefficient m down, so 1 takes no step and t one: the n-step
+    rule's result, as each step above m multiplies a zero vector and its gcd resets d to 1.
+    The running sum leaves the outer's denominator out until the end, so each step is one
+    convolution, one scaling of the next outer numerator and one gcd.
     """
     (c, dc), (g, dg) = outer, inner
     if g[0]:
         raise CompositionOrder("inner series of a composition must have zero constant term")
     n = min(len(c), len(g)) - 1
+    m = next((k for k in range(n, 0, -1) if c[k]), 0)
     # sum_(j >= k) c_j inner^(j - k) = nums / d
-    nums, d = [c[n]] + [0] * n, 1
-    for k in range(n - 1, -1, -1):
+    nums, d = [c[m]] + [0] * n, 1
+    for k in range(m - 1, -1, -1):
         nums, d = _int_convolve(nums, g, n), d * dg
         nums[0] += c[k] * d
         nums, d = _reduce(nums, d)
@@ -164,7 +167,7 @@ def _divided(series) -> tuple[list[int], int]:
     series of exponential type, as every built-in g is, whose ordinary coefficients need a
     denominator near k!; on one of ordinary type (a polynomial, log(1+t)) they grow like k!."""
     c, d = series
-    return _reduce([x * math.factorial(k) for k, x in enumerate(c)], d)
+    return _reduce([x * f for x, f in zip(c, accumulate(range(1, len(c)), mul, initial=1))], d)
 
 
 def _binomial_convolve(a, b, pascal) -> list[int]:
@@ -329,7 +332,7 @@ class TruncatedSeries(_Value):
         """Forget coefficients above ``order`` (0 <= order <= what is stored)."""
         if _as_count(order, "truncation order") > self.trunc_order:
             raise ValueError(f"cannot truncate order {self.trunc_order} to {order}")
-        return TruncatedSeries(self._coeffs[: order + 1])
+        return self if order == self.trunc_order else TruncatedSeries(self._coeffs[: order + 1])
 
     # -- ring operations ---------------------------------------------------
 

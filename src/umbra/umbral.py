@@ -3,10 +3,10 @@
 A series acts on a polynomial as a linear functional (`pair_functional`) and as a
 differential operator (`operator_apply`), with <f*g | p> = <g | f p>.  A Sheffer pair
 (g, f), g invertible and f delta, determines S_n with <g f^k | S_n> = n! delta_(n,k),
-generated by (1/g(fbar)) e^(y fbar(t)), fbar the inverse of f.  Sheffer and transfer
-tables come from `_triangle`; `connection_oracle` solves one table in another
-(`_solve_in_basis`); `_first_failing_row` checks a connection table on two tables that it
-proves Appell once per check (`_tie_ratio`).
+generated by (1/g(fbar)) e^(y fbar(t)), fbar the inverse of f.  Every table is a
+connection table (`_connection_table`), a Sheffer table being the one into x^n ~ (1, t);
+`connection_oracle` solves one table in another (`_solve_in_basis`); `_first_failing_row`
+checks a connection table on two tables that it proves Appell once per check (`_tie_ratio`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 from math import factorial, gcd, lcm, perm
-from operator import eq, itemgetter, mul
+from operator import eq, floordiv, itemgetter, mul
 
 from .errors import NotDelta, NotInvertible, SingularBasis, TruncationTooShort
 from .polynomials import Poly
@@ -104,16 +104,16 @@ def _triangle(a, b, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     d = lcm(*(dk for _, dk in cols))
     rows = [[term[n] * (d // dk) for term, dk in cols[: n + 1]] for n in range(n_max + 1)]
     g = gcd(d, *chain.from_iterable(rows))
-    return tuple(tuple(x // g for x in row) for row in rows), d // g
+    return tuple(tuple(map(floordiv, row, repeat(g))) for row in rows), d // g
 
 
 def _sheffer_table(pair: ShefferPair, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """S_0..S_{n_max} for the pair as integer rows over one denominator: [x^k] S_n =
-    rows[n][k] / d = (n!/k!) [t^n](A B^k) with A = 1/g(fbar) and B = fbar (`_triangle`)."""
-    _require_known(pair.trunc_order, _as_count(n_max, "n_max"), "give a member of")
-    fbar, g = (_scale(s.coeffs[: n_max + 1]) for s in (pair.fbar, pair.g))
-    over_g = _binomial_quotient(([1] + [0] * n_max, 1), _divided(_compose(g, fbar)))
-    return _triangle(over_g, _divided(fbar), n_max)
+    """S_0..S_{n_max} for the pair as integer rows over one denominator, [x^k] S_n =
+    rows[n][k] / d = (n!/k!) [t^n](1/g(fbar) fbar^k): the connection table into x^n ~
+    (1, t) (Roman, 1984, ch. 3), t at order n_max + 1 as a delta series needs order 1.
+    1(fbar) and t(fbar) are the vectors 1 and fbar exactly, as `_triangle` wants them."""
+    t = TruncatedSeries.t(_as_count(n_max, "n_max") + 1)
+    return _connection_table(pair, ShefferPair(TruncatedSeries.one(t.trunc_order), t), n_max)
 
 
 def sheffer_polys(pair: ShefferPair, n_max: int) -> tuple[Poly, ...]:
@@ -177,8 +177,8 @@ def connection_coeffs(source: ShefferPair, target: ShefferPair, n_max: int) -> C
 def connection_oracle(source: ShefferPair, target: ShefferPair, n_max: int) -> ConnectionMatrix:
     """Solve route: build both integer Sheffer tables and solve the triangular system.
 
-    It shares `_triangle` and `_binomial_quotient` with `connection_coeffs`, so a fault that
-    scales every table alike (a lost n!/k!) cancels; the family store's finite sums catch that.
+    It shares `_connection_table` with `connection_coeffs`, so a fault that scales every
+    table alike (a lost n!/k!) cancels; the family store's finite sums catch that.
     """
     return ConnectionMatrix(_solve_in_basis(
         _sheffer_table(source, n_max), _sheffer_table(target, n_max), range(n_max + 1)))

@@ -33,6 +33,7 @@ from umbra import (
 )
 from umbra import families
 from umbra import identities
+from umbra.cli import main
 from umbra.series import _fractions
 from umbra.umbral import _sheffer_table
 
@@ -250,6 +251,16 @@ def test_store_builds_each_spec_once(table_builds):
     assert len(table_builds) == 3
     assert {spec for spec, _ in table_builds} == {
         hermite(), frobenius_euler(1, 2), frobenius_euler(1, F(1, 2))}
+
+
+def test_a_symbolic_grid_inside_the_store_builds_each_table_once(table_builds):
+    # t3, t8 and remark at N = 24 read 82 family specs, the Hermite table and 81 lambda
+    # samples, inside the store's 128 entries; past them each theorem rebuilds every
+    # Frobenius-Euler table in turn (388 builds for 130 specs at N = 40)
+    argv = "verify --theorems t3,t8,remark --max-n 24 --orders 0,2,4 --symbolic-lambda"
+    assert main(argv.split()) == 0
+    specs = [spec for spec, _ in table_builds]
+    assert len(specs) == len(set(specs)) == 82 <= families.MAX_STORED_SPECS
 
 
 def test_store_evicts_least_recently_used(table_builds, monkeypatch):

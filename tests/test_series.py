@@ -25,6 +25,7 @@ from umbra import (
     frobenius_euler,
     hermite,
 )
+import umbra.series as series
 from umbra.umbral import _solve_in_basis
 
 S = TruncatedSeries
@@ -395,6 +396,27 @@ def test_compose_matches_horner_oracle_on_wide_inputs():
             assert_canonical(got.coeffs, n)
     with pytest.raises(CompositionOrder):
         horner_compose(S([1, 1]), S([1, 1]))
+
+
+def test_compose_runs_one_step_per_degree_of_the_outer_series(monkeypatch):
+    # Horner's rule starts at the outer's last nonzero coefficient: an outer series of
+    # degree m <= n costs m convolutions, none for a constant and one for t
+    steps, convolve = [], series._int_convolve
+
+    def counted(a, b, n):
+        steps.append(n)
+        return convolve(a, b, n)
+
+    monkeypatch.setattr(series, "_int_convolve", counted)
+    rng = random.Random(67)
+    for n in (0, 1, 2, 12):
+        inner = S([0] + wide_coeffs(rng, n)[1:])
+        outers = [(S.zero(n), 0), (S.one(n), 0)] + ([(S.t(n), 1)] if n else []) + [
+            (S(wide_coeffs(rng, m - 1) + [wide_unit(rng)], order=n), m) for m in range(n + 1)]
+        for outer, m in outers:
+            steps.clear()
+            assert outer.compose(inner) == horner_compose(outer, inner), (n, m)
+            assert steps == [n] * m, (n, m)
 
 
 def test_comp_inverse_matches_oracle_on_wide_inputs():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from umbra import ShefferPair, connection_coeffs, connection_oracle  # noqa: E402
+from umbra import ConnectionMatrix, TruncationTooShort, sheffer_poly, sheffer_polys  # noqa: E402
 from umbra import NotInvertible, Poly, SingularBasis, operator_apply, pair_functional  # noqa: E402
 from umbra import TruncatedSeries as S  # noqa: E402
 from umbra.families import FamilyKind, bernoulli, euler, frobenius_euler, hermite  # noqa: E402
@@ -73,9 +74,15 @@ def test_product_distributes_over_sum(a, b, c):
 
 
 @laws
-@given(wide_series, wide_tails)
-def test_compose_matches_horner_oracle(outer, tail):
-    inner = S([0] + tail)
+@given(wide_series, wide_tails, st.integers(0, 8))
+@example(S([5]), [], 1)  # the zero series at order 0
+@example(S([1, 2, 3]), [F(1, 2), F(-3)], 3)  # the zero series at order 2
+def test_compose_matches_horner_oracle(outer, tail, zeros):
+    # Horner's rule starts at the outer's last nonzero coefficient: the outer series
+    # ends in 0..n+1 zeros, every coefficient in the zero series
+    n = outer.trunc_order
+    zeros = min(zeros, n + 1)
+    outer, inner = S(outer.coeffs[: n + 1 - zeros] + (0,) * zeros), S([0] + tail)
     assert outer.compose(inner) == horner_compose(outer, inner)
 
 
@@ -216,6 +223,39 @@ def test_tables_of_general_pairs_match_fraction_oracles(case):
              fraction_triangle(a, horner_compose(target.f, fbar), n))):
         assert [_fractions(row, d) for row in rows] == want
     assert connection_coeffs(source, target, n) == connection_oracle(source, target, n)
+
+
+@st.composite
+def low_pairs(draw):
+    """A pair (g, f) at order 1 or 2, wide entries: g invertible, f delta."""
+    n = draw(st.integers(1, 2))
+    g = [draw(wide.filter(bool))] + draw(st.lists(wide, min_size=n, max_size=n))
+    f = [0, draw(wide.filter(bool))] + draw(st.lists(wide, min_size=n - 1, max_size=n - 1))
+    return ShefferPair(S(g), S(f))
+
+
+@laws
+@given(low_pairs(), low_pairs())
+def test_sheffer_and_oracle_routes_at_degrees_0_and_1(source, target):
+    # each Sheffer table is a connection table into the monomials, t held at order
+    # n_max + 1; a pair known below n_max is refused before any table is built
+    for n in (0, 1):
+        tables = []
+        for pair in (source, target):
+            fbar = pair.fbar.truncate(n)
+            over_g = fraction_reciprocal(horner_compose(pair.g, fbar))
+            want = tuple(Poly(row) for row in fraction_triangle(over_g, fbar, n))
+            assert sheffer_polys(pair, n) == want and sheffer_poly(pair, n) == want[n], n
+            tables.append(want)
+        solved = ConnectionMatrix(poly_solve_oracle(*tables))
+        assert connection_oracle(source, target, n) == solved == connection_coeffs(
+            source, target, n), n
+    k = max(source.trunc_order, target.trunc_order) + 1  # both pairs known below k
+    for route, args in ((sheffer_polys, (source, k)), (sheffer_poly, (source, k)),
+                        (connection_oracle, (source, target, k)),
+                        (connection_oracle, (target, source, k))):
+        with pytest.raises(TruncationTooShort, match=f"known to degree {args[0].trunc_order} "):
+            route(*args)
 
 
 @laws

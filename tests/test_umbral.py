@@ -258,6 +258,29 @@ def test_sheffer_poly_identity_pair():
         assert sheffer_poly(pair, n) == Poly.monomial(n)
 
 
+def test_a_sheffer_table_is_one_connection_table_into_the_monomials(monkeypatch):
+    # the kernel assembles every table in `_connection_table`: a Sheffer table is the
+    # connection table into x^n ~ (1, t), with t held one order above the table
+    targets, assemble = [], umbral._connection_table
+
+    def counted(source, target, n_max):
+        targets.append(target)
+        return assemble(source, target, n_max)
+
+    monkeypatch.setattr(umbral, "_connection_table", counted)
+    n_max = 6
+    source, target = laguerre_pair(2, n_max), falling_pair(n_max)
+    monomials = ShefferPair(S.one(n_max + 1), S.t(n_max + 1))
+    for route, args, want in (
+            (sheffer_polys, (source, n_max), [monomials]),
+            (sheffer_poly, (source, n_max), [monomials]),
+            (connection_oracle, (source, target, n_max), [monomials] * 2),
+            (connection_coeffs, (source, target, n_max), [target])):
+        targets.clear()
+        route(*args)
+        assert targets == want, route.__name__
+
+
 def test_sheffer_poly_euler_and_hermite():
     assert sheffer_poly(sheffer_pair_of(euler(1), 1), 1) == Poly([F(-1, 2), 1])
     assert sheffer_poly(sheffer_pair_of(hermite(), 2), 2) == Poly([-2, 0, 4])
