@@ -5,14 +5,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import perm
 
-from .series import _Value, _as_count, _convolve, _format_terms, _power, as_rational
+from .series import _Coefficients, _as_count, _convolve, _format_terms, _power, as_rational
 
 __all__ = ["Poly", "falling_factorial", "stirling1", "stirling2"]
 
 _ZERO = Fraction(0)
 
 
-class Poly(_Value):
+class Poly(_Coefficients):
     """Univariate polynomial over exact rationals, trailing zeros trimmed.
 
     The zero polynomial is the empty coefficient tuple with degree -1;
@@ -33,11 +33,7 @@ class Poly(_Value):
 
     @classmethod
     def monomial(cls, k: int, c=1) -> "Poly":
-        return cls([_ZERO] * _as_count(k, "degree") + [as_rational(c)])
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return cls([_ZERO] * _as_count(k, "degree") + [c])
 
     @property
     def degree(self) -> int:
@@ -72,9 +68,6 @@ class Poly(_Value):
             a, b = b, a
         return Poly([c + (b[i] if i < len(b) else _ZERO) for i, c in enumerate(a)])
 
-    def __neg__(self):
-        return Poly([-c for c in self._coeffs])
-
     def __sub__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -91,9 +84,6 @@ class Poly(_Value):
 
     def __pow__(self, k: int) -> "Poly":
         return _power(self, k, Poly([1]))
-
-    def __repr__(self):
-        return f"Poly({[str(c) for c in self._coeffs]})"
 
     def __str__(self):
         return _format_terms(self._coeffs, "x")

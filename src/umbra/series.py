@@ -7,9 +7,10 @@ visible in the result's order.  Every coefficient a caller sees is a
 canonical `fractions.Fraction`; values are immutable and all operations
 return new series, which makes them safe to share between threads.
 
-Below the methods the kernel runs on integer vectors (nums, d), numerators over one
-denominator, one gcd per step: a method `_scale`s its operands in and builds `Fraction`s
-(`_fractions`) only on return.  `_divided` and the `_binomial_*` serve umbral's tables.
+The product, `reciprocal`, `compose` and `comp_inverse` run on integer vectors (nums, d),
+numerators over one denominator, one gcd per step, `_scale`d in and made `Fraction`s
+(`_fractions`) only on return; `exp`, the sums and the scalar product and quotient run on
+Fractions.  `_divided` and the `_binomial_*` serve umbral's tables.
 """
 
 from __future__ import annotations
@@ -261,7 +262,24 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r} of an immutable value")
 
 
-class TruncatedSeries(_Value):
+class _Coefficients(_Value):
+    """Base of `TruncatedSeries` and `Poly`, each built from a coefficient list alone; each
+    declares its slot ``_coeffs`` itself, as `_Value._set` zips the class's own slots."""
+
+    __slots__ = ()
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return self._coeffs
+
+    def __neg__(self):
+        return type(self)([-c for c in self._coeffs])
+
+    def __repr__(self):
+        return f"{type(self).__name__}({[str(c) for c in self._coeffs]})"
+
+
+class TruncatedSeries(_Coefficients):
     """A formal power series known through degree ``trunc_order``."""
 
     __slots__ = _fields = ("_coeffs",)
@@ -290,7 +308,7 @@ class TruncatedSeries(_Value):
 
     @classmethod
     def constant(cls, c, order: int) -> "TruncatedSeries":
-        return cls([as_rational(c)], order=order)
+        return cls([c], order=order)
 
     @classmethod
     def t(cls, order: int) -> "TruncatedSeries":
@@ -302,17 +320,13 @@ class TruncatedSeries(_Value):
         """c * t^k truncated at ``order`` (k must fit under the truncation)."""
         if _as_count(k, "monomial degree") > order:
             raise ValueError(f"monomial degree {k} outside truncation order {order}")
-        return cls([_ZERO] * k + [as_rational(c)], order=order)
+        return cls([_ZERO] * k + [c], order=order)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def trunc_order(self) -> int:
         return len(self._coeffs) - 1
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of t^k; k must lie within the stored range."""
@@ -345,9 +359,6 @@ class TruncatedSeries(_Value):
         return TruncatedSeries((self._coeffs[0] + c,) + self._coeffs[1:])
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self._coeffs])
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, TruncatedSeries) else -as_rational(other))
@@ -411,9 +422,6 @@ class TruncatedSeries(_Value):
         return TruncatedSeries(e)
 
     # -- display -------------------------------------------------------------
-
-    def __repr__(self):
-        return f"TruncatedSeries({[str(c) for c in self._coeffs]})"
 
     def __str__(self):
         return f"{_format_terms(self._coeffs, 't')} + O(t^{self.trunc_order + 1})"

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from collections.abc import MutableMapping
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -307,13 +308,45 @@ def test_verify_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_thread_env_does_not_change_output(capsys, monkeypatch):
-    args = ("verify", "--theorems", "t1,t4", "--max-n", "4", "--orders", "0,1")
-    _, sequential, _ = run(capsys, *args)
-    monkeypatch.setenv("UMBRA_THREADS", "4")
-    code, threaded, _ = run(capsys, *args)
-    assert code == EXIT_OK
-    assert threaded == sequential
+class EnvironReads(MutableMapping):
+    """os.environ, noting each key read; iterating it reads every key, noted as "*"."""
+
+    def __init__(self, environ):
+        self.environ, self.read = environ, []
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return self.environ[key]
+
+    def __iter__(self):
+        self.read.append("*")
+        return iter(self.environ)
+
+    def __len__(self):
+        return len(self.environ)
+
+    def __setitem__(self, key, value):
+        self.environ[key] = value
+
+    def __delitem__(self, key):
+        del self.environ[key]
+
+
+def test_well_formed_lines_read_no_environment_variable(capsys, monkeypatch):
+    lines = [("verify", "--theorems", "t1,t4", "--max-n", "4", "--orders", "0,1"),
+             ("connect", "--from", "euler:1", "--to", "hermite", "--max-n", "3"),
+             ("family", "--name", "hermite", "--max-degree", "3"),
+             ("--version",)]
+    plain = [run(capsys, *argv) for argv in lines]
+    assert all(code == EXIT_OK for code, _, _ in plain)
+    reads = EnvironReads(os.environ)
+    monkeypatch.setattr(os, "environ", reads)
+    for argv, before in zip(lines, plain):
+        assert run(capsys, *argv) == before
+        assert reads.read == [], argv
+    # the recorder sees what argparse reads: it sizes help text to the terminal
+    assert run(capsys, "verify", "--help")[0] == EXIT_OK
+    assert "COLUMNS" in reads.read
 
 
 def test_json_round_trip_equals_in_memory_values(capsys):

@@ -486,6 +486,23 @@ def test_value_reprs():
         f"status='FAIL', first_failure={failure!r})")
 
 
+def test_series_and_poly_share_one_coefficient_core():
+    for name in ("coeffs", "__neg__", "__repr__"):
+        assert name in vars(series._Coefficients)
+        assert name not in vars(S) and name not in vars(Poly)
+    negated = -S([1, 2], order=3)
+    assert type(negated) is S and negated.trunc_order == 3
+    assert negated == S([-1, -2, 0, 0])
+    assert -Poly([1, 0, 0]) == Poly([-1])
+    # the constructors leave coercion to __init__, which checks the scalar before the order
+    with pytest.raises(TypeError):
+        S.constant(1.5, -1)
+    with pytest.raises(TypeError):
+        Poly.monomial(2, True)
+    with pytest.raises(ValueError):
+        S.monomial(0, 2, "1/0")
+
+
 def test_equal_values_hash_equal():
     failure = Mismatch(1, 0, F(1), F(2))
     pairs = [
