@@ -4,9 +4,9 @@ Hermite (physicists') is (e^{t^2/4}, t/2), generated by e^{2xt - t^2}; order-r
 Bernoulli (((e^t - 1)/t)^r, t), order-r Euler (((e^t + 1)/2)^r, t) and order-r
 Frobenius-Euler with lam != 1 (((e^t - lam)/(1 - lam))^r, t) are generated by
 e^{xt}/g(t).  The order is a nonnegative integer (Hermite takes none); at lam = -1
-Frobenius-Euler is Euler exactly.  Members are built by `_build_rows`, on integer
-weights with no common denominator, and kept by `_stored`; the public readers build Polys
-and Fractions from the stored rows.
+Frobenius-Euler is Euler exactly.  Each family is Appell, so `_stored` keeps its numbers
+(`_build_numbers`, on integer weights with no common denominator), `_appell` reads them,
+and the public readers build Polys and Fractions from their rows (`umbral._expand`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import LambdaIsOne
 from .polynomials import Poly
 from .series import TruncatedSeries, _Value, _as_count, _fractions, _reduce, _scale, as_rational
 from .series import _binomial_convolve, _pascal, _power
-from .umbral import ShefferPair, operator_apply
+from .umbral import ShefferPair, _expand, operator_apply
 
 __all__ = ["FamilyKind", "FamilySpec", "hermite", "bernoulli", "euler", "frobenius_euler",
            "sheffer_pair_of", "family_poly", "family_polys", "family_number", "family_numbers",
@@ -102,7 +102,7 @@ def sheffer_pair_of(spec: FamilySpec, n_max: int) -> ShefferPair:
 
 #: Most tables kept, each the longest built for its key; least recently used go first.
 MAX_STORED_SPECS = 128
-#: spec, or (identity id, spec) in `identities` -> (rows, d): rows 0..len(rows)-1 over d.
+#: spec -> (nums, d), numbers c_m = nums[m] / d; (identity id, spec) -> (rows, d).
 _store: dict = {}
 
 
@@ -123,51 +123,55 @@ def _appell_egf(spec: FamilySpec, n_max: int) -> tuple[list[int], int]:
     return [sum(c * j ** i for j, c in enumerate(weights)) for i in range(n_max + 1)], 0
 
 
-def _build_rows(spec: FamilySpec, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Members 0..n_max as integer rows over their least denominator, by no series code:
-    Hermite by H_(n+1) = 2x H_n - 2n H_(n-1), an Appell family (g, t) by [x^k] S_n =
-    C(n, k) c_(n-k) with sum_i C(n, i) g_i c_(n-i) = [n = 0] (Roman, 1984, ch. 2), which
-    C(n, i) / C(i+s, s) = C(n+s, i+s) n! s! / (n+s)! turns into sum_i C(n+s, i+s) a_i
-    c_(n-i) = 0 for n >= 1 on the integer weights of `_appell_egf`.  Row n starts with c_n,
-    so the gcd per step that keeps d least for c_0..c_n keeps it least."""
+def _build_numbers(spec: FamilySpec, n_max: int) -> tuple[tuple[int, ...], int]:
+    """c_0..c_n_max over their least denominator (one gcd per step), by no series code:
+    Hermite by h_(n+1) = -2n h_(n-1), H_(n+1) = 2x H_n - 2n H_(n-1) at 0; an Appell family
+    (g, t) by sum_i C(n, i) g_i c_(n-i) = [n = 0] (Roman, 1984, ch. 2), which C(n, i) /
+    C(i+s, s) = C(n+s, i+s) n! s! / (n+s)! turns into sum_i C(n+s, i+s) a_i c_(n-i) = 0
+    for n >= 1 on the integer weights of `_appell_egf`."""
     if spec.kind is FamilyKind.HERMITE:
-        rows = [(1,), (0, 2)][: n_max + 1]
+        nums = [1, 0][: n_max + 1]
         for n in range(1, n_max):
-            rows.append(tuple(2 * u - 2 * n * v
-                              for u, v in zip((0, *rows[n]), (*rows[n - 1], 0, 0))))
-        return tuple(rows), 1
+            nums.append(-2 * n * nums[n - 1])
+        return tuple(nums), 1
     a, s = _appell_egf(spec, n_max)
     nums, d = [1], 1  # c_m = nums[m] / d
     for n in range(1, n_max + 1):
         top = -sum(comb(n + s, i + s) * a[i] * nums[n - i] for i in range(1, n + 1))
         lead = comb(n + s, s) * a[0]
         nums, d = _reduce([x * lead for x in nums] + [top], d * lead)
-    return tuple(tuple(comb(n, k) * nums[n - k] for k in range(n + 1))
-                 for n in range(n_max + 1)), d
+    return tuple(nums), d
 
 
 def _stored(key, n_max: int, build):
-    """Rows 0..n_max of the table kept under key, as one table (rows, d).
+    """Entries 0..n_max of the table kept under key, as (entries, d).
 
-    A key is first built by build(n_max), and a request beyond its rows rebuilds it to
-    at least twice as many, so a rising sweep to N builds O(log N) tables.  A smaller
-    request is a slice, equal to a fresh build since row n never depends on the degree
-    built to (member n reads g, and a closed-form row the Hermite rows, only through
+    A key is first built by build(n_max), and a request beyond its entries rebuilds it
+    to at least twice as many, so a rising sweep to N builds O(log N) tables.  A smaller
+    request is a slice, equal to a fresh build since entry n never depends on the degree
+    built to (number n reads g, and a closed-form row the Hermite rows, only through
     degree n); it keeps the table's d, which need not be the least for the slice.
     """
     _as_count(n_max, "n_max")  # before the store is touched
-    rows, d = _store.pop(key, ((), 1))
-    if n_max >= len(rows):
-        rows, d = build(max(n_max, 2 * len(rows)))
-    _store[key] = rows, d  # reinserted as the most recently used
+    entries, d = _store.pop(key, ((), 1))
+    if n_max >= len(entries):
+        entries, d = build(max(n_max, 2 * len(entries)))
+    _store[key] = entries, d  # reinserted as the most recently used
     if len(_store) > MAX_STORED_SPECS:
         del _store[next(iter(_store))]
-    return rows[: n_max + 1], d
+    return entries[: n_max + 1], d
+
+
+def _appell(spec: FamilySpec, n_max: int) -> tuple[tuple[int, ...], int, int]:
+    """The family through degree n_max as (nums, d, s): member n is Appell in s x on the
+    numbers c_m = nums[m] / d, m <= n_max; s = 2 for Hermite, 1 for every other family."""
+    nums, d = _stored(spec, n_max, lambda m: _build_numbers(spec, m))
+    return nums, d, 2 if spec.kind is FamilyKind.HERMITE else 1
 
 
 def _family_rows(spec: FamilySpec, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Members 0..n_max as integer rows over one denominator: [x^k] S_n = rows[n][k] / d."""
-    return _stored(spec, n_max, lambda m: _build_rows(spec, m))
+    return _expand(_appell(spec, n_max))
 
 
 def family_polys(spec: FamilySpec, n_max: int) -> tuple[Poly, ...]:
@@ -178,20 +182,20 @@ def family_polys(spec: FamilySpec, n_max: int) -> tuple[Poly, ...]:
 
 def family_poly(spec: FamilySpec, n: int) -> Poly:
     """The degree-n member of the family."""
-    rows, d = _family_rows(spec, n)
-    return Poly(_fractions(rows[n], d))
+    (row,), d = _expand(_appell(spec, n), [n])
+    return Poly(_fractions(row, d))
 
 
 def family_numbers(spec: FamilySpec, n_max: int) -> tuple[Fraction, ...]:
     """The family's number sequence: constant terms of members 0..n_max."""
-    rows, d = _family_rows(spec, n_max)
-    return tuple(Fraction(row[0], d) for row in rows)
+    nums, d, _ = _appell(spec, n_max)
+    return tuple(Fraction(x, d) for x in nums)
 
 
 def family_number(spec: FamilySpec, n: int) -> Fraction:
     """The family's n-th number (the degree-n member evaluated at 0)."""
-    rows, d = _family_rows(spec, n)
-    return Fraction(rows[n][0], d)
+    nums, d, _ = _appell(spec, n)
+    return Fraction(nums[n], d)
 
 
 def hermite_poly_via_operator(n: int) -> Poly:

@@ -15,10 +15,10 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 from .errors import RegimeViolation
-from .families import FamilyKind, FamilySpec, _as_lambda, _family_rows, _stored, hermite
+from .families import FamilyKind, FamilySpec, _appell, _as_lambda, _family_rows, _stored, hermite
 from .polynomials import _stirling2_columns
 from .series import _Value, _as_count
-from .umbral import _first_failing_row, _solve_in_basis
+from .umbral import _expand, _first_failing_row, _solve_in_basis
 
 __all__ = ["THEOREM_IDS", "DEFAULT_LAMBDAS", "IdentityReport", "Mismatch", "lambda_samples",
            "t1_coeff", "t2_coeff", "t3_coeff", "t4_coeff", "t5_coeff", "t6_coeff", "t7_coeff",
@@ -43,8 +43,8 @@ def _explicit_hermite(n_max: int) -> tuple[list[list[int]], int]:
 
 
 def _stored_hermite(n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """[x^i] H_m for m <= n_max over one denominator: a slice of the stored Hermite table,
-    built by the three-term recurrence of `families._build_rows`."""
+    """[x^i] H_m for m <= n_max over one denominator: the rows of the stored Hermite
+    numbers, built by the recurrence of `families._build_numbers`."""
     return _family_rows(hermite(), n_max)
 
 
@@ -55,8 +55,8 @@ def _basis_rows(spec: FamilySpec, n_max: int, _hermite):
     """t1-t3: n!/(k! 2^k) w(n-k) as C(n, k) 2^(m mod 2) W[m] over 2^n D, m = n - k, where
     w(m) = sum_i b(m-2i) / ((m-2i)! 4^i i!) = W[m] / (D m! 4^(m//2)) for the numbers b = N / D:
     W[m] = sum_i N[m-2i] m!/((m-2i)! i!) 4^(m//2-i).  Row n is lifted to 2^n_max D."""
-    numbers, d = _family_rows(spec, n_max)
-    w = [sum(numbers[m - 2 * i][0] * (perm(m, 2 * i) // factorial(i)) << 2 * (m // 2 - i)
+    numbers, d, _ = _appell(spec, n_max)
+    w = [sum(numbers[m - 2 * i] * (perm(m, 2 * i) // factorial(i)) << 2 * (m // 2 - i)
              for i in range(m // 2 + 1))
          for m in range(n_max + 1)]
     return [[comb(n, k) * w[n - k] << ((n - k) & 1) + n_max - n for k in range(n + 1)]
@@ -251,14 +251,14 @@ class IdentityReport(_Value):
 def _first_mismatch(lhs_spec, basis_spec, table, ns, lam=None) -> Mismatch | None:
     """First (n, k) where the rows of table (a cell's closed form, or connect's transfer
     table) differ from the connection coefficients of lhs_spec in basis_spec, over the
-    degrees ns: n by `_first_failing_row` on the stored tables, then k by solving row n."""
+    degrees ns: n by `_first_failing_row` on the stored numbers, then k by solving row n."""
     n_max = ns[-1]
-    basis, lhs = _family_rows(basis_spec, n_max), _family_rows(lhs_spec, n_max)
+    basis, lhs = _appell(basis_spec, n_max), _appell(lhs_spec, n_max)
     n = _first_failing_row(table, basis, lhs, ns[0], n_max)
     if n is None:
         return None
     rows, d = table
-    [solved] = _solve_in_basis(lhs, basis, [n])
+    [solved] = _solve_in_basis(_expand(lhs), _expand(basis), [n])
     k = next(k for k, want in enumerate(solved)
              if want.numerator * d != rows[n][k] * want.denominator)
     return Mismatch(n, k, solved[k], Fraction(rows[n][k], d), lam)

@@ -91,8 +91,9 @@ def _format_terms(coeffs, var: str) -> str:
 
 def _scale(values) -> tuple[list[int], int]:
     """Integers A and the lcm d of the denominators, with values[i] = A[i] / d."""
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
+    dens = [v.denominator for v in values]
+    d = math.lcm(*dens)
+    return [v.numerator * (d // dv) for v, dv in zip(values, dens)], d
 
 
 def _int_convolve(a, b, n: int) -> list[int]:

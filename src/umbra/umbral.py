@@ -6,14 +6,14 @@ differential operator (`operator_apply`), with <f*g | p> = <g | f p>.  A Sheffer
 generated by (1/g(fbar)) e^(y fbar(t)), fbar the inverse of f.  Every table is a
 connection table (`_connection_table`), a Sheffer table being the one into x^n ~ (1, t);
 `connection_oracle` solves one table in another (`_solve_in_basis`); `_first_failing_row`
-checks a connection table on two tables that it proves Appell once per check (`_tie_ratio`).
+checks a connection table on two Appell tables given by their numbers (`_expand`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, repeat
-from math import factorial, gcd, lcm, perm
+from math import comb, factorial, gcd, lcm, perm
 from operator import eq, floordiv, itemgetter, mul
 
 from .errors import NotDelta, NotInvertible, SingularBasis, TruncationTooShort
@@ -222,13 +222,12 @@ def _tied(rows, n: int, p: int, q: int) -> bool:
                    map(mul, rows[n - 1], repeat(n * p))))
 
 
-def _tie_ratio(rows, lo: int, n_max: int) -> tuple[int, int] | None:
-    """X_(lo+1,lo+1) / X_(lo,lo) in least terms, as (p, q), when every row lo+1..n_max of
-    an integer table is tied in it to the row before (`_tied`); None otherwise."""
-    p, q = rows[lo + 1][lo + 1], rows[lo][lo]
-    g = gcd(p, q)
-    p, q = p // g, q // g
-    return (p, q) if all(_tied(rows, n, p, q) for n in range(lo + 1, n_max + 1)) else None
+def _expand(appell, ns=None) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rows ns (all, n < len(nums), by default) of the Appell table (nums, d, s) over d:
+    [x^k] S_n = C(n, k) s^k c_(n-k), where c_m = nums[m] / d (Roman, 1984, ch. 2)."""
+    nums, d, s = appell
+    return tuple(tuple(comb(n, k) * s ** k * nums[n - k] for k in range(n + 1))
+                 for n in (range(len(nums)) if ns is None else ns)), d
 
 
 def _recombines(table, basis, expanded, n: int) -> bool:
@@ -243,35 +242,30 @@ def _recombines(table, basis, expanded, n: int) -> bool:
 def _first_failing_row(table, basis, expanded, lo: int, n_max: int) -> int | None:
     """The first degree n in lo..n_max where sum_k C_(n,k) R_k differs from S_n, or None.
 
-    C (table), R (basis) and S (expanded) are integer tables (rows, d), entry (n, k) of C
-    being rows[n][k] / d.  R is triangular with a nonzero diagonal, so S_n =
-    sum_k C_(n,k) R_k holds exactly when row n is the solved one.  Row lo is recombined in
-    full (`_recombines`).  Every built-in family is Appell (Hermite in 2x; Roman, 1984,
-    ch. 2-3): once R is tied in s_R over rows 0..n_max and S in s_S over lo..n_max
-    (`_tie_ratio`), a row n > lo is decided in O(n).  Row n-1 has passed, so if row n of C
-    is tied to row n-1 in rho = s_S / s_R, E_n = sum_k C_(n,k) R_k - S_n has
-    E_n' = n s_S E_(n-1) = 0, and row n is right exactly when it is tied and E_n(0) = 0,
-    one sum over column 0 of R (the exact C is tied, by the uniqueness of its rows).
-    Without both ties every row is recombined in full.  A member of R or S whose degree
-    is not its index is refused first, and a row of C of the wrong length when reached.
+    C (table) is an integer table (rows, d), entry (n, k) being rows[n][k] / d; R (basis)
+    and S (expanded) are Appell tables (nums, d, s) through n_max, R in s_R x and S in
+    s_S x (`_expand`).  One with c_0 = 0 is refused: none of its members n is of degree n.
+    Else R is triangular with a nonzero diagonal, so S_n = sum_k C_(n,k) R_k holds exactly
+    when row n is the solved one.  Row lo is recombined in full (`_recombines`).  Row n-1
+    has passed, so if row n of C is tied to row n-1 in rho = s_S / s_R (`_tied`), E_n =
+    sum_k C_(n,k) R_k - S_n has E_n' = n s_S E_(n-1) = 0, and row n is right exactly when
+    it is tied and E_n(0) = 0, one sum over R's numbers (the exact C is tied, by the
+    uniqueness of its rows).  A row of C of the wrong length is refused when reached.
     """
-    (rows, d), (r_rows, db), (s_rows, de) = table, basis, expanded
-    _check_graded(r_rows, range(n_max + 1), "basis")
-    _check_graded(s_rows, range(lo, n_max + 1), "expanded")
-    r_ratio = lo < n_max and _tie_ratio(r_rows, 0, n_max)
-    s_ratio = r_ratio and _tie_ratio(s_rows, lo, n_max)
-    if s_ratio:
-        (rp, rq), (sp, sq) = r_ratio, s_ratio
-        p, q = sp * rq, sq * rp  # rho = s_S / s_R
-        col, scale = [row[0] for row in r_rows[: n_max + 1]], d * db
+    (rows, d), (r_nums, db, s_r), (s_nums, de, s_s) = table, basis, expanded
+    for what, c_0 in (("basis", r_nums[0]), ("expanded", s_nums[0])):
+        if not c_0:
+            raise SingularBasis(f"{what} table has c_0 = 0: no member n is of degree n")
     for n in range(lo, n_max + 1):
         nums = rows[n]
         if len(nums) != n + 1:
             raise ValueError(f"row {n} has {len(nums)} entries, expected {n + 1}")
-        if s_ratio and n > lo:
-            passed = _tied(rows, n, p, q) and sum(map(mul, nums, col)) * de == s_rows[n][0] * scale
+        if n == lo:
+            passed = _recombines(table, _expand((r_nums[: lo + 1], db, s_r)),
+                                 _expand((s_nums[: lo + 1], de, s_s)), lo)
         else:
-            passed = _recombines(table, basis, expanded, n)
+            passed = (_tied(rows, n, s_s, s_r)
+                      and sum(map(mul, nums, r_nums)) * de == s_nums[n] * d * db)
         if not passed:
             return n
     return None

@@ -605,20 +605,20 @@ def _g3_doubled(kind):
     return "_appell_egf", wrap
 
 
-def _hermite_entry_moved(step):
+def _hermite_number_moved(step):
     def wrap(build):
         def moved(spec, n_max):
-            rows, d = build(spec, n_max)
+            nums, d = build(spec, n_max)
             if spec.kind is FamilyKind.HERMITE and n_max >= 3:
-                rows = rows[:3] + ((rows[3][0], rows[3][1] + step * d, *rows[3][2:]),) + rows[4:]
-            return rows, d
+                nums = (*nums[:3], nums[3] + step * d, *nums[4:])
+            return nums, d
         return moved
-    return "_build_rows", wrap
+    return "_build_numbers", wrap
 
 
 @pytest.mark.parametrize("mutant", [
     _g3_doubled(FamilyKind.BERNOULLI), _g3_doubled(FamilyKind.EULER),
-    _g3_doubled(FamilyKind.FROBENIUS_EULER), _hermite_entry_moved(1), _hermite_entry_moved(-1)],
+    _g3_doubled(FamilyKind.FROBENIUS_EULER), _hermite_number_moved(1), _hermite_number_moved(-1)],
     ids=["bernoulli-g3", "euler-g3", "frobenius-euler-g3", "hermite+1", "hermite-1"])
 def test_a_wrong_store_table_fails_verify_and_connect(capsys, monkeypatch, mutant):
     name, wrap = mutant

@@ -216,13 +216,13 @@ def table_builds(monkeypatch):
     """Start from an empty family store and count the tables it builds."""
     monkeypatch.setattr(families, "_store", {})
     built = []
-    build = families._build_rows
+    build = families._build_numbers
 
     def counting(spec, n_max):
         built.append((spec, n_max))
         return build(spec, n_max)
 
-    monkeypatch.setattr(families, "_build_rows", counting)
+    monkeypatch.setattr(families, "_build_numbers", counting)
     return built
 
 
@@ -233,7 +233,7 @@ def test_store_slices_equal_fresh_builds(table_builds, spec, degrees, builds):
     for n in degrees:
         assert family_polys(spec, n) == sheffer_polys(sheffer_pair_of(spec, n), n)
     assert len(table_builds) == builds
-    assert len(families._store[spec][0]) == 9  # rows 0..8 over one denominator
+    assert len(families._store[spec][0]) == 9  # numbers 0..8 over one denominator
 
 
 def test_rejected_degree_keeps_the_stored_table(table_builds):
@@ -289,6 +289,22 @@ def test_store_table_is_the_sheffer_table(monkeypatch, spec):
         families._store.clear()  # a fresh build, not a slice of a longer table
         assert families._family_rows(spec, n_max) == _sheffer_table(
             sheffer_pair_of(spec, n_max), n_max), n_max
+
+
+@pytest.mark.parametrize("spec", [
+    hermite(), bernoulli(3), euler(2), frobenius_euler(2, F(1, 3))], ids=lambda s: s.kind.value)
+def test_the_store_holds_each_family_as_its_numbers(monkeypatch, spec):
+    # an entry is (nums, d), O(N) integers, and every table read from it is their
+    # Appell expansion
+    monkeypatch.setattr(families, "_store", {})
+    for n_max in (0, 1, 7, 40):
+        families._store.clear()
+        polys = family_polys(spec, n_max)
+        nums, d = families._store[spec]
+        assert len(nums) == n_max + 1 and all(type(x) is int for x in (*nums, d)), n_max
+        rows = umbra.umbral._expand(families._appell(spec, n_max))
+        assert families._family_rows(spec, n_max) == rows, n_max
+        assert family_numbers(spec, n_max) == tuple(poly.coeffs[0] for poly in polys), n_max
 
 
 def test_stored_hermite_table_is_built_apart_from_the_explicit_route(monkeypatch):

@@ -18,7 +18,7 @@ from umbra.families import FamilyKind, bernoulli, euler, frobenius_euler, hermit
 from umbra.families import sheffer_pair_of  # noqa: E402
 from umbra.series import _binomial_convolve, _binomial_quotient, _divided  # noqa: E402
 from umbra.series import _fractions, _pascal, _scale  # noqa: E402
-from umbra.umbral import _connection_table, _first_failing_row, _tie_ratio  # noqa: E402
+from umbra.umbral import _connection_table, _expand, _first_failing_row  # noqa: E402
 from umbra.umbral import _sheffer_table  # noqa: E402
 
 from test_series import fraction_reciprocal, horner_compose, naive_product  # noqa: E402
@@ -298,27 +298,30 @@ def first_unequal_degree(table, basis, expanded, ns):
     return None
 
 
-appell_ratios = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3)])
+appell_scales = st.sampled_from([1, -1, 2, -2, 3])
 small = st.integers(-9, 9)
 
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(st.data())
 def test_recombination_check_matches_a_fraction_oracle_on_appell_tables(data):
-    # R Appell in s_R x, S in s_S x, and the exact C between them, which is Appell in
-    # (s_S / s_R) y; then one entry of C, R or S moved, or one constant term of C moved
-    # with its whole binomial-Toeplitz pattern, which keeps every row recurrence of C
+    # R Appell in s_R x and S in s_S x, each given by its numbers as (nums, d, s), and the
+    # exact C between them, which is Appell in (s_S / s_R) y; then one entry of C or one
+    # number of R or S moved, or one constant term of C moved with its whole
+    # binomial-Toeplitz pattern, which keeps every row recurrence of C
     n_max = data.draw(st.integers(0, 7))
-    s_r, s_s = data.draw(appell_ratios), data.draw(appell_ratios)
     # a tail of zeros makes a basis of monomials times powers of s_R, where every constant
     # term of sum_k C_(n,k) R_k is C_(n,0) R_00
     tails = st.lists(small, min_size=n_max, max_size=n_max) | st.just([0] * n_max)
-    r, s = ([data.draw(small.filter(bool))] + data.draw(tails) for _ in "rs")
-    basis, expanded = appell_rows(s_r, r), appell_rows(s_s, s)
+    tables = {x: ([data.draw(small.filter(bool))] + data.draw(tails),
+                  data.draw(st.integers(1, 6)), data.draw(appell_scales)) for x in "RS"}
+    basis, expanded = ([[F(x, d) for x in row] for row in rows]
+                       for rows, d in (_expand(tables[x]) for x in "RS"))
     exact = poly_solve_oracle(*([Poly(row) for row in t] for t in (expanded, basis)))
     constants = [row[0] for row in exact]
-    assert exact == appell_rows(s_s / s_r, constants)
-    tables = {"C": integer_rows(exact), "R": integer_rows(basis), "S": integer_rows(expanded)}
+    rho = F(tables["S"][2], tables["R"][2])
+    assert exact == appell_rows(rho, constants)
+    tables["C"] = integer_rows(exact)
     lo = data.draw(st.integers(0, n_max))
     ns = range(lo, n_max + 1)
 
@@ -336,24 +339,20 @@ def test_recombination_check_matches_a_fraction_oracle_on_appell_tables(data):
     if what == "constant":
         # c_j, j < lo, moves rows lo..N off column 0, so that only row lo in full shows it
         constants[data.draw(st.integers(0, lo))] += step
-        tables["C"] = integer_rows(appell_rows(s_s / s_r, constants))
-    else:
+        tables["C"] = integer_rows(appell_rows(rho, constants))
+    elif what == "C":
         n = data.draw(st.integers(0, n_max))
-        tables[what][0][n][data.draw(st.integers(0, n))] += step
-    want = first_unequal_degree(tables["C"], tables["R"], tables["S"], ns)
-    if want is SingularBasis:
+        tables["C"][0][n][data.draw(st.integers(0, n))] += step
+    else:  # R and S stay Appell, so a FAIL is named in O(N^2) too
+        tables[what][0][data.draw(st.integers(0, n_max))] += step
+    want = first_unequal_degree(tables["C"], _expand(tables["R"]), _expand(tables["S"]), ns)
+    if want is SingularBasis:  # c_0 of R or S moved to 0
         with pytest.raises(SingularBasis):
             walk()
     else:
         with rows_recombined_in_full() as full:
             assert walk() == want
-        # with R proved Appell from row 0 and S from row lo, every row after lo is decided
-        # by its tie and its constant term; without either proof every row is recombined
-        proved = lo < n_max and all(
-            _tie_ratio(tables[x][0], start, n_max) for x, start in (("R", 0), ("S", lo)))
-        assert full == ([lo] if proved else [n for n in ns if want is None or n <= want])
-        # R and S are still Appell: a FAIL is named in O(N^2) too
-        assert proved or lo == n_max or what in ("R", "S")
+        assert full == [lo]
 
 
 @laws

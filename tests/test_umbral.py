@@ -35,7 +35,7 @@ from umbra import (
     stirling2,
 )
 import umbra.umbral as umbral
-from umbra.families import _family_rows
+from umbra.families import _appell, _family_rows
 from umbra.series import _divided, _fractions, _scale
 from umbra.umbral import (
     _connection_table,
@@ -361,24 +361,26 @@ def test_connection_transitivity():
 
 
 def test_recombination_verdict_matches_the_solve_on_nontrivial_pairs():
-    # the check connect runs agrees with the triangular solve; one entry moved by 1/d
-    # must be caught at its row.  Between two built-in (Appell) families each row after
-    # the first is decided by its tie to the row before it and its constant term, so row
-    # N, which no later row is tied to, and column 0, which only the constant terms read,
-    # are always among the places moved
+    # the transfer route agrees with the triangular solve on every pair.  Between two
+    # built-in (Appell) families, the only tables the check takes, one entry moved by 1/d
+    # must be caught at its row: each row after the first is decided by its tie to the
+    # row before it and its constant term, so row N, which no later row is tied to, and
+    # column 0, which only the constant terms read, are always among the places moved
     n_max = N_DELTA
-    appell = [sheffer_pair_of(spec, n_max) for spec in (hermite(), bernoulli(2), euler(1))]
-    pairs = nontrivial_pairs(n_max) + appell
+    pairs = [(None, pair) for pair in nontrivial_pairs(n_max)] + [
+        (spec, sheffer_pair_of(spec, n_max)) for spec in (hermite(), bernoulli(2), euler(1))]
     rng = random.Random(1302)
-    for i, source in enumerate(pairs):
-        for j, target in enumerate(pairs):
+    for i, (source_spec, source) in enumerate(pairs):
+        for j, (target_spec, target) in enumerate(pairs):
             direct, d = _connection_table(source, target, n_max)
             solved = connection_oracle(source, target, n_max)
-            tables = _sheffer_table(target, n_max), _sheffer_table(source, n_max)
+            assert ConnectionMatrix(_fractions(row, d) for row in direct) == solved, (i, j)
+            if source_spec is None or target_spec is None:
+                continue
+            tables = _appell(target_spec, n_max), _appell(source_spec, n_max)
             n = rng.randint(0, n_max)
             places = [(n, rng.randint(0, n)), (n_max, n_max), (n_max, 0), (n, 0)]
             assert _first_failing_row((direct, d), *tables, 0, n_max) is None
-            assert ConnectionMatrix(_fractions(row, d) for row in direct) == solved, (i, j)
             for n, k in places:
                 rows = [list(row) for row in direct]
                 rows[n][k] += rng.choice([-1, 1])
@@ -393,11 +395,11 @@ def test_recombination_from_a_starting_degree():
     # r = 0 reads it
     n_max, lo = 9, 3
     source, target = hermite(), bernoulli(0)
-    basis, expanded = _family_rows(target, n_max), _family_rows(source, n_max)
+    basis, expanded = _appell(target, n_max), _appell(source, n_max)
     direct, d = _connection_table(*(sheffer_pair_of(s, n_max) for s in (source, target)), n_max)
     ns = range(lo, n_max + 1)
 
-    def failing(rows, degrees=ns, expanded=expanded):
+    def failing(rows, degrees=ns):
         return _first_failing_row((rows, d), basis, expanded, degrees[0], degrees[-1])
 
     def moved(n, k, step):
@@ -405,22 +407,11 @@ def test_recombination_from_a_starting_degree():
         rows[n][k] += step
         return rows
 
+    # every row after lo is decided by its tie and its constant term
     below = [[7] * (n + 1) if n < lo else list(row) for n, row in enumerate(direct)]
-    # S's ratio is read from row lo on, where S is Appell, so its rows below lo may be
-    # anything too; every row after lo is decided by its tie and its constant term
-    junk = tuple((5,) * (n + 1) if n < lo else row for n, row in enumerate(expanded[0]))
-    for members in (expanded, (junk, expanded[1])):
-        with rows_recombined_in_full() as full:
-            assert failing(below, expanded=members) is None
-        assert full == [lo]
-    # R off its recurrence below lo (R_1 = x + 1) ties no row, so every row is
-    # recombined in full; the exact C in that basis moves column 1 out of column 0
-    r_rows, db = basis
-    skewed = tuple((db, db) if n == 1 else row for n, row in enumerate(r_rows)), db
-    exact = [[row[0] - row[1], *row[1:]] if n else list(row) for n, row in enumerate(direct)]
     with rows_recombined_in_full() as full:
-        assert _first_failing_row((exact, d), skewed, expanded, lo, n_max) is None
-    assert full == list(ns)
+        assert failing(below) is None
+    assert full == [lo]
     # C_(n,k) = C(n,k) 2^k c_(n-k) (Hermite is Appell in 2x): an error in the constant
     # term c_(lo-1), below the rows checked, keeps every row tied to the one before it
     # and, in this basis, every constant term of sum_k C_(n,k) R_k, so only row lo in
@@ -437,7 +428,7 @@ def test_recombination_from_a_starting_degree():
         with rows_recombined_in_full() as full:
             assert failing(rows, degrees) == want, i
         assert full == [n for n in degrees if want is None or n <= want], i
-    zero = _family_rows(target, 0), _family_rows(source, 0)
+    zero = _appell(target, 0), _appell(source, 0)
     assert _first_failing_row(((direct[0],), d), *zero, 0, 0) is None
 
 
@@ -580,10 +571,13 @@ def test_solver_rejects_malformed_basis():
     for basis in ([Poly([1]), Poly([3])], [Poly([1]), Poly([5]), Poly([6])]):
         with pytest.raises(SingularBasis):
             _solve_in_basis(monomials, int_table(basis), range(2))
-    zero_ratio = ((1,), (5, 0), (6, 0, 0)), 1
-    for lo, n_max in ((0, 1), (0, 2), (1, 2)):
-        with pytest.raises(SingularBasis, match="basis member 1"):
-            _first_failing_row(monomials, zero_ratio, monomials, lo, n_max)
+    # the walk's tables are Appell: c_0 = 0 leaves no member of its degree
+    powers, no_constant = ((1, 0, 0), 1, 1), ((0, 5, 6), 1, 1)  # x^n, and 5 n x^(n-1) + ...
+    cases = ("basis", no_constant, powers), ("expanded", powers, no_constant)
+    for lo, n_max in ((0, 0), (0, 2), (1, 2)):
+        for what, basis, expanded in cases:
+            with pytest.raises(SingularBasis, match=f"{what} table has c_0 = 0"):
+                _first_failing_row(monomials, basis, expanded, lo, n_max)
 
 
 def test_connection_matrix_shape():
@@ -610,7 +604,7 @@ def test_connection_matrix_takes_exact_rationals_only():
 
 
 def test_recombination_refuses_a_row_of_the_wrong_length():
-    monomials = ((1,), (0, 1), (0, 0, 1)), 1
+    monomials = (1, 0, 0), 1, 1
     table = ((1,), (0, 1, 0), (0, 0, 1)), 1  # row 1 holds a third entry
     with pytest.raises(ValueError, match="row 1 has 3 entries, expected 2"):
         _first_failing_row(table, monomials, monomials, 0, 2)
