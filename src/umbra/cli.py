@@ -183,8 +183,9 @@ def _json(value, indent: str) -> str:
     inner = indent + "  "
     if isinstance(value, dict):
         brackets, items = "{}", [f'{inner}"{key}": {_json(v, inner)}' for key, v in value.items()]
-    elif isinstance(value, list):
-        brackets, items = "[]", [inner + _json(v, inner) for v in value]
+    elif isinstance(value, list):  # a str item, as each row coefficient is, written inline
+        brackets, items = "[]", [f'{inner}"{v}"' if isinstance(v, str) else inner + _json(v, inner)
+                                 for v in value]
     elif isinstance(value, str):
         return f'"{value}"'
     else:  # an int or a bool, whose str() lowered is JSON's true or false, or None

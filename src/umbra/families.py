@@ -83,20 +83,26 @@ def frobenius_euler(order_r: int, lam) -> FamilySpec:
 
 def sheffer_pair_of(spec: FamilySpec, n_max: int) -> ShefferPair:
     """The family's Sheffer pair, truncated at n_max (at least 1: a delta
-    series cannot be represented below order 1)."""
+    series cannot be represented below order 1).
+
+    An Appell g is base^r on divided powers.  Bernoulli's base (e^t - 1)/t has divided
+    powers 1/(k+1), whose lcm grows with n, so its g is (e^t - 1)^r on the integer divided
+    powers 0, 1, 1, ... through degree n + r, shifted down r places: with a_j = j! [t^j]
+    (e^t - 1)^r, [t^k] g = [t^(k+r)] (e^t - 1)^r = a_(k+r) / (k+r)!."""
     n = max(_as_count(n_max, "n_max"), 1)
     if spec.kind is FamilyKind.HERMITE:
         g = TruncatedSeries([0, 0, Fraction(1, 4)], order=n).exp()
         return ShefferPair(g, TruncatedSeries.t(n) / 2)
-    if spec.kind is FamilyKind.BERNOULLI:  # (e^t - 1)/t: divided power k is 1/(k+1)
-        base, db = _scale([Fraction(1, k + 1) for k in range(n + 1)])
+    if spec.kind is FamilyKind.BERNOULLI:  # e^t - 1, shifted down s = r places at the end
+        s = spec.order_r
+        base, db = [0] + [1] * (n + s), 1
     else:  # (e^t - lam)/(1 - lam): divided powers 1, then 1/(1 - lam); Euler is lam = -1
         lam = Fraction(-1) if spec.kind is FamilyKind.EULER else spec.lam
-        base, db = _scale([1] + [1 / (1 - lam)] * n)
-    pascal = _pascal(n)  # g = base^r on divided powers; a product runs over u's nonzero terms
-    g, d = _power((base, db), spec.order_r, ([1] + [0] * n, 1), lambda u, v: _reduce(
+        s, (base, db) = 0, _scale([1] + [1 / (1 - lam)] * n)
+    pascal = _pascal(n + s)  # base^r on divided powers; a product runs over u's nonzero terms
+    g, d = _power((base, db), spec.order_r, ([1] + [0] * (n + s), 1), lambda u, v: _reduce(
         _binomial_convolve(v[0], u[0], pascal), u[1] * v[1]))
-    g = TruncatedSeries([Fraction(x, d * factorial(k)) for k, x in enumerate(g)])
+    g = TruncatedSeries([Fraction(g[k], d * factorial(k)) for k in range(s, n + s + 1)])
     return ShefferPair(g, TruncatedSeries.t(n))
 
 

@@ -141,11 +141,18 @@ def _compose(outer, inner) -> tuple[list[int], int]:
     rule's result, as each step above m multiplies a zero vector and its gcd resets d to 1.
     The running sum leaves the outer's denominator out until the end, so each step is one
     convolution, one scaling of the next outer numerator and one gcd.
+
+    An inner series (g_1 / dg) t, every built-in fbar, takes no step: its k-th power is
+    (g_1 / dg)^k t^k, so [t^k] = c_k g_1^k / (dc dg^k), here over dc dg^n.  At n = 0 the
+    vector holds no g_1, and the rule's n = 0 result, c_0 / dc, takes no step either.
     """
     (c, dc), (g, dg) = outer, inner
     if g[0]:
         raise CompositionOrder("inner series of a composition must have zero constant term")
     n = min(len(c), len(g)) - 1
+    if n and not any(g[2: n + 1]):
+        return _reduce([x * g[1] ** k * dg ** (n - k) for k, x in enumerate(c[: n + 1])],
+                       dc * dg ** n)
     m = next((k for k in range(n, 0, -1) if c[k]), 0)
     # sum_(j >= k) c_j inner^(j - k) = nums / d
     nums, d = [c[m]] + [0] * n, 1
@@ -401,10 +408,13 @@ class TruncatedSeries(_Coefficients):
 
         Returns h with self(h(t)) = h(self(t)) = t through the truncation
         order.  With q = (self/t)^(-1), h_n = (1/n) [t^(n-1)] q^n (Roman,
-        The Umbral Calculus, 1984), read off a running power of q.
+        The Umbral Calculus, 1984), read off a running power of q.  A series c t, every
+        built-in f, returns t / c with no loop: then q = 1/c and h_n = [n = 1] / c.
         """
         if self.order != 1:
             raise NotDelta("compositional inverse needs order exactly 1")
+        if not any(self._coeffs[2:]):
+            return TruncatedSeries.monomial(1, self.trunc_order, 1 / self._coeffs[1])
         q, dq = _reciprocal(_scale(self._coeffs[1:]))
         h, power, d = [_ZERO], [1], 1
         for n in range(1, len(self._coeffs)):

@@ -88,21 +88,32 @@ class ShefferPair(_Value):
 
 def _triangle(a, b, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Rows n = 0..n_max of (n!/k!) [t^n] (a b^k), k <= n: entry (n, k) is rows[n][k] / d,
-    from the divided powers n! [t^n] of a and b as integer vectors (nums, d).
+    from the divided powers n! [t^n] of a and b as integer vectors (nums, d > 0).
 
     The table is an exponential Riordan array: entry (n, k) is divided power n of column
     k = a b^k / k!, so one sweep of binomial convolutions, column k = (column k-1) * b / k,
     gives every entry with no n!/k! rescale; the rows are brought to the lcm of the
     columns' denominators, and one gcd makes that the least one.
+
+    A series b = c t (divided powers 0, c, 0, ...), every built-in l(fbar), needs no sweep:
+    b^k / k! = c^k t^k / k!, so entry (n, k) = (n!/k!) c^k a_(n-k) / (n-k)! = C(n, k) c^k
+    a_(n-k), here over da db^n_max with C(n, k) read off Pascal's triangle, and the same
+    gcd.  The least denominator of a table is unique, so both give the same (rows, d).
     """
     pascal = _pascal(n_max)
-    nb, db = b
-    cols = [a]
-    for k in range(1, n_max + 1):
-        term, dk = cols[-1]
-        cols.append(_reduce(_binomial_convolve(term, nb, pascal), dk * db * k))
-    d = lcm(*(dk for _, dk in cols))
-    rows = [[term[n] * (d // dk) for term, dk in cols[: n + 1]] for n in range(n_max + 1)]
+    (na, da), (nb, db) = a, b
+    if n_max and not any(nb[2: n_max + 1]):
+        scale = [nb[1] ** k * db ** (n_max - k) for k in range(n_max + 1)]
+        rows = [[pascal[k][n - k] * scale[k] * na[n - k] for k in range(n + 1)]
+                for n in range(n_max + 1)]
+        d = da * db ** n_max
+    else:
+        cols = [a]
+        for k in range(1, n_max + 1):
+            term, dk = cols[-1]
+            cols.append(_reduce(_binomial_convolve(term, nb, pascal), dk * db * k))
+        d = lcm(*(dk for _, dk in cols))
+        rows = [[term[n] * (d // dk) for term, dk in cols[: n + 1]] for n in range(n_max + 1)]
     g = gcd(d, *chain.from_iterable(rows))
     return tuple(tuple(map(floordiv, row, repeat(g))) for row in rows), d // g
 

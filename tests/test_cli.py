@@ -32,6 +32,7 @@ from umbra.cli import (
 from umbra.families import FamilyKind
 
 from conftest import cli_env
+from test_series import horner_compose, naive_product
 from test_umbral import rows_recombined_in_full
 
 
@@ -580,18 +581,53 @@ def test_connect_catches_a_kernel_mutant(capsys, monkeypatch):
     ("_binomial_quotient", _numerator_changed(3, lambda x, d: 2 * x)),
     ("_binomial_quotient", _numerator_head_only),
     ("_compose", _numerator_changed(3, lambda x, d: x + d)),
-    ("_int_convolve", _entry_moved),
     ("_binomial_convolve", _entry_moved)],
-    ids=["quotient", "quotient-numerator", "compose", "convolution", "binomial"])
+    ids=["quotient", "quotient-numerator", "compose", "binomial"])
 def test_connect_catches_an_integer_kernel_mutant(capsys, monkeypatch, name, wrap):
-    # the integer functions that the transfer table runs end to end: the ordinary
-    # convolution under each composition and comp_inverse's running power, the quotient
-    # h(fbar)/g(fbar), and the binomial convolution under the column sweep and the
-    # Appell pair powers
+    # the integer functions that the transfer table runs end to end: each composition, the
+    # quotient h(fbar)/g(fbar), and the binomial convolution under the Appell pair powers
     monkeypatch.setattr(families, "_store", {})
     _patch_kernel(monkeypatch, name, wrap(getattr(series, name)))
     codes = _connect_codes(capsys, 6)
     assert EXIT_INCONSISTENT in codes, codes
+
+
+def test_general_series_catch_the_convolution_mutant(monkeypatch):
+    # built-in connect convolves no ordinary series (every fbar is c t), so the mutant
+    # is caught where general series are multiplied: the product, a composition into a
+    # series with a term past t, and comp_inverse of one, each against a Fraction oracle
+    # or the inverse of t + t^2 (Catalan numbers, signed)
+    _patch_kernel(monkeypatch, "_int_convolve", _entry_moved(series._int_convolve))
+    a, b = TruncatedSeries([1, 2, 3, 4]), TruncatedSeries([F(1, 2), -1, 5, 7])
+    f = TruncatedSeries([0, 1, 1, 0, 0])
+    assert (a * b).coeffs != tuple(naive_product(a.coeffs, b.coeffs, 3))
+    assert a.compose(f) != horner_compose(a, f)
+    assert f.comp_inverse() != TruncatedSeries([0, 1, -1, 2, -5])
+
+
+def test_connect_on_built_in_pairs_takes_the_closed_forms_for_c_t(capsys, monkeypatch):
+    # every built-in fbar and l(fbar) is c t, so connect composes, inverts and sweeps the
+    # table in closed form: no ordinary convolution and no column sweep
+    calls = []
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return function(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    counted(series, "_int_convolve")
+    counted(umbral, "_binomial_convolve")  # the sweep's; the pair powers call families' own
+    monkeypatch.setattr(families, "_store", {})
+    assert _connect_codes(capsys, 6) == [EXIT_OK] * len(MUTANT_PAIRS)
+    assert calls == []
+    # a pair whose f has a term past t takes both general loops, so the counters count
+    source, target = (umbral.ShefferPair(TruncatedSeries([1, 1, 1, 1]), TruncatedSeries(f))
+                      for f in ([0, 1, 1, 1], [0, 1, 0, 1]))
+    umbral._connection_table(source, target, 3)
+    assert set(calls) == {"_int_convolve", "_binomial_convolve"}
 
 
 def _g3_doubled(kind):

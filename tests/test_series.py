@@ -398,9 +398,8 @@ def test_compose_matches_horner_oracle_on_wide_inputs():
         horner_compose(S([1, 1]), S([1, 1]))
 
 
-def test_compose_runs_one_step_per_degree_of_the_outer_series(monkeypatch):
-    # Horner's rule starts at the outer's last nonzero coefficient: an outer series of
-    # degree m <= n costs m convolutions, none for a constant and one for t
+def _counted_convolutions(monkeypatch):
+    """The list of n's of every `series._int_convolve` call from here on."""
     steps, convolve = [], series._int_convolve
 
     def counted(a, b, n):
@@ -408,15 +407,35 @@ def test_compose_runs_one_step_per_degree_of_the_outer_series(monkeypatch):
         return convolve(a, b, n)
 
     monkeypatch.setattr(series, "_int_convolve", counted)
+    return steps
+
+
+def test_compose_runs_one_step_per_degree_of_the_outer_series(monkeypatch):
+    # Horner's rule starts at the outer's last nonzero coefficient: an outer series of
+    # degree m <= n costs m convolutions, none for a constant and one for t; the inner
+    # series has a nonzero term past t, as a monomial c t takes no step at all
+    steps = _counted_convolutions(monkeypatch)
     rng = random.Random(67)
-    for n in (0, 1, 2, 12):
-        inner = S([0] + wide_coeffs(rng, n)[1:])
+    for n in (0, 2, 12):
+        inner = S([0] + wide_coeffs(rng, n)[1:-1] + [wide_unit(rng)] if n else [0])
         outers = [(S.zero(n), 0), (S.one(n), 0)] + ([(S.t(n), 1)] if n else []) + [
             (S(wide_coeffs(rng, m - 1) + [wide_unit(rng)], order=n), m) for m in range(n + 1)]
         for outer, m in outers:
             steps.clear()
             assert outer.compose(inner) == horner_compose(outer, inner), (n, m)
             assert steps == [n] * m, (n, m)
+
+
+def test_compose_into_a_monomial_takes_no_step(monkeypatch):
+    # an inner series c t, trailing zeros stored, gives [t^k] = c^k outer_k directly
+    steps = _counted_convolutions(monkeypatch)
+    rng = random.Random(71)
+    for n in (1, 2, 12):
+        for c in (wide_unit(rng), wide_unit(rng, 9), F(-1), F(1), F(2)):
+            inner = S([0, c], order=n)
+            for outer in (S.zero(n), S.t(n), S(wide_coeffs(rng, n)), S(wide_coeffs(rng, n, 9))):
+                assert outer.compose(inner) == horner_compose(outer, inner), (n, c)
+    assert steps == []
 
 
 def test_comp_inverse_matches_oracle_on_wide_inputs():

@@ -1,5 +1,6 @@
-"""Ring laws of the series kernel, its divided-power loops, the tables of general
-Sheffer pairs, and the recombination check on Appell tables, on random exact inputs."""
+"""Ring laws of the series kernel, its divided-power loops, its closed forms for a
+monomial c t, the tables of general Sheffer pairs, and the recombination check on Appell
+tables, on random exact inputs."""
 
 from fractions import Fraction as F
 from math import comb, factorial, lcm
@@ -19,9 +20,10 @@ from umbra.families import sheffer_pair_of  # noqa: E402
 from umbra.series import _binomial_convolve, _binomial_quotient, _divided  # noqa: E402
 from umbra.series import _fractions, _pascal, _scale  # noqa: E402
 from umbra.umbral import _connection_table, _expand, _first_failing_row  # noqa: E402
-from umbra.umbral import _sheffer_table  # noqa: E402
+from umbra.umbral import _sheffer_table, _triangle  # noqa: E402
 
-from test_series import fraction_reciprocal, horner_compose, naive_product  # noqa: E402
+from test_series import fraction_reciprocal, horner_compose, lagrange_inverse  # noqa: E402
+from test_series import naive_product  # noqa: E402
 from test_umbral import fraction_triangle, poly_solve_oracle, rows_recombined_in_full  # noqa: E402
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -189,6 +191,59 @@ family_specs = st.one_of(
 @example(frobenius_euler(4, F(1, 3)), 8)
 def test_appell_powers_match_series_products(spec, n):
     assert sheffer_pair_of(spec, n) == pair_by_powers(spec, n)
+
+
+# the kernel's closed forms for a monomial c t, every built-in f, fbar and l(fbar), against
+# the general routes' oracles: c negative or not a unit, the vector ending in zeros
+monomial_units = wide.filter(bool) | st.sampled_from([F(-1), F(2), F(-3, 7), F(1, 2)])
+
+
+@laws
+@given(wide_series, monomial_units)
+@example(S([F(2), F(-1), F(3)]), F(-1))
+def test_compose_into_a_monomial_matches_horner_oracle(outer, c):
+    inner = S([0, c], order=outer.trunc_order)
+    assert outer.compose(inner) == horner_compose(outer, inner)
+
+
+@laws
+@given(monomial_units, st.integers(1, 8))
+@example(F(-3, 7), 1)
+def test_comp_inverse_of_a_monomial_matches_lagrange_oracle(c, n):
+    f = S([0, c], order=n)
+    assert f.comp_inverse() == lagrange_inverse(f) == S([0, 1 / c], order=n)
+
+
+@laws
+@given(wide_series, monomial_units, st.integers(0, 2))
+@example(S([F(3), F(0), F(-5, 2)]), F(-1), 0)
+def test_triangle_of_a_monomial_matches_the_column_sweep(a, c, spare):
+    # b = c t, stored through n_max + spare: the table's least (rows, d), which is unique,
+    # against the columns a (c t)^k by naive Fraction products
+    n_max = a.trunc_order
+    b = S([0, c], order=n_max + spare)
+    rows, d = _triangle(_divided(_scale(a.coeffs)), _divided(_scale(b.coeffs)), n_max)
+    want, dw = integer_rows(fraction_triangle(a, b, n_max))
+    assert ([list(row) for row in rows], d) == (want, dw)
+
+
+def bernoulli_g_by_old_power(r, n):
+    """Bernoulli's g as ((e^t - 1)/t)^r on the divided powers 1/(k+1) over their lcm."""
+    base, db = _scale([F(1, k + 1) for k in range(n + 1)])
+    pascal = _pascal(n)
+    g, d = [1] + [0] * n, 1
+    for _ in range(r):
+        g, d = _binomial_convolve(g, base, pascal), d * db
+    return S([F(x, d * factorial(k)) for k, x in enumerate(g)])
+
+
+@laws
+@given(st.sampled_from([0, 1, 4, 7]), st.integers(0, 40))
+@example(7, 0)
+@example(7, 40)
+def test_bernoulli_g_matches_the_power_of_its_old_base(r, n):
+    pair = sheffer_pair_of(bernoulli(r), n)
+    assert pair.g == bernoulli_g_by_old_power(r, max(n, 1)) and pair.f == S.t(max(n, 1))
 
 
 @st.composite
