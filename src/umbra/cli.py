@@ -117,7 +117,7 @@ def family_document(spec: FamilySpec, max_degree: int) -> dict:
 def connection_document(source: FamilySpec, target: FamilySpec, n_max: int) -> tuple[dict, bool]:
     table = _connection_table(
         sheffer_pair_of(source, n_max), sheffer_pair_of(target, n_max), n_max)
-    agree = _first_mismatch(source, target, table, range(n_max + 1)) is None
+    agree = _first_mismatch(source, target, table, n_max) is None
     return _document("connection-table", source=_describe_spec(source),
                      target=_describe_spec(target), max_n=n_max, routes_agree=agree,
                      rows=_rows(table)), agree

@@ -123,19 +123,18 @@ _CATALOG = {
 THEOREM_IDS = tuple(_CATALOG)
 
 
-def _degrees(tid: str, n_max: int, r: int) -> range:
-    """The degrees a cell of tid checks at order r: t6 holds for r > n, and t7 for n >= r,
-    so t6 refuses r <= n_max and t7 refuses r > n_max, where it would check no degree."""
+def _require_regime(tid: str, n_max: int, r: int):
+    """Refuse an order outside tid's regime: t6 holds for r > n and t7 for n >= r, so t6
+    refuses r <= n_max and t7 refuses r > n_max, where no degree of it holds."""
     if tid == "t6" and r <= n_max:
         raise RegimeViolation(f"t6 needs order_r > n_max, got order_r={r}, n_max={n_max}")
     if tid == "t7" and r > n_max:
         raise RegimeViolation(f"t7 needs order_r <= n_max, got order_r={r}, n_max={n_max}")
-    return range(r if tid == "t7" else 0, n_max + 1)
 
 
 def _grid_orders(tid: str, n_max: int, orders: list[int]) -> list[int]:
     """The orders a grid checks tid at when no order was asked of it: t6 its least order
-    that `_degrees` takes, t7 the orders it takes (every one for n_max < 0, so that
+    that `_require_regime` takes, t7 the orders it takes (every one for n_max < 0, so that
     `verify_theorem` refuses n_max), every other id the orders as given."""
     if tid == "t6":
         return [n_max + 1]
@@ -152,7 +151,7 @@ def _entry(tid: str, n: int, k: int, r: int, *lam) -> Fraction:
     """Entry (n, k) of tid's rows for the order-r family (at lam for t3, t8 and remark)."""
     if _as_count(k, "k") > _as_count(n, "n"):
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    _degrees(tid, n, _as_count(r, "r"))
+    _require_regime(tid, n, _as_count(r, "r"))
     kind, _, build = _CATALOG[tid]
     spec = FamilySpec(kind, r, *lam)
     rows, d = _stored((tid, spec), n, lambda m: build(spec, m, _hermite_table(tid, m)))
@@ -248,13 +247,12 @@ class IdentityReport(_Value):
         return self.status == "PASS"
 
 
-def _first_mismatch(lhs_spec, basis_spec, table, ns, lam=None) -> Mismatch | None:
+def _first_mismatch(lhs_spec, basis_spec, table, n_max, lam=None) -> Mismatch | None:
     """First (n, k) where the rows of table (a cell's closed form, or connect's transfer
-    table) differ from the connection coefficients of lhs_spec in basis_spec, over the
-    degrees ns: n by `_first_failing_row` on the stored numbers, then k by solving row n."""
-    n_max = ns[-1]
+    table) differ from the connection coefficients of lhs_spec in basis_spec, n <= n_max:
+    n by `_first_failing_row` on the stored numbers, then k by solving row n."""
     basis, lhs = _appell(basis_spec, n_max), _appell(lhs_spec, n_max)
-    n = _first_failing_row(table, basis, lhs, ns[0], n_max)
+    n = _first_failing_row(table, basis, lhs, n_max)
     if n is None:
         return None
     rows, d = table
@@ -276,7 +274,8 @@ def verify_theorem(
     Coefficient vectors are compared, never values, so a PASS is an exact identity at
     the checked parameters.  The lambda identities (t3, t8, remark) check every sample
     in ``lambdas`` (default DEFAULT_LAMBDAS); the others ignore it.  t6 requires
-    order_r > n_max; t7 requires order_r <= n_max and checks degrees order_r..n_max.
+    order_r > n_max and t7 order_r <= n_max.  Every cell checks the degrees 0..n_max: t7's
+    rows below order_r are t6's, which hold there.
 
     ``symbolic_lambda`` widens the samples to n_max + r + 1 distinct values (r = order_r),
     which proves the identity for every lambda != 1.  With u = 1/(1-lambda), the
@@ -290,7 +289,7 @@ def verify_theorem(
         raise ValueError(f"unknown identity id {theorem_id!r}")
     _as_count(n_max, "n_max")
     r = _as_count(order_r, "order_r")
-    ns = _degrees(tid, n_max, r)
+    _require_regime(tid, n_max, r)
 
     kind, _, build = _CATALOG[tid]
     lams: tuple[Fraction, ...] = ()
@@ -306,7 +305,7 @@ def verify_theorem(
     for lam in lams or (None,):
         spec = FamilySpec(kind, r, lam)
         lhs, basis = (spec, hermite()) if table is None else (hermite(), spec)
-        failure = _first_mismatch(lhs, basis, build(spec, n_max, table), ns, lam)
+        failure = _first_mismatch(lhs, basis, build(spec, n_max, table), n_max, lam)
         if failure is not None:
             break
 

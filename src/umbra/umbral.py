@@ -12,9 +12,9 @@ checks a connection table on two Appell tables given by their numbers (`_expand`
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
-from math import comb, factorial, gcd, lcm, perm
-from operator import eq, floordiv, itemgetter, mul
+from itertools import repeat
+from math import comb, factorial, lcm, perm
+from operator import eq, mul
 
 from .errors import NotDelta, NotInvertible, SingularBasis, TruncationTooShort
 from .polynomials import Poly
@@ -93,12 +93,11 @@ def _triangle(a, b, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     The table is an exponential Riordan array: entry (n, k) is divided power n of column
     k = a b^k / k!, so one sweep of binomial convolutions, column k = (column k-1) * b / k,
     gives every entry with no n!/k! rescale; the rows are brought to the lcm of the
-    columns' denominators, and one gcd makes that the least one.
+    columns' denominators.
 
     A series b = c t (divided powers 0, c, 0, ...), every built-in l(fbar), needs no sweep:
     b^k / k! = c^k t^k / k!, so entry (n, k) = (n!/k!) c^k a_(n-k) / (n-k)! = C(n, k) c^k
-    a_(n-k), here over da db^n_max with C(n, k) read off Pascal's triangle, and the same
-    gcd.  The least denominator of a table is unique, so both give the same (rows, d).
+    a_(n-k), here over da db^n_max with C(n, k) read off Pascal's triangle.
     """
     pascal = _pascal(n_max)
     (na, da), (nb, db) = a, b
@@ -114,8 +113,7 @@ def _triangle(a, b, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
             cols.append(_reduce(_binomial_convolve(term, nb, pascal), dk * db * k))
         d = lcm(*(dk for _, dk in cols))
         rows = [[term[n] * (d // dk) for term, dk in cols[: n + 1]] for n in range(n_max + 1)]
-    g = gcd(d, *chain.from_iterable(rows))
-    return tuple(tuple(map(floordiv, row, repeat(g))) for row in rows), d // g
+    return tuple(map(tuple, rows)), d
 
 
 def _sheffer_table(pair: ShefferPair, n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -228,7 +226,7 @@ def _solve_in_basis(expanded, basis, ns) -> list[list[Fraction]]:
 def _tied(rows, n: int, p: int, q: int) -> bool:
     """Whether row n of an integer table is tied to row n-1 in s = p/q: k q X_(n,k) ==
     n p X_(n-1,k-1) for 0 < k <= n, that is X_n' = n s X_(n-1).  Rows n and n-1 must
-    hold n+1 and n entries."""
+    hold n+1 and n entries; at n = 0 no k compares, and the row is tied."""
     return all(map(eq, map(mul, rows[n][1:], range(q, (n + 1) * q, q)),
                    map(mul, rows[n - 1], repeat(n * p))))
 
@@ -241,42 +239,28 @@ def _expand(appell, ns=None) -> tuple[tuple[tuple[int, ...], ...], int]:
                  for n in (range(len(nums)) if ns is None else ns)), d
 
 
-def _recombines(table, basis, expanded, n: int) -> bool:
-    """Whether sum_k C_(n,k) R_k equals S_n, every coefficient x^0..x^n compared in full:
-    [x^i] of the sum is one sum down column i of R, cross-multiplied with S_n's."""
-    (rows, d), (basis, db), (expanded, de) = table, basis, expanded
-    nums, scale = rows[n], d * db
-    return all(sum(map(mul, nums[i:], map(itemgetter(i), basis[i: n + 1]))) * de == x * scale
-               for i, x in enumerate(expanded[n]))
-
-
-def _first_failing_row(table, basis, expanded, lo: int, n_max: int) -> int | None:
-    """The first degree n in lo..n_max where sum_k C_(n,k) R_k differs from S_n, or None.
+def _first_failing_row(table, basis, expanded, n_max: int) -> int | None:
+    """The first degree n <= n_max where sum_k C_(n,k) R_k differs from S_n, or None.
 
     C (table) is an integer table (rows, d), entry (n, k) being rows[n][k] / d; R (basis)
     and S (expanded) are Appell tables (nums, d, s) through n_max, R in s_R x and S in
     s_S x (`_expand`).  One with c_0 = 0 is refused: none of its members n is of degree n.
     Else R is triangular with a nonzero diagonal, so S_n = sum_k C_(n,k) R_k holds exactly
-    when row n is the solved one.  Row lo is recombined in full (`_recombines`).  Row n-1
-    has passed, so if row n of C is tied to row n-1 in rho = s_S / s_R (`_tied`), E_n =
-    sum_k C_(n,k) R_k - S_n has E_n' = n s_S E_(n-1) = 0, and row n is right exactly when
-    it is tied and E_n(0) = 0, one sum over R's numbers (the exact C is tied, by the
+    when row n is the solved one.  Rows below n have passed, so if row n of C is tied to
+    row n-1 in rho = s_S / s_R (`_tied`, empty at n = 0), E_n = sum_k C_(n,k) R_k - S_n
+    has E_n' = n s_S E_(n-1) = 0 (E_0 is a constant), and row n is right exactly when it
+    is tied and E_n(0) = 0, one sum over R's numbers (the exact C is tied, by the
     uniqueness of its rows).  A row of C of the wrong length is refused when reached.
     """
     (rows, d), (r_nums, db, s_r), (s_nums, de, s_s) = table, basis, expanded
     for what, c_0 in (("basis", r_nums[0]), ("expanded", s_nums[0])):
         if not c_0:
             raise SingularBasis(f"{what} table has c_0 = 0: no member n is of degree n")
-    for n in range(lo, n_max + 1):
+    for n in range(n_max + 1):
         nums = rows[n]
         if len(nums) != n + 1:
             raise ValueError(f"row {n} has {len(nums)} entries, expected {n + 1}")
-        if n == lo:
-            passed = _recombines(table, _expand((r_nums[: lo + 1], db, s_r)),
-                                 _expand((s_nums[: lo + 1], de, s_s)), lo)
-        else:
-            passed = (_tied(rows, n, s_s, s_r)
-                      and sum(map(mul, nums, r_nums)) * de == s_nums[n] * d * db)
-        if not passed:
+        if not (_tied(rows, n, s_s, s_r)
+                and sum(map(mul, nums, r_nums)) * de == s_nums[n] * d * db):
             return n
     return None

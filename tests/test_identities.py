@@ -250,7 +250,8 @@ def test_builder_row_is_the_solved_row_and_the_public_row(tid):
     # every row, not only row n_max, whose lift to the table's d is 1
     assert [[F(x, d) for x in row] for row in rows] == solved
     coeff = getattr(identities, f"{tid}_coeff")
-    for n in identities._degrees(tid, n_max, r):  # tN_coeff builds its rows through n
+    # tN_coeff builds its rows through n, and t7_coeff takes n >= r only
+    for n in range(r if tid == "t7" else 0, n_max + 1):
         assert [coeff(n, k, r, *lam) for k in range(n + 1)] == solved[n], n
 
 
@@ -467,7 +468,7 @@ def test_verify_regime_errors():
 def test_the_grid_plan_keeps_the_orders_the_regimes_take(tid):
     def takes(n_max, r):
         try:
-            identities._degrees(tid, n_max, r)
+            identities._require_regime(tid, n_max, r)
         except RegimeViolation:
             return False
         return True
@@ -475,14 +476,26 @@ def test_the_grid_plan_keeps_the_orders_the_regimes_take(tid):
     for orders in [list(range(11))] + [[r] for r in range(11)]:
         for n_max in range(9):
             kept = identities._grid_orders(tid, n_max, orders)
-            if tid == "t6":  # one order, the least that _degrees takes
+            if tid == "t6":  # one order, the least that _require_regime takes
                 assert kept == [min(r for r in range(11) if takes(n_max, r))]
-            else:  # each order _degrees takes, and no other
+            else:  # each order _require_regime takes, and no other
                 assert kept == [r for r in orders if takes(n_max, r)]
     # a negative n_max keeps t7's orders, so that verify_theorem refuses the n_max
     assert identities._grid_orders("t7", -1, [0, 3]) == [0, 3]
     with pytest.raises(ValueError):
         verify_theorem("t7", -1, 0)
+
+
+def test_t7_holds_below_its_order():
+    # a t7 cell checks its rows below r too, which are t6's closed form in t6's regime
+    for r in range(17):
+        assert verify_theorem("t7", 16, r).passed, r
+
+
+def test_t7_names_a_fault_below_its_order(corrupt_entry):
+    corrupt_entry("t7", 1, 0)
+    report = verify_theorem("t7", 10, 3)
+    assert report.first_failure == identities.Mismatch(1, 0, F(3), F(4))
 
 
 def test_verify_reports_first_failure(corrupt_entry):

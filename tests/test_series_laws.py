@@ -24,7 +24,7 @@ from umbra.umbral import _sheffer_table, _triangle  # noqa: E402
 
 from test_series import fraction_reciprocal, horner_compose, lagrange_inverse  # noqa: E402
 from test_series import naive_product  # noqa: E402
-from test_umbral import fraction_triangle, poly_solve_oracle, rows_recombined_in_full  # noqa: E402
+from test_umbral import fraction_triangle, poly_solve_oracle, walks_expand_no_table  # noqa: E402
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 series = st.lists(rationals, min_size=1, max_size=8).map(S)
@@ -218,13 +218,12 @@ def test_comp_inverse_of_a_monomial_matches_lagrange_oracle(c, n):
 @given(wide_series, monomial_units, st.integers(0, 2))
 @example(S([F(3), F(0), F(-5, 2)]), F(-1), 0)
 def test_triangle_of_a_monomial_matches_the_column_sweep(a, c, spare):
-    # b = c t, stored through n_max + spare: the table's least (rows, d), which is unique,
-    # against the columns a (c t)^k by naive Fraction products
+    # b = c t, stored through n_max + spare: the table's entries against the columns
+    # a (c t)^k by naive Fraction products
     n_max = a.trunc_order
     b = S([0, c], order=n_max + spare)
     rows, d = _triangle(_divided(_scale(a.coeffs)), _divided(_scale(b.coeffs)), n_max)
-    want, dw = integer_rows(fraction_triangle(a, b, n_max))
-    assert ([list(row) for row in rows], d) == (want, dw)
+    assert [_fractions(row, d) for row in rows] == fraction_triangle(a, b, n_max)
 
 
 def bernoulli_g_by_old_power(r, n):
@@ -377,37 +376,31 @@ def test_recombination_check_matches_a_fraction_oracle_on_appell_tables(data):
     rho = F(tables["S"][2], tables["R"][2])
     assert exact == appell_rows(rho, constants)
     tables["C"] = integer_rows(exact)
-    lo = data.draw(st.integers(0, n_max))
-    ns = range(lo, n_max + 1)
 
     def walk():
-        return _first_failing_row(tables["C"], tables["R"], tables["S"], lo, n_max)
+        with walks_expand_no_table():  # every row is decided by its tie and its constant term
+            return _first_failing_row(tables["C"], tables["R"], tables["S"], n_max)
 
-    if data.draw(st.booleans()):  # rows below lo are not checked, so they may be anything
-        for n in range(lo):
-            tables["C"][0][n] = data.draw(st.lists(small, min_size=n + 1, max_size=n + 1))
-    with rows_recombined_in_full() as full:
-        assert walk() is None
-    assert full == [lo]  # every later row is decided by its tie and its constant term
+    assert walk() is None
     step = data.draw(st.sampled_from([-2, -1, 1, 2]))
     what = data.draw(st.sampled_from(["C", "R", "S", "constant"]))
     if what == "constant":
-        # c_j, j < lo, moves rows lo..N off column 0, so that only row lo in full shows it
-        constants[data.draw(st.integers(0, lo))] += step
+        # c_j moves entry (n, n-j) of each row n >= j and keeps every row tied, so only
+        # the constant term of row j shows it
+        constants[data.draw(st.integers(0, n_max))] += step
         tables["C"] = integer_rows(appell_rows(rho, constants))
     elif what == "C":
         n = data.draw(st.integers(0, n_max))
         tables["C"][0][n][data.draw(st.integers(0, n))] += step
     else:  # R and S stay Appell, so a FAIL is named in O(N^2) too
         tables[what][0][data.draw(st.integers(0, n_max))] += step
-    want = first_unequal_degree(tables["C"], _expand(tables["R"]), _expand(tables["S"]), ns)
+    want = first_unequal_degree(
+        tables["C"], _expand(tables["R"]), _expand(tables["S"]), range(n_max + 1))
     if want is SingularBasis:  # c_0 of R or S moved to 0
         with pytest.raises(SingularBasis):
             walk()
     else:
-        with rows_recombined_in_full() as full:
-            assert walk() == want
-        assert full == [lo]
+        assert walk() == want
 
 
 @laws

@@ -43,7 +43,6 @@ from umbra.umbral import (
     _require_known,
     _sheffer_table,
     _solve_in_basis,
-    _tied,
     _triangle,
 )
 
@@ -55,17 +54,15 @@ S = TruncatedSeries
 
 
 @contextmanager
-def rows_recombined_in_full():
-    """The degrees that `_first_failing_row` recombines in full inside the block, in order."""
-    seen, recombines = [], umbral._recombines
-
-    def counted(table, basis, expanded, n):
-        seen.append(n)
-        return recombines(table, basis, expanded, n)
+def walks_expand_no_table():
+    """Inside the block a table expanded in `umbral`, where the walk reads its tables,
+    raises: `_first_failing_row` reads the Appell numbers only."""
+    def refuse(*args):
+        raise AssertionError("the walk expanded a table")
 
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(umbral, "_recombines", counted)
-        yield seen
+        patched.setattr(umbral, "_expand", refuse)
+        yield
 
 
 def rand_poly(rng, max_degree):
@@ -363,8 +360,8 @@ def test_connection_transitivity():
 def test_recombination_verdict_matches_the_solve_on_nontrivial_pairs():
     # the transfer route agrees with the triangular solve on every pair.  Between two
     # built-in (Appell) families, the only tables the check takes, one entry moved by 1/d
-    # must be caught at its row: each row after the first is decided by its tie to the
-    # row before it and its constant term, so row N, which no later row is tied to, and
+    # must be caught at its row: each row is decided by its tie to the row before it
+    # (empty at row 0) and its constant term, so row N, which no later row is tied to, and
     # column 0, which only the constant terms read, are always among the places moved
     n_max = N_DELTA
     pairs = [(None, pair) for pair in nontrivial_pairs(n_max)] + [
@@ -380,56 +377,12 @@ def test_recombination_verdict_matches_the_solve_on_nontrivial_pairs():
             tables = _appell(target_spec, n_max), _appell(source_spec, n_max)
             n = rng.randint(0, n_max)
             places = [(n, rng.randint(0, n)), (n_max, n_max), (n_max, 0), (n, 0)]
-            assert _first_failing_row((direct, d), *tables, 0, n_max) is None
+            assert _first_failing_row((direct, d), *tables, n_max) is None
             for n, k in places:
                 rows = [list(row) for row in direct]
                 rows[n][k] += rng.choice([-1, 1])
-                failing = _first_failing_row((rows, d), *tables, 0, n_max)
+                failing = _first_failing_row((rows, d), *tables, n_max)
                 assert failing == n, (i, j, n, k)
-
-
-def test_recombination_from_a_starting_degree():
-    # verify's t7 checks the degrees r..N only: rows below r may be anything, and row r
-    # is tied to no row before it, so it is recombined in full and an error there is
-    # caught at row r.  Hermite in the monomial basis (Bernoulli of order 0), as t7 at
-    # r = 0 reads it
-    n_max, lo = 9, 3
-    source, target = hermite(), bernoulli(0)
-    basis, expanded = _appell(target, n_max), _appell(source, n_max)
-    direct, d = _connection_table(*(sheffer_pair_of(s, n_max) for s in (source, target)), n_max)
-    ns = range(lo, n_max + 1)
-
-    def failing(rows, degrees=ns):
-        return _first_failing_row((rows, d), basis, expanded, degrees[0], degrees[-1])
-
-    def moved(n, k, step):
-        rows = [list(row) for row in direct]
-        rows[n][k] += step
-        return rows
-
-    # every row after lo is decided by its tie and its constant term
-    below = [[7] * (n + 1) if n < lo else list(row) for n, row in enumerate(direct)]
-    with rows_recombined_in_full() as full:
-        assert failing(below) is None
-    assert full == [lo]
-    # C_(n,k) = C(n,k) 2^k c_(n-k) (Hermite is Appell in 2x): an error in the constant
-    # term c_(lo-1), below the rows checked, keeps every row tied to the one before it
-    # and, in this basis, every constant term of sum_k C_(n,k) R_k, so only row lo in
-    # full shows it
-    cascade = [list(row) for row in direct]
-    for n in ns:
-        cascade[n][n - lo + 1] += comb(n, n - lo + 1) * 2 ** (n - lo + 1)
-    assert all(_tied(cascade, n, 2, 1) for n in ns[1:])
-    cases = [(cascade, ns, lo)] + [(moved(lo, k, -1), ns, lo) for k in (0, 1, lo)]
-    # one degree, N = 0 among them, is checked coefficient by coefficient
-    cases += [(direct, range(n, n + 1), None) for n in (0, lo, n_max)]
-    cases += [(moved(n, k, 1), range(n, n + 1), n) for n in (0, lo, n_max) for k in {0, n}]
-    for i, (rows, degrees, want) in enumerate(cases):
-        with rows_recombined_in_full() as full:
-            assert failing(rows, degrees) == want, i
-        assert full == [n for n in degrees if want is None or n <= want], i
-    zero = _appell(target, 0), _appell(source, 0)
-    assert _first_failing_row(((direct[0],), d), *zero, 0, 0) is None
 
 
 def test_a_triangle_without_its_factorials_is_caught_by_the_store_only(
@@ -574,10 +527,10 @@ def test_solver_rejects_malformed_basis():
     # the walk's tables are Appell: c_0 = 0 leaves no member of its degree
     powers, no_constant = ((1, 0, 0), 1, 1), ((0, 5, 6), 1, 1)  # x^n, and 5 n x^(n-1) + ...
     cases = ("basis", no_constant, powers), ("expanded", powers, no_constant)
-    for lo, n_max in ((0, 0), (0, 2), (1, 2)):
+    for n_max in (0, 2):
         for what, basis, expanded in cases:
             with pytest.raises(SingularBasis, match=f"{what} table has c_0 = 0"):
-                _first_failing_row(monomials, basis, expanded, lo, n_max)
+                _first_failing_row(monomials, basis, expanded, n_max)
 
 
 def test_connection_matrix_shape():
@@ -607,7 +560,7 @@ def test_recombination_refuses_a_row_of_the_wrong_length():
     monomials = (1, 0, 0), 1, 1
     table = ((1,), (0, 1, 0), (0, 0, 1)), 1  # row 1 holds a third entry
     with pytest.raises(ValueError, match="row 1 has 3 entries, expected 2"):
-        _first_failing_row(table, monomials, monomials, 0, 2)
+        _first_failing_row(table, monomials, monomials, 2)
 
 
 def test_nontrivial_delta_inverses():

@@ -58,7 +58,7 @@ def stages(source, target, n: int, k: int) -> dict[str, float] | None:
     times["store builds"], _ = best(
         k, lambda _: (families._appell(target, n), families._appell(source, n)), clear)
     times["check"], mismatch = best(
-        k, lambda _: identities._first_mismatch(source, target, table, range(n + 1)))
+        k, lambda _: identities._first_mismatch(source, target, table, n))
     times["row text"], rows = best(k, lambda _: cli._rows(table))
     times["writer"], _ = best(k, lambda _: cli._json(doc, "\n"))
     if not agree or mismatch is not None or fbar != src.fbar or rows != doc["rows"]:
