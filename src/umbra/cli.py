@@ -168,7 +168,7 @@ def parse_document(text: str) -> dict:
 
 def parse_table_csv(text: str) -> list[list[Fraction]]:
     """Parse an emitted CSV table's coefficient rows (blank cells are padding)."""
-    import csv  # only where a CSV is read or written: a JSON run need not import it
+    import csv  # only where a CSV is read, which no CLI run does
 
     reader = csv.reader(io.StringIO(text))
     next(reader)  # header
@@ -199,14 +199,12 @@ def _emit_table(doc: dict, fmt: str, out) -> int:
     if fmt != "csv":
         out.write(_json(doc, "\n") + "\n")
         return EXIT_OK
-    import csv
-
+    # every cell is n, cI, an int, "p/q" or "": none holds what csv.writer would quote
     rows = doc["rows"]
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n"] + [f"c{i}" for i in range(len(rows))])
+    out.write(",".join(["n"] + [f"c{i}" for i in range(len(rows))]) + "\n")
     for row in rows:
         cells = row["coefficients"]
-        writer.writerow([row["n"]] + cells + [""] * (len(rows) - len(cells)))
+        out.write(",".join([str(row["n"])] + cells + [""] * (len(rows) - len(cells))) + "\n")
     return EXIT_OK
 
 

@@ -2,10 +2,10 @@
 
 t1 / t2 / t3 expand an order-r Euler / Bernoulli / Frobenius-Euler member in the
 Hermite basis (`_basis_rows`); t4 / t5 and t8 / remark expand a Hermite member in the
-order-r Euler and Frobenius-Euler bases (`_weighted_rows`, two Hermite routes by
-`_explicit_hermite`), t6 (r > n) and t7 (n >= r) in the Bernoulli one (`_stirling_rows`).
-`verify_theorem` checks a cell (`_first_mismatch`); each tN_coeff reads one entry of
-the rows the family store keeps under (id, spec).
+order-r Euler and Frobenius-Euler bases (`_weighted_rows`), t6 (r > n) and t7 (n >= r) in
+the Bernoulli one (`_stirling_rows`), each reading the Hermite coefficients of
+`_explicit_hermite`.  `verify_theorem` checks a cell (`_first_mismatch`); each tN_coeff
+reads one entry of the rows the family store keeps under (id, spec).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 from .errors import RegimeViolation
-from .families import FamilyKind, FamilySpec, _appell, _as_lambda, _family_rows, _stored, hermite
+from .families import FamilyKind, FamilySpec, _appell, _as_lambda, _stored, hermite
 from .polynomials import _stirling2_columns
 from .series import _Value, _as_count
 from .umbral import _expand, _first_failing_row, _solve_in_basis
@@ -32,20 +32,14 @@ _LAMBDA_SEED = DEFAULT_LAMBDAS + (Fraction(3), Fraction(-2), Fraction(5))
 
 def _explicit_hermite(n_max: int) -> tuple[list[list[int]], int]:
     """[x^i] H_m for m <= n_max over the denominator 1, from
-    [x^(m-2l)] H_m = (-1)^l m!/(l! (m-2l)!) 2^(m-2l).  t4 and remark read this table and
-    t5 and t8 `_stored_hermite`, which shares no code with it, so each pair checks two routes."""
+    [x^(m-2l)] H_m = (-1)^l m!/(l! (m-2l)!) 2^(m-2l).  Every closed form of t4-t8 and remark
+    reads this table, which shares no code with the stored Hermite numbers that each of
+    their cells is checked against, so a PASS also proves the two agree through n_max."""
     rows = [[0] * (m + 1) for m in range(n_max + 1)]
     for m, row in enumerate(rows):
         for l in range(m // 2 + 1):
-            i = m - 2 * l
-            row[i] = (-1) ** l * (factorial(m) // (factorial(l) * factorial(i))) << i
+            row[m - 2 * l] = (-1) ** l * (perm(m, 2 * l) // factorial(l)) << m - 2 * l
     return rows, 1
-
-
-def _stored_hermite(n_max: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """[x^i] H_m for m <= n_max over one denominator: the rows of the stored Hermite
-    numbers, built by the recurrence of `families._build_numbers`."""
-    return _family_rows(hermite(), n_max)
 
 
 # A row builder takes the family spec paired with Hermite, n_max and the Hermite table
@@ -66,7 +60,7 @@ def _basis_rows(spec: FamilySpec, n_max: int, _hermite):
 def _weighted_rows(spec: FamilySpec, n_max: int, hermite_coeffs):
     """t4, t5, t8, remark: C(n, k) 2^k w(n-k) over one denominator, where for lam = p/q
     w(m) = sum_i [x^i]H_m M_i / (q-p)^r, M_i = sum_j C(r, j) (-p)^(r-j) q^j j^i, and
-    [x^i]H_m = A[m][i] / dA, explicit for t4 and remark and stored for t5 and t8."""
+    [x^i]H_m = A[m][i] / dA."""
     coeffs, da = hermite_coeffs
     r = spec.order_r
     lam = -1 if spec.lam is None else spec.lam  # Euler is Frobenius-Euler at -1
@@ -106,18 +100,18 @@ def _stirling_rows(spec: FamilySpec, n_max: int, hermite_coeffs):
     return rows, factorial(n_max + r) * da
 
 
-# id -> (kind paired with Hermite, Hermite table's name, builder); t1-t3 read no Hermite
-# table and expand the family in the Hermite basis, the others Hermite in the family's
+# id -> (kind paired with Hermite, builder); t1-t3 expand the family in the Hermite basis,
+# the others Hermite in the family's
 _CATALOG = {
-    "t1": (FamilyKind.EULER, None, _basis_rows),
-    "t2": (FamilyKind.BERNOULLI, None, _basis_rows),
-    "t3": (FamilyKind.FROBENIUS_EULER, None, _basis_rows),
-    "t4": (FamilyKind.EULER, "_explicit_hermite", _weighted_rows),
-    "t5": (FamilyKind.EULER, "_stored_hermite", _weighted_rows),
-    "t6": (FamilyKind.BERNOULLI, "_stored_hermite", _stirling_rows),
-    "t7": (FamilyKind.BERNOULLI, "_stored_hermite", _stirling_rows),
-    "t8": (FamilyKind.FROBENIUS_EULER, "_stored_hermite", _weighted_rows),
-    "remark": (FamilyKind.FROBENIUS_EULER, "_explicit_hermite", _weighted_rows),
+    "t1": (FamilyKind.EULER, _basis_rows),
+    "t2": (FamilyKind.BERNOULLI, _basis_rows),
+    "t3": (FamilyKind.FROBENIUS_EULER, _basis_rows),
+    "t4": (FamilyKind.EULER, _weighted_rows),
+    "t5": (FamilyKind.EULER, _weighted_rows),
+    "t6": (FamilyKind.BERNOULLI, _stirling_rows),
+    "t7": (FamilyKind.BERNOULLI, _stirling_rows),
+    "t8": (FamilyKind.FROBENIUS_EULER, _weighted_rows),
+    "remark": (FamilyKind.FROBENIUS_EULER, _weighted_rows),
 }
 
 THEOREM_IDS = tuple(_CATALOG)
@@ -142,9 +136,9 @@ def _grid_orders(tid: str, n_max: int, orders: list[int]) -> list[int]:
 
 
 def _hermite_table(tid: str, n_max: int):
-    """The Hermite coefficients through degree n_max that tid's rows read, or None."""
-    name = _CATALOG[tid][1]
-    return name and globals()[name](n_max)
+    """The Hermite coefficients through degree n_max that tid's rows read: None for t1-t3,
+    which read none, and `_explicit_hermite`'s table for every other id."""
+    return None if tid in ("t1", "t2", "t3") else _explicit_hermite(n_max)
 
 
 def _entry(tid: str, n: int, k: int, r: int, *lam) -> Fraction:
@@ -152,7 +146,7 @@ def _entry(tid: str, n: int, k: int, r: int, *lam) -> Fraction:
     if _as_count(k, "k") > _as_count(n, "n"):
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     _require_regime(tid, n, _as_count(r, "r"))
-    kind, _, build = _CATALOG[tid]
+    kind, build = _CATALOG[tid]
     spec = FamilySpec(kind, r, *lam)
     rows, d = _stored((tid, spec), n, lambda m: build(spec, m, _hermite_table(tid, m)))
     return Fraction(rows[n][k], d)
@@ -291,7 +285,7 @@ def verify_theorem(
     r = _as_count(order_r, "order_r")
     _require_regime(tid, n_max, r)
 
-    kind, _, build = _CATALOG[tid]
+    kind, build = _CATALOG[tid]
     lams: tuple[Fraction, ...] = ()
     if kind is FamilyKind.FROBENIUS_EULER:
         base = DEFAULT_LAMBDAS if lambdas is None else tuple(lambdas)

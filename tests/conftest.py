@@ -6,6 +6,8 @@ test of stdout buffering tests the mode it names, not the one its shell set.
 The ``corrupt_entry`` fixture makes one closed-form coefficient wrong, for the
 tests of FAIL reports; ``triangle_without_factorials`` drops the n!/k! of every
 table the series kernel builds, for the tests of what catches that.
+`catalog_entry`, `cell_rows` and `wrap_row_builder` are the one place the tests read
+and patch the identity catalog's entries.
 """
 
 import os
@@ -30,6 +32,24 @@ def cli_env(**settings) -> dict[str, str]:
     return {**env, "PYTHONPATH": _SRC, **settings}
 
 
+def catalog_entry(tid):
+    """(family kind paired with Hermite, row builder) of tid's catalog entry."""
+    entry = identities._CATALOG[tid]
+    return entry[0], entry[-1]
+
+
+def cell_rows(tid, spec, n_max):
+    """(rows, d) of tid's closed form for spec through n_max, as a cell builds them."""
+    return catalog_entry(tid)[1](spec, n_max, identities._hermite_table(tid, n_max))
+
+
+def wrap_row_builder(monkeypatch, tid, wrap):
+    """Make wrap(build) tid's row builder until the test ends; return build, the one it had."""
+    *entry, build = identities._CATALOG[tid]
+    monkeypatch.setitem(identities._CATALOG, tid, (*entry, wrap(build)))
+    return build
+
+
 @pytest.fixture
 def corrupt_entry(monkeypatch):
     """corrupt_entry(tid, n, k): tid's row builder adds 1 to its entry (n, k) and to no other.
@@ -38,15 +58,15 @@ def corrupt_entry(monkeypatch):
     dropped when the test ends.
     """
     def corrupt(tid, n, k):
-        *entry, build = identities._CATALOG[tid]
+        def wrap(build):
+            def corrupted(*args):
+                rows, d = build(*args)
+                rows = list(rows)
+                rows[n] = [x + d if i == k else x for i, x in enumerate(rows[n])]
+                return rows, d
+            return corrupted
 
-        def corrupted(*args):
-            rows, d = build(*args)
-            rows = list(rows)
-            rows[n] = [x + d if i == k else x for i, x in enumerate(rows[n])]
-            return rows, d
-
-        monkeypatch.setitem(identities._CATALOG, tid, (*entry, corrupted))
+        wrap_row_builder(monkeypatch, tid, wrap)
 
     yield corrupt
     for key in [key for key in families._store if isinstance(key, tuple)]:

@@ -657,7 +657,11 @@ def test_a_wrong_store_table_fails_verify_and_connect(capsys, monkeypatch, mutan
     monkeypatch.setattr(families, name, wrap(getattr(families, name)))
     code, out, _ = run(capsys, "verify", "--theorems", "all", "--max-n", "6", "--orders", "2")
     assert code == EXIT_IDENTITY_FAILURE
-    assert "FAIL" in {report["status"] for report in parse_document(out)["reports"]}
+    statuses = [report["status"] for report in parse_document(out)["reports"]]
+    assert "FAIL" in statuses
+    if name == "_build_numbers":  # a Hermite number moved: every cell is checked against
+        # the stored Hermite table and no closed form reads it, so no cell cancels the fault
+        assert statuses == ["FAIL"] * len(identities.THEOREM_IDS), statuses
     codes = _connect_codes(capsys, 6)
     assert EXIT_INCONSISTENT in codes, codes
 
@@ -819,6 +823,14 @@ def test_a_well_formed_process_loads_no_argparse_and_help_still_works():
     assert json.loads(out[:out.rindex("[]")])["all_pass"] is True
     code, out, err = umbra_process("verify", "--help")
     assert (code, err) == (EXIT_OK, "") and out.startswith("usage: umbra verify "), out
+
+
+def test_a_csv_table_is_written_without_the_csv_module():
+    probe = "import atexit, sys\natexit.register(lambda: print('csv' in sys.modules))"
+    code, out, _ = umbra_process("family", "--name", "hermite", "--max-degree", "3",
+                                 "--format", "csv", probe=probe)
+    assert (code, out) == (EXIT_OK, "n,c0,c1,c2,c3\n0,1,,,\n1,0,2,,\n2,-2,0,4,\n"
+                                    "3,0,-12,0,8\nFalse\n")
 
 
 def test_the_umbra_script_and_python_m_call_one_entry():

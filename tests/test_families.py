@@ -308,8 +308,8 @@ def test_the_store_holds_each_family_as_its_numbers(monkeypatch, spec):
 
 
 def test_stored_hermite_table_is_built_apart_from_the_explicit_route(monkeypatch):
-    # t4 / remark read the explicit route and t5 / t8 the stored table, so that
-    # each pair checks two routes
+    # every closed form of t4-t8 and remark reads the explicit route, and each of their
+    # cells is checked against the stored table, so that each cell checks two routes
     explicit = identities._explicit_hermite(20)
 
     def refuse(*args):

@@ -40,6 +40,7 @@ from umbra import (
 )
 from umbra.umbral import _solve_in_basis
 
+from conftest import catalog_entry, cell_rows, wrap_row_builder
 from test_series import assert_canonical, int_table
 
 
@@ -240,13 +241,14 @@ def test_lambda_forms_match_oracles_at_wide_lambdas(seed):
 @pytest.mark.parametrize("tid", identities.THEOREM_IDS)
 def test_builder_row_is_the_solved_row_and_the_public_row(tid):
     n_max, r = 8, {"t6": 9, "t7": 3}.get(tid, 2)
-    kind, hermite_table, build = identities._CATALOG[tid]
+    kind, _ = catalog_entry(tid)
     lam = (F(-7, 3),) if kind is FamilyKind.FROBENIUS_EULER else ()
     spec = FamilySpec(kind, r, *lam)
     hermites, polys = family_polys(hermite(), n_max), family_polys(spec, n_max)
-    lhs, basis = (polys, hermites) if hermite_table is None else (hermites, polys)
+    in_hermite_basis = identities._hermite_table(tid, n_max) is None
+    lhs, basis = (polys, hermites) if in_hermite_basis else (hermites, polys)
     solved = _solve_in_basis(int_table(lhs), int_table(basis), range(n_max + 1))
-    rows, d = build(spec, n_max, identities._hermite_table(tid, n_max))
+    rows, d = cell_rows(tid, spec, n_max)
     # every row, not only row n_max, whose lift to the table's d is 1
     assert [[F(x, d) for x in row] for row in rows] == solved
     coeff = getattr(identities, f"{tid}_coeff")
@@ -531,21 +533,24 @@ def test_verify_reports_first_failure_in_every_row_shape(corrupt_entry, tid, n_m
 ])
 def test_an_entry_off_by_one_is_caught_at_its_place(monkeypatch, tid, r):
     n_max = 8
-    *entry, build = identities._CATALOG[tid]
-    spec = FamilySpec(entry[0], r)
-    clean = build(spec, n_max, identities._hermite_table(tid, n_max))
+    clean = cell_rows(tid, FamilySpec(catalog_entry(tid)[0], r), n_max)
+    moved = []  # the (n, k, step) of the case at hand, last
+
+    def wrap(build):
+        def corrupted(*args):
+            rows, d = build(*args)
+            n, k, step = moved[-1]
+            rows = list(rows)
+            rows[n] = [x + step if i == k else x for i, x in enumerate(rows[n])]
+            return rows, d
+        return corrupted
+
+    wrap_row_builder(monkeypatch, tid, wrap)
     rng = random.Random(20130222)
     cases = [(n, rng.randint(0, n)) for n in rng.sample(range(n_max + 1), 4)]
     for n, k in cases + [(n_max, n_max), (0, 0), (n_max, 0), (n_max // 2, 0)]:
         step = rng.choice([-3, -2, -1, 1, 2, 3])
-
-        def corrupted(*args, n=n, k=k, step=step):
-            rows, d = build(*args)
-            rows = list(rows)
-            rows[n] = [x + step if i == k else x for i, x in enumerate(rows[n])]
-            return rows, d
-
-        monkeypatch.setitem(identities._CATALOG, tid, (*entry, corrupted))
+        moved.append((n, k, step))
         failure = verify_theorem(tid, n_max, r).first_failure
         assert (failure.n, failure.k) == (n, k)
         assert failure.got - failure.expected == F(step, clean[1])
@@ -586,8 +591,7 @@ def test_the_basis_is_checked_before_any_row(corrupt_entry, monkeypatch):
 
 
 # Replaces h_3 in the stored Hermite numbers by h_3 + 1, then verifies t4 at n_max = 6,
-# r = 2; "warm" verifies the same cell once before the swap.  t5-t8 read the stored
-# table in their closed forms too, so a fault that keeps it Appell in 2x cancels there.
+# r = 2; "warm" verifies the same cell once before the swap.
 _SWAP_SCRIPT = """
 import sys
 from umbra import families, hermite, verify_theorem
@@ -611,20 +615,32 @@ def test_fail_report_does_not_depend_on_earlier_cells():
     assert reports[0] == reports[1]
 
 
-def test_explicit_route_reads_no_sheffer_table(monkeypatch):
-    # t4 and remark check t5 and t8, so they must not read the table those use
+def test_no_closed_form_reads_the_stored_hermite_table(monkeypatch):
+    # each Hermite cell checks its closed form against the stored Hermite table, so no
+    # closed form may read that table, or a fault in it could cancel
     cells = [(n, k, r) for r in range(4) for n in range(9) for k in range(n + 1)]
-    want_t4 = [double_sum_oracle(n, k, r, -1) for n, k, r in cells]
-    want_remark = [double_sum_oracle(n, k, r, F(1, 2)) for n, k, r in cells]
+    lam = F(1, 2)
+    checks = [
+        (t4_coeff, cells, lambda n, k, r: double_sum_oracle(n, k, r, -1)),
+        (t5_coeff, cells, lambda n, k, r: hermite_values_oracle(n, k, r, -1)),
+        (t6_coeff, [(n, k, 9) for n in range(9) for k in range(n + 1)], stirling_route_oracle),
+        (t7_coeff, [(n, k, r) for n, k, r in cells if n >= r],
+         lambda n, k, r: (stirling_route_oracle if k < r else t7_upper_oracle)(n, k, r)),
+        (lambda *c: t8_coeff(*c, lam), cells, lambda *c: hermite_values_oracle(*c, lam)),
+        (lambda *c: remark_coeff(*c, lam), cells, lambda *c: double_sum_oracle(*c, lam)),
+    ]
+    wants = [[oracle(*c) for c in where] for _, where, oracle in checks]  # the oracles read it
+    build = families._build_numbers
 
-    def refuse(*args):
-        raise AssertionError("the explicit route read the stored Hermite table")
+    def refuse_hermite(spec, n_max):
+        if spec.kind is FamilyKind.HERMITE:
+            raise AssertionError("a closed form read the stored Hermite table")
+        return build(spec, n_max)
 
     monkeypatch.setattr(families, "_store", {})  # nothing computed before the patch may answer
-    monkeypatch.setattr(identities, "_family_rows", refuse)
-    monkeypatch.setattr(identities, "_stored_hermite", refuse)
-    assert [t4_coeff(*c) for c in cells] == want_t4
-    assert [remark_coeff(*c, F(1, 2)) for c in cells] == want_remark
+    monkeypatch.setattr(families, "_build_numbers", refuse_hermite)
+    for (coeff, where, _), want in zip(checks, wants):
+        assert [coeff(*c) for c in where] == want
 
 
 def as_fractions(table):
@@ -636,7 +652,7 @@ def as_fractions(table):
 def test_row_builders_read_the_hermite_denominator(tid):
     # every Hermite table the catalog hands over has d = 1, so only a table over d > 1
     # shows a builder that drops or misplaces that denominator
-    kind, _, build = identities._CATALOG[tid]
+    kind, build = catalog_entry(tid)
     lams = (F(1, 2), F(-3)) if kind is FamilyKind.FROBENIUS_EULER else (None,)
     for n_max in range(6):
         coeffs, d = identities._hermite_table(tid, n_max)
@@ -650,37 +666,39 @@ def test_row_builders_read_the_hermite_denominator(tid):
 
 
 def test_a_coefficient_sweep_below_a_built_degree_builds_no_table(monkeypatch):
-    *entry, build = identities._CATALOG["t6"]
     built = []
 
-    def counted(spec, n_max, table):
-        built.append(n_max)
-        return build(spec, n_max, table)
+    def wrap(build):
+        def counted(spec, n_max, table):
+            built.append(n_max)
+            return build(spec, n_max, table)
+        return counted
 
-    monkeypatch.setitem(identities._CATALOG, "t6", (*entry, counted))
+    build = wrap_row_builder(monkeypatch, "t6", wrap)
     monkeypatch.setattr(families, "_store", {})
     t6_coeff(30, 0, 31)
     sweep = {(n, k): t6_coeff(n, k, 31) for n in range(30) for k in range(n + 1)}
     assert built == [30]
     for n in (0, 1, 7, 29):  # each a slice equal to a table built to degree n
-        rows, d = build(bernoulli(31), n, identities._stored_hermite(n))
+        rows, d = build(bernoulli(31), n, identities._hermite_table("t6", n))
         assert [sweep[n, k] for k in range(n + 1)] == [F(x, d) for x in rows[n]], n
 
 
 def test_a_rising_coefficient_sweep_doubles_the_stored_table(monkeypatch):
-    *entry, build = identities._CATALOG["t6"]
     built = []
 
-    def counted(spec, n_max, table):
-        built.append(n_max)
-        return build(spec, n_max, table)
+    def wrap(build):
+        def counted(spec, n_max, table):
+            built.append(n_max)
+            return build(spec, n_max, table)
+        return counted
 
-    monkeypatch.setitem(identities._CATALOG, "t6", (*entry, counted))
+    build = wrap_row_builder(monkeypatch, "t6", wrap)
     monkeypatch.setattr(families, "_store", {})
     sweep = {(n, k): t6_coeff(n, k, 31) for n in range(31) for k in range(n + 1)}
     assert built == [0, 2, 6, 14, 30]  # each rebuild holds at least twice the rows
     for n in (0, 1, 7, 30):  # each entry equal to a table built to degree n
-        rows, d = build(bernoulli(31), n, identities._stored_hermite(n))
+        rows, d = build(bernoulli(31), n, identities._hermite_table("t6", n))
         assert [sweep[n, k] for k in range(n + 1)] == [F(x, d) for x in rows[n]], n
 
 
@@ -714,7 +732,7 @@ def test_lambda_entries_are_polynomials_in_u_of_the_bounded_degree(r):
 
 def test_hermite_coefficient_tables_agree_with_the_operator_route():
     explicit, d_explicit = identities._explicit_hermite(40)
-    stored, d_stored = identities._stored_hermite(40)
+    stored, d_stored = families._family_rows(hermite(), 40)
     for m in range(41):
         want = list(hermite_poly_via_operator(m).coeffs)
         assert [F(c, d_explicit) for c in explicit[m]] == want, m
